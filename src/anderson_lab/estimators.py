@@ -204,9 +204,17 @@ def _tail_counts(
         lo, hi = window_of(int(n))
         length = hi - lo + 1
 
-        def batch(b: int, size: int, _lo=lo, _hi=hi, _len=length, _i=i):
+        def batch(b: int, size: int, _lo=lo, _hi=hi, _len=length, _i=i, _n=int(n)):
             wins = sample_windows(law, _lo, _hi, size, stream.child(_i, b))
             stats = _statistic_logs(statistic, matrix_batch(energy, wins), u, v)
+            # -inf marks an exact zero (log_det, matrix_element) and counts as
+            # a deviation; NaN would silently count as none
+            bad = int(np.count_nonzero(np.isnan(stats) | (stats == np.inf)))
+            if bad:
+                raise ValueError(
+                    f"non-finite statistic at energy {energy!r}, radius {_n}: "
+                    f"{bad} of {size} lanes"
+                )
             return int(np.count_nonzero(np.abs(stats / _len - gamma_ref) > eps_eff))
 
         counts[i] = sum(_map_batches(batch, samples, workers))

@@ -31,12 +31,7 @@ from .measures import (
     sample_windows,
 )
 from .rng import RngStream
-from .spectral import (
-    ResonantEnergyError,
-    TridiagonalBox,
-    classify_regularity,
-    eigenpairs,
-)
+from .spectral import TridiagonalBox, classify_regularity, eigenpairs
 
 #: minimum decay rate / regularity rate used in pass tests, so that the
 #: free-operator negative control cannot pass on noise around zero
@@ -409,30 +404,39 @@ def run_localization(scenario: Scenario) -> LocalizationReport:
     box = TridiagonalBox(window.slice(box_lo, box_hi))
     values, vectors = eigenpairs(box)
     s, t = scenario.interval  # type: ignore[misc]
+    in_interval = [int(j) for j in np.nonzero((values >= s) & (values <= t))[0]]
+    lams = [float(values[j]) for j in in_interval]
+    g_hats = [float(np.interp(lam, scenario.e_grid, gammas)) for lam in lams]
+    c_rates = [max(g_hat - 8.0 * eps0, RATE_FLOOR) for g_hat in g_hats]
+    # one regularity pass per radius over (eigenvalue, site) lanes; shape (J, 2)
+    tested = {}
+    for n in scenario.n_grid if in_interval else ():
+        lanes = classify_regularity(
+            window, np.tile([2 * n, 2 * n + 1], len(lams)), n,
+            np.repeat(c_rates, 2), np.repeat(lams, 2),
+        )
+        tested[n] = (lanes.regular.reshape(-1, 2), lanes.resonant.reshape(-1, 2))
     rows = []
     skips = []
-    for j in np.nonzero((values >= s) & (values <= t))[0]:
-        lam = float(values[j])
-        g_hat = float(np.interp(lam, scenario.e_grid, gammas))
+    for i, j in enumerate(in_interval):
+        lam = lams[i]
+        g_hat = g_hats[i]
         g_err = float(np.interp(lam, scenario.e_grid, errs))
         vec = vectors[:, j]
         center_idx = int(np.argmax(np.abs(vec)))
         rate = _decay_fit(vec, center_idx)
         passed = rate >= max(0.5 * g_hat, RATE_FLOOR)
         largest_singular = None
-        c_rate = max(g_hat - 8.0 * eps0, RATE_FLOOR)
         for n in scenario.n_grid:
-            for site in (2 * n, 2 * n + 1):
-                try:
-                    report = classify_regularity(window, site, n, c_rate, lam)
-                except ResonantEnergyError:
-                    skips.append((int(j), int(n), site))
-                    continue
-                if not report.is_regular:
+            regular, resonant = tested[n]
+            for k, site in enumerate((2 * n, 2 * n + 1)):
+                if resonant[i, k]:
+                    skips.append((j, int(n), site))
+                elif not regular[i, k]:
                     largest_singular = max(largest_singular or 0, int(n))
         rows.append(
             LocalizationRow(
-                j=int(j),
+                j=j,
                 eigenvalue=lam,
                 gamma_hat=g_hat,
                 gamma_stderr=g_err,
@@ -504,18 +508,26 @@ def singularity_census(scenario: Scenario) -> CensusReport:
     rows = []
     counts: dict[int, int] = {}
     skips = []
+    rates = [max(g_hat - 8.0 * eps0, RATE_FLOOR) for g_hat in gammas]
+    n_energies = len(scenario.e_grid)
     for n in scenario.n_grid:
+        sites = (2 * n, 2 * n + 1, -2 * n, -(2 * n + 1))
+        # one regularity pass per radius over (site, energy) lanes
+        lanes = classify_regularity(
+            window, np.repeat(sites, n_energies), n,
+            np.tile(rates, len(sites)), np.tile(scenario.e_grid, len(sites)),
+        )
+        regular = lanes.regular.reshape(len(sites), n_energies)
+        resonant = lanes.resonant.reshape(len(sites), n_energies)
         count = 0
-        for site in (2 * n, 2 * n + 1, -2 * n, -(2 * n + 1)):
+        for i, site in enumerate(sites):
+            # the scan ends at the first singular energy; resonant energies
+            # before it are skipped
             singular = False
-            for e, g_hat in zip(scenario.e_grid, gammas):
-                c_rate = max(g_hat - 8.0 * eps0, RATE_FLOOR)
-                try:
-                    report = classify_regularity(window, site, n, c_rate, e)
-                except ResonantEnergyError:
+            for k, e in enumerate(scenario.e_grid):
+                if resonant[i, k]:
                     skips.append((int(n), site, e))
-                    continue
-                if not report.is_regular:
+                elif not regular[i, k]:
                     singular = True
                     break
             rows.append((int(n), site, "singular" if singular else "regular"))

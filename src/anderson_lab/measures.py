@@ -202,6 +202,8 @@ class ParetoTail(BaseMeasure):
 
     def sample(self, rng: np.random.Generator, size: int) -> np.ndarray:
         u = rng.random(size)
+        # an exact 0 would give an infinite draw; 1 keeps the law of 1 - u on (0, 1]
+        u[u == 0.0] = 1.0
         x = self.scale * u ** (-1.0 / self.exponent)
         if self.symmetric:
             signs = np.where(rng.random(size) < 0.5, -1.0, 1.0)
@@ -507,7 +509,11 @@ class ProductLaw:
 
 @dataclass(frozen=True)
 class PotentialWindow:
-    """Sampled potential values on the integer window ``[lo, hi]``."""
+    """Sampled potential values on the integer window ``[lo, hi]``.
+
+    ``values`` has one entry per site, or one row per site and one column per
+    lane when several potentials share the window's coordinates.
+    """
 
     lo: int
     hi: int
@@ -518,7 +524,7 @@ class PotentialWindow:
         if self.lo > self.hi:
             raise ValueError("window requires lo <= hi")
         values = np.asarray(self.values, dtype=float)
-        if values.shape != (self.hi - self.lo + 1,):
+        if values.ndim not in (1, 2) or len(values) != self.hi - self.lo + 1:
             raise ValueError("window length must equal hi - lo + 1")
         if not np.all(np.isfinite(values)):
             raise ValueError("window values must be finite")

@@ -8,6 +8,15 @@ Green's functions are available through the determinant-ratio formula and
 through a direct banded solve, and the module also provides the regularity
 classification of a site, interior reconstruction from boundary data, and
 the eigenfunction-correlator bound used as a dynamical-localization proxy.
+
+Regularity is lane-batched.  A lane is one (site, energy, rate) triple; all
+lanes of one radius share the box coordinates ``[-radius, radius]`` and are
+stored site-major, one potential column per lane.  One call runs, for every
+lane at once, a prefix determinant recurrence over the box (read after
+``radius`` sites and at the end), one recurrence over the sites above the
+center, and one 2-shift Sturm count for the resonance test; resonant lanes
+are flagged instead of raising.  Each lane does exactly the arithmetic of a
+scalar call, which is the same computation on one lane.
 """
 from __future__ import annotations
 
@@ -18,7 +27,7 @@ import numpy as np
 from scipy.linalg import solve_banded
 
 from .measures import PotentialWindow
-from .transfer import SignedLog, interval_det
+from .transfer import NEG_INF, SignedLog, det_recurrence, interval_det
 
 EIGENVALUE_TOL_FACTOR = 1e-10
 RESIDUAL_TOL_FACTOR = 1e-8
@@ -57,8 +66,9 @@ class TridiagonalBox:
         return self.window.values
 
     @property
-    def scale(self) -> float:
-        return 2.0 + float(np.max(np.abs(self.diagonal)))
+    def scale(self) -> float | np.ndarray:
+        """2 + max|V|, one value per lane for a box holding lanes."""
+        return 2.0 + np.max(np.abs(self.diagonal), axis=0)
 
     def gershgorin(self) -> tuple[float, float]:
         d = self.diagonal
@@ -123,7 +133,9 @@ def sturm_counts(diagonal: np.ndarray, shifts: np.ndarray) -> np.ndarray:
     """Number of eigenvalues of the box strictly below each shift.
 
     Runs the standard LDL^T sign count on ``T - shift`` with unit
-    off-diagonals, vectorized across shifts.
+    off-diagonals, vectorized across shifts.  For lanes, ``diagonal`` is
+    site-major with one column per lane, shape ``(m, L)``, and ``shifts`` has
+    shape ``(k, L)``; the counts then have shape ``(k, L)``.
     """
     shifts = np.atleast_1d(np.asarray(shifts, dtype=float))
     q = np.full(shifts.shape, np.inf)
@@ -249,74 +261,146 @@ def eigenpairs(box: TridiagonalBox) -> tuple[np.ndarray, np.ndarray]:
 RESONANCE_DISTANCE_FACTOR = 1e-12
 
 
-def _reject_resonant(box: TridiagonalBox, energy: float, full_det: SignedLog) -> None:
-    if full_det.is_zero():
-        raise ResonantEnergyError(f"resonant energy {energy!r}: det(H - E) vanished")
-    delta = RESONANCE_DISTANCE_FACTOR * box.scale
-    counts = sturm_counts(box.diagonal, np.array([energy - delta, energy + delta]))
-    if counts[0] != counts[1]:
-        raise ResonantEnergyError(
-            f"resonant energy {energy!r}: an eigenvalue of the box lies within "
-            f"{delta:.3e}"
-        )
+@dataclass(frozen=True)
+class GreenLanes:
+    """Green's values of many lanes, as signs and log magnitudes.
+
+    A lane whose energy is resonant for its box is flagged in ``resonant``
+    instead of raising; its values are meaningless.
+    """
+
+    sign: np.ndarray
+    log_mag: np.ndarray
+    resonant: np.ndarray
 
 
-def green(
-    box: TridiagonalBox, energy: float, x: int, y: int, method: str = "det_ratio"
-) -> SignedLog:
+def _resonant(diagonal: np.ndarray, energy: np.ndarray, full_sign: np.ndarray, scale) -> np.ndarray:
+    """Lanes whose full determinant vanished or whose box has an eigenvalue
+    within ``1e-12 * scale`` of the energy."""
+    delta = RESONANCE_DISTANCE_FACTOR * scale
+    counts = sturm_counts(diagonal, np.stack(np.broadcast_arrays(energy - delta, energy + delta)))
+    return (full_sign == 0) | (counts[0] != counts[1])
+
+
+def green(box: TridiagonalBox, energy, x: int, y, method: str = "det_ratio"):
     """Signed log of the box Green's function <delta_x, (H - E)^{-1} delta_y>.
 
     ``det_ratio`` evaluates the quotient of truncated determinants in scaled
     arithmetic (empty intervals count as 1); ``direct_solve`` solves the
     banded linear system.  Energies within round-off of the spectrum raise
     :class:`ResonantEnergyError`.
+
+    Lanes: a box holding one potential column per lane, an array of energies,
+    or a tuple of targets ``y`` return :class:`GreenLanes` with values of
+    shape ``(len(y), L)`` (or ``(L,)`` for one target).  All targets share one
+    prefix run over the box; each distinct ``max(x, y) < hi`` adds one run
+    over the sites above it.  A single lane is the same computation.
     """
-    if not (box.lo <= x <= box.hi and box.lo <= y <= box.hi):
+    targets = tuple(int(t) for t in np.atleast_1d(y))
+    if not all(box.lo <= t <= box.hi for t in (x,) + targets):
         raise IndexError("x and y must lie inside the box window")
     values = box.diagonal
-    full = interval_det(energy, values)
-    _reject_resonant(box, energy, full)
+    lanes = np.ndim(energy) > 0 or values.ndim == 2 or np.ndim(y) > 0
+    if method not in ("det_ratio", "direct_solve"):
+        raise ValueError(f"unknown Green's function method {method!r}")
+    if lanes and method != "det_ratio":
+        raise ValueError("direct_solve evaluates one lane")
+    e = np.atleast_1d(np.asarray(energy, dtype=float))
+    pairs = [sorted((x, t)) for t in targets]
+    steps = sorted({a - box.lo for a, _ in pairs if a > box.lo} | {box.dim})
+    prefix_sign, prefix_log = det_recurrence(e, values, steps)
+    full_sign, full_log = prefix_sign[-1], prefix_log[-1]
+    resonant = _resonant(values, e, full_sign, box.scale)
+    if not lanes and resonant[0]:
+        if full_sign[0] == 0:
+            raise ResonantEnergyError(f"resonant energy {energy!r}: det(H - E) vanished")
+        raise ResonantEnergyError(
+            f"resonant energy {energy!r}: an eigenvalue of the box lies within "
+            f"{RESONANCE_DISTANCE_FACTOR * box.scale:.3e}"
+        )
     if method == "direct_solve":
         rhs = np.zeros(box.dim)
         rhs[y - box.lo] = 1.0
         sol = solve_banded((1, 1), _banded(values, energy), rhs)
         return SignedLog.from_value(float(sol[x - box.lo]))
-    if method != "det_ratio":
-        raise ValueError(f"unknown Green's function method {method!r}")
-    a, b = sorted((x, y))
-    left = interval_det(energy, values[: a - box.lo])
-    right = interval_det(energy, values[b - box.lo + 1 :])
-    ratio = (left * right) / full
-    parity = -1.0 if (x + y) % 2 else 1.0
-    if ratio.is_zero():
-        return ratio
-    return SignedLog(ratio.sign * parity, ratio.log_mag)
+    above = {b: interval_det(e, values[b - box.lo + 1 :]) for _, b in pairs}
+    sign = np.empty((len(pairs),) + full_sign.shape)
+    log_mag = np.empty_like(sign)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        for i, (a, b) in enumerate(pairs):
+            if a > box.lo:
+                k = steps.index(a - box.lo)
+                left_sign, left_log = prefix_sign[k], prefix_log[k]
+            else:
+                left_sign, left_log = 1.0, 0.0
+            right_sign, right_log = above[b]
+            zero = (left_sign == 0) | (right_sign == 0)
+            parity = -1.0 if (x + targets[i]) % 2 else 1.0
+            sign[i] = np.where(zero, 0.0, left_sign * right_sign / full_sign * parity)
+            log_mag[i] = np.where(zero, NEG_INF, (left_log + right_log) - full_log)
+    if not lanes:
+        return SignedLog(float(sign[0, 0]), float(log_mag[0, 0]))
+    if np.ndim(y) == 0:
+        sign, log_mag = sign[0], log_mag[0]
+    return GreenLanes(sign, log_mag, resonant)
 
 
-def classify_regularity(
-    window: PotentialWindow, site: int, radius: int, rate: float, energy: float
-) -> RegularityReport:
+@dataclass(frozen=True)
+class RegularityLanes:
+    """The two-sided Green's-decay test of many (site, energy, rate) lanes at
+    one radius.  ``green`` holds the values from each site to the left and
+    the right box edge (shape ``(2, L)``); resonant lanes are not regular."""
+
+    green: GreenLanes
+    regular: np.ndarray
+
+    @property
+    def resonant(self) -> np.ndarray:
+        return self.green.resonant
+
+
+def classify_regularity(window: PotentialWindow, site, radius: int, rate, energy):
     """Apply the two-sided Green's-decay definition of a regular site.
 
     Evaluates the Green's function of the box ``[site - radius, site + radius]``
     from the site to both edges via determinant ratios and compares the log
     magnitudes against ``-rate * radius``.
+
+    ``site``, ``rate`` and ``energy`` broadcast to lanes: with any of them an
+    array, every lane is tested in one pass and a :class:`RegularityLanes` is
+    returned, flagging resonant lanes instead of raising.  Scalars give a
+    :class:`RegularityReport` from the same computation on one lane.
     """
     if radius < 1:
         raise ValueError("radius must be >= 1")
-    box = TridiagonalBox(window.slice(site - radius, site + radius))
-    g_left = green(box, energy, site, box.lo)
-    g_right = green(box, energy, site, box.hi)
-    threshold = -rate * radius
-    regular = g_left.log_mag <= threshold and g_right.log_mag <= threshold
+    lanes = np.ndim(site) > 0 or np.ndim(rate) > 0 or np.ndim(energy) > 0
+    sites, rates, energies = (
+        np.atleast_1d(a) for a in np.broadcast_arrays(site, rate, energy)
+    )
+    sites = sites.astype(np.int64)
+    lo, hi = int(np.min(sites)) - radius, int(np.max(sites)) + radius
+    if not (window.lo <= lo and hi <= window.hi):
+        raise IndexError(f"[{lo}, {hi}] not contained in [{window.lo}, {window.hi}]")
+    # every lane's box in the shared coordinates [-radius, radius], site at 0
+    offsets = np.arange(-radius, radius + 1)[:, None] + (sites - window.lo)
+    box = TridiagonalBox(PotentialWindow(-radius, radius, window.values[offsets]))
+    g = green(box, energies.astype(float), 0, (-radius, radius))
+    threshold = -rates * radius
+    regular = ~g.resonant & (g.log_mag[0] <= threshold) & (g.log_mag[1] <= threshold)
+    if lanes:
+        return RegularityLanes(g, regular)
+    if g.resonant[0]:
+        raise ResonantEnergyError(
+            f"resonant energy {energy!r} for the box [{site - radius}, {site + radius}]"
+        )
     return RegularityReport(
         site=site,
         radius=radius,
         rate=rate,
         energy=energy,
-        green_left=g_left,
-        green_right=g_right,
-        verdict="regular" if regular else "singular",
+        green_left=SignedLog(float(g.sign[0, 0]), float(g.log_mag[0, 0])),
+        green_right=SignedLog(float(g.sign[1, 0]), float(g.log_mag[1, 0])),
+        verdict="regular" if regular[0] else "singular",
     )
 
 

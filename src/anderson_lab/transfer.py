@@ -30,6 +30,11 @@ CANCELLATION_GUARD = 1e-13
 _RESCALE_HI = 1e150
 _RESCALE_LO = 1e-150
 
+#: sites per chunk of the lane recurrence; a chunk doubles after a clean
+#: pass and restarts small after a redone site
+_CHUNK_MIN = 8
+_CHUNK_MAX = 256
+
 
 # ---------------------------------------------------------------------------
 # signed-log scalars
@@ -190,19 +195,12 @@ def one_step(energy: complex | float, v: float) -> ScaledMatrix:
     return ScaledMatrix(np.array([[d, -1.0], [1.0, 0.0]], dtype=dtype), 0.0)
 
 
-def product(
-    energy: complex | float,
-    window,
-    order: str = "left_of_b_to_a",
-) -> ScaledMatrix:
+def product(energy: complex | float, window) -> ScaledMatrix:
     """Scaled product of one-step factors over a potential window.
 
-    Factors are composed with the top-site factor leftmost (the only
-    supported order), renormalizing by the largest entry magnitude after
-    every multiply.
+    Factors are composed with the top-site factor leftmost, renormalizing by
+    the largest entry magnitude after every multiply.
     """
-    if order != "left_of_b_to_a":
-        raise ValueError(f"unsupported composition order {order!r}")
     values = np.asarray(window.values if hasattr(window, "values") else window, dtype=float)
     if values.size == 0:
         raise ValueError("product requires a non-empty window")
@@ -251,49 +249,147 @@ def _two_prod(a: float, b: float) -> tuple[float, float]:
     return p, err
 
 
-def det_recurrence(energy: complex | float, window) -> list[SignedLog]:
-    """Prefix determinants ``det(H_[a,k] - E)`` for every ``k`` in the window.
+def _det_lanes(
+    energy: complex | float | np.ndarray, values: np.ndarray, steps: tuple[int, ...]
+) -> tuple[np.ndarray, np.ndarray]:
+    """Mantissas and log shifts of the recurrence after each of ``steps``.
+
+    ``values`` is site-major: shape ``(m,)`` for one window shared by every
+    lane, or ``(m, L)`` with one column per lane; ``energy`` is a scalar or
+    holds one value per lane.  ``steps`` are ascending prefix lengths in
+    ``[1, m]``.  Returns two arrays of shape ``(len(steps), L)``.
+
+    Each lane does exactly the arithmetic of the one-lane recurrence, in the
+    same order.  Sites are taken in chunks: the plain three-term step runs
+    over the chunk, then the guard and rescale conditions are checked on the
+    whole chunk at once.  The chunk is kept up to the first site where a
+    lane needs a rescale, or a guard recompute whose double-double value
+    differs from the plain one; that site is redone with the masked guard
+    and rescale (the log of each rescale peak taken with :func:`math.log`)
+    and the next chunk starts after it.
+    """
+    e = np.atleast_1d(np.asarray(energy))
+    is_complex = np.iscomplexobj(e) and bool(np.any(e.imag != 0))
+    dtype = complex if is_complex else float
+    e = e.astype(dtype) if is_complex else e.real.astype(float)
+    values = values.reshape(len(values), -1)
+    shape = np.broadcast_shapes(e.shape, values.shape[1:])
+    prev = np.ones(shape, dtype=dtype)  # empty interval
+    prev2 = np.zeros(shape, dtype=dtype)  # negative length
+    log_shift = np.zeros(shape)
+    marks = np.asarray(steps)
+    mantissas = np.empty((len(steps),) + shape, dtype=dtype)
+    shifts = np.empty((len(steps),) + shape)
+    run = np.empty((_CHUNK_MAX + 2,) + shape, dtype=dtype)  # P_{k-2}, P_{k-1}, P_k, ...
+    terms = np.empty((_CHUNK_MAX,) + shape, dtype=dtype)  # (V_k - E) P_{k-1}
+    done = 0  # sites consumed
+    j = 0  # next step to record
+    size = _CHUNK_MIN
+    with np.errstate(all="ignore"):  # sites past a redone one are discarded
+        while done < steps[-1]:
+            size = min(size, _CHUNK_MAX, steps[-1] - done)
+            d = values[done : done + size] - e
+            run[0] = prev2
+            run[1] = prev
+            for k in range(size):
+                np.multiply(d[k], run[k + 1], out=terms[k])
+                np.subtract(terms[k], run[k], out=run[k + 2])
+            p, p1, p2, t1 = run[2 : size + 2], run[1 : size + 1], run[:size], terms[:size]
+            redo = np.zeros(size, dtype=bool)
+            if not is_complex:
+                cancel = np.abs(p) < CANCELLATION_GUARD * np.maximum(np.abs(t1), np.abs(p2))
+                if cancel.any():
+                    hi, lo = _two_prod(d[cancel], p1[cancel])
+                    s, err = _two_sum(hi, -p2[cancel])
+                    guarded = np.where(cancel, 0.0, p)
+                    guarded[cancel] = s + (err + lo)
+                    redo |= np.any(cancel & (guarded != p), axis=1)
+            peak = np.maximum(np.abs(p), np.abs(p1))
+            rescale = (peak > _RESCALE_HI) | ((peak > 0.0) & (peak < _RESCALE_LO))
+            redo |= np.any(rescale, axis=1)
+            kept = int(np.argmax(redo)) if redo.any() else size
+            upto = j + int(np.searchsorted(marks[j:], done + kept, side="right"))
+            mantissas[j:upto] = p[marks[j:upto] - done - 1]
+            shifts[j:upto] = log_shift
+            j = upto
+            if kept == size:
+                prev2, prev = p1[-1].copy(), p[-1].copy()
+                done += size
+                size *= 2
+                continue
+            prev2, prev = p1[kept].copy(), p[kept].copy()
+            if not is_complex and cancel[kept].any():
+                prev[cancel[kept]] = guarded[kept][cancel[kept]]
+            peak = np.maximum(np.abs(prev), np.abs(prev2))
+            rescale = (peak > _RESCALE_HI) | ((peak > 0.0) & (peak < _RESCALE_LO))
+            for i in np.flatnonzero(rescale):
+                top = float(peak[i])
+                prev[i] = prev[i].item() / top
+                prev2[i] = prev2[i].item() / top
+                log_shift[i] += math.log(top)
+            done += kept + 1
+            if j < len(marks) and marks[j] == done:
+                mantissas[j] = prev
+                shifts[j] = log_shift
+                j += 1
+            size = max(2 * (kept + 1), _CHUNK_MIN)
+    return mantissas, shifts
+
+
+def _is_lanes(energy, values: np.ndarray) -> bool:
+    return np.ndim(energy) > 0 or values.ndim == 2
+
+
+def det_recurrence(energy: complex | float | np.ndarray, window, steps=None):
+    """Prefix determinants ``det(H_[a,k] - E)`` of a window.
 
     Evaluates the three-term recurrence ``P_k = (V_k - E) P_{k-1} - P_{k-2}``
     (empty interval 1, negative-length interval 0) in scaled arithmetic.
     When the two recurrence terms nearly cancel, the step is recomputed in
     compensated double-double arithmetic; magnitudes are rescaled before they
     can underflow, so a ``-inf`` log only ever marks an exact zero.
+
+    ``steps`` lists the prefix lengths to read (default: every prefix).  With
+    a scalar energy and one window the result is a list of :class:`SignedLog`.
+    Lanes (an array of energies, or a site-major ``(m, L)`` window with one
+    column per lane) give a ``(sign, log_mag)`` pair of arrays of shape
+    ``(len(steps), L)``; every lane runs the one-lane arithmetic exactly.
     """
     values = np.asarray(window.values if hasattr(window, "values") else window, dtype=float)
-    if values.size == 0:
+    if len(values) == 0:
         raise ValueError("det_recurrence requires a non-empty window")
-    is_complex = isinstance(energy, complex) and energy.imag != 0
-    e = complex(energy) if is_complex else float(energy)
-    prev: complex | float = 1.0  # empty interval
-    prev2: complex | float = 0.0  # negative length
-    log_shift = 0.0
-    out: list[SignedLog] = []
-    for v in values:
-        d = v - e
-        t1 = d * prev
-        p = t1 - prev2
-        if not is_complex and abs(p) < CANCELLATION_GUARD * max(abs(t1), abs(prev2)):
-            hi, lo = _two_prod(float(d), float(prev))
-            s, err = _two_sum(hi, -float(prev2))
-            p = s + (err + lo)
-        prev2 = prev
-        prev = p
-        peak = max(abs(prev), abs(prev2))
-        if peak > _RESCALE_HI or (0.0 < peak < _RESCALE_LO):
-            prev /= peak
-            prev2 /= peak
-            log_shift += math.log(peak)
-        out.append(_signed_log(prev, log_shift))
-    return out
+    steps = tuple(range(1, len(values) + 1)) if steps is None else tuple(sorted(set(steps)))
+    if steps[0] < 1 or steps[-1] > len(values):
+        raise ValueError("steps must lie in [1, window length]")
+    mantissas, shifts = _det_lanes(energy, values, steps)
+    dets = [
+        [_signed_log(m, s) for m, s in zip(ms, ss)]
+        for ms, ss in zip(mantissas.tolist(), shifts.tolist())
+    ]
+    if not _is_lanes(energy, values):
+        return [row[0] for row in dets]
+    sign = np.array([[d.sign for d in row] for row in dets])
+    log_mag = np.array([[d.log_mag for d in row] for row in dets])
+    return sign, log_mag
 
 
-def interval_det(energy: complex | float, window) -> SignedLog:
-    """det(H - E) of the full window; empty windows give 1 by convention."""
+def interval_det(energy: complex | float | np.ndarray, window):
+    """det(H - E) of the full window; empty windows give 1 by convention.
+
+    Lanes as in :func:`det_recurrence` give a ``(sign, log_mag)`` pair of
+    arrays with one entry per lane.
+    """
     values = np.asarray(window.values if hasattr(window, "values") else window, dtype=float)
-    if values.size == 0:
-        return SignedLog.one()
-    return det_recurrence(energy, values)[-1]
+    if len(values) == 0:
+        if not _is_lanes(energy, values):
+            return SignedLog.one()
+        shape = np.broadcast_shapes(np.shape(energy), values.shape[1:])
+        return np.ones(shape), np.zeros(shape)
+    dets = det_recurrence(energy, values, (len(values),))
+    if _is_lanes(energy, values):
+        sign, log_mag = dets
+        return sign[0], log_mag[0]
+    return dets[0]
 
 
 def matrix_element(u: np.ndarray, s: ScaledMatrix, v: np.ndarray) -> SignedLog:

@@ -114,6 +114,36 @@ def test_point_mass_curve_reports_the_zero_count_flag():
     assert curve.fit.eta == pytest.approx(math.log(500) / 64)
 
 
+def test_non_finite_statistic_is_an_error(monkeypatch):
+    # a window holding an inf makes matrix_batch return NaN, which would
+    # otherwise count as "no deviation"
+    import anderson_lab.estimators as estimators
+
+    real = estimators.sample_windows
+
+    def with_inf(law, lo, hi, count, stream):
+        wins = real(law, lo, hi, count, stream)
+        wins[3, 0] = math.inf
+        return wins
+
+    monkeypatch.setattr(estimators, "sample_windows", with_inf)
+    with pytest.raises(ValueError, match=r"energy 0\.0, radius 16: 1 of 100 lanes"):
+        with np.errstate(invalid="ignore"):
+            lde_curve(
+                BERNOULLI_LAW, 0.0, 0.1, [16, 32], 100, RngStream(9),
+                gamma=0.3, gamma_stderr=0.0,
+            )
+
+
+def test_exact_zero_log_det_counts_as_a_deviation():
+    # V == 0 at E = 0: the determinant of an odd-length window is exactly 0
+    curve = lde_curve(
+        constant_law(0.0), 0.0, 0.05, [15, 31], 50, RngStream(9), "log_det",
+        gamma=0.0, gamma_stderr=0.0,
+    )
+    assert list(curve.counts) == [50, 50]
+
+
 def test_impossible_deviation_has_zero_counts():
     # eps above gamma + the per-step log-norm bound: no window can deviate
     gamma = lyapunov_mc(BERNOULLI_LAW, 0.0, 256, 64, RngStream(10))

@@ -1,5 +1,6 @@
 import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -131,6 +132,32 @@ def test_paired_census_thresholds_are_comparable():
     approx = singularity_census(scenario(kind="census", n_grid=grid, densities=bumps))
     assert exact.zero_from is not None and approx.zero_from is not None
     assert approx.zero_from <= 1.5 * exact.zero_from
+
+
+def _smoke_scenario(name):
+    from anderson_lab.cli import scenario_from_config
+
+    config_dir = Path(__file__).resolve().parent.parent / "configs"
+    config = json.loads((config_dir / f"{name}.json").read_text())
+    config["grids"]["n"] = [10, 25]
+    config["experiment"].update(gamma_n=200, gamma_samples=20)
+    return scenario_from_config(config)
+
+
+def test_bump_studies_reproduce_pinned_verdicts():
+    # pinned from the per-energy scalar regularity test at seed 90210
+    census = singularity_census(_smoke_scenario("census_bumps"))
+    assert census.rows == (
+        (10, 20, "singular"), (10, 21, "regular"), (10, -20, "singular"), (10, -21, "singular"),
+        (25, 50, "regular"), (25, 51, "regular"), (25, -50, "singular"), (25, -51, "singular"),
+    )
+    assert census.skips == ()
+    report = run_localization(_smoke_scenario("localize_bumps"))
+    assert [r.largest_singular_n for r in report.rows] == (
+        [10, 10] + [None] * 4 + [25] * 3 + [None] * 14 + [10] * 9 + [25] + [10] * 16
+        + [25] + [10] * 3 + [25] * 2 + [10] * 6 + [25] * 3 + [10] * 2
+    )
+    assert report.skips == ()
 
 
 # ---------------------------------------------------------------------------

@@ -66,6 +66,18 @@ def test_pareto_moment_condition():
     assert p.abs_moment(3.0) == math.inf
 
 
+def test_pareto_exact_zero_uniform_gives_a_finite_draw():
+    class ZeroUniforms:
+        def random(self, size):
+            return np.zeros(size)
+
+    for symmetric in (True, False):
+        p = ParetoTail(scale=2.0, exponent=3.0, symmetric=symmetric)
+        draws = p.sample(ZeroUniforms(), 5)
+        assert np.all(np.isfinite(draws))
+        assert np.all(np.abs(draws) == 2.0)
+
+
 def test_exact_law_forces_identity_densities():
     seq = AtomReweight(BERNOULLI, {0: (0.75, 0.25)})
     with pytest.raises(ValueError, match="identity"):

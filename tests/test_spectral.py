@@ -255,6 +255,65 @@ def test_five_site_verdict_matches_dense_inverse():
         assert report.green_right.log_mag == pytest.approx(math.log(abs(inv[2, 4])), abs=1e-9)
 
 
+def test_lane_batch_matches_one_lane_calls_and_dense_inverse():
+    # one radius-5 batch over boxes [site - 5, site + 5] of a 100-site window
+    rng = np.random.default_rng(213)
+    values = rng.uniform(-2.0, 2.0, 100)
+    values[5:16] = 0.0  # site 10: free box, 0 and 1 are exact eigenvalues
+    values[25:27] = 1.0  # site 30: [1, 1] at E = 0 trips the cancellation guard
+    values[45:56] = 1e80 * np.where(rng.random(11) < 0.5, -1.0, 1.0)  # rescales past 1e150
+    values[65:76] = 5.0  # site 70: gapped, regular at half the rate
+    window = PotentialWindow(0, 99, values)
+    gap_rate = 0.5 * math.log((5 + math.sqrt(21)) / 2)
+    n = 5
+    lanes = [  # (site, energy, rate, resonant)
+        (10, 0.0, 0.1, True),  # exact-zero determinant
+        (10, 1.0 + 1e-13, 0.1, True),  # nonzero determinant, eigenvalue within 1e-12 * scale
+        (10, 0.3, 0.1, False),
+        (30, 0.0, 0.1, False),
+        (50, 0.2, 0.1, False),
+        (70, 0.0, gap_rate, False),
+        (85, 0.25, 0.1, False),
+        (85, -1.7, 2.0, False),
+    ]
+    sites, energies, rates, want_resonant = (np.array(c) for c in zip(*lanes))
+    batch = classify_regularity(window, sites, n, rates, energies)
+    assert list(batch.resonant) == list(want_resonant)
+    assert batch.regular[5]
+    for i, (site, energy, rate, resonant) in enumerate(lanes):
+        if resonant:
+            assert not batch.regular[i]
+            with pytest.raises(ResonantEnergyError):
+                classify_regularity(window, site, n, rate, energy)
+            continue
+        one = classify_regularity(window, site, n, rate, energy)
+        assert one.is_regular == batch.regular[i]
+        for k, g in enumerate((one.green_left, one.green_right)):
+            assert (g.sign, g.log_mag) == (batch.green.sign[k, i], batch.green.log_mag[k, i])
+        box = TridiagonalBox(window.slice(site - n, site + n))
+        if site == 50:
+            # diagonal dominance: G(x, y) ~ (-1)^|x-y| / prod of V over [x, y]
+            for g, edge in ((one.green_left, slice(45, 51)), (one.green_right, slice(50, 56))):
+                assert g.log_mag == pytest.approx(-np.sum(np.log(np.abs(values[edge]))), rel=1e-12)
+            continue
+        inv = np.linalg.inv(box.dense() - energy * np.eye(2 * n + 1))
+        for g, entry in ((one.green_left, inv[n, 0]), (one.green_right, inv[n, 2 * n])):
+            assert g.sign == np.sign(entry)
+            assert g.log_mag == pytest.approx(math.log(abs(entry)), abs=1e-9)
+        want = max(abs(inv[n, 0]), abs(inv[n, 2 * n])) <= math.exp(-rate * n)
+        assert one.is_regular == want
+
+
+def test_sturm_count_lanes_match_one_lane_calls():
+    rng = np.random.default_rng(214)
+    diagonals = rng.uniform(-2.0, 2.0, (30, 4))
+    shifts = rng.uniform(-3.0, 3.0, (3, 4))
+    counts = sturm_counts(diagonals, shifts)
+    assert counts.shape == (3, 4)
+    for i in range(4):
+        assert list(counts[:, i]) == list(sturm_counts(diagonals[:, i], shifts[:, i]))
+
+
 # ---------------------------------------------------------------------------
 # interior reconstruction
 # ---------------------------------------------------------------------------

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+import anderson_lab.transfer as transfer
 from anderson_lab.transfer import (
     ScaledMatrix,
     SignedLog,
@@ -185,6 +186,96 @@ def test_recurrence_scales_past_float_range():
 
 def test_empty_interval_convention():
     assert interval_det(1.0, np.array([])).value() == 1.0
+    sign, log_mag = interval_det(np.array([1.0, 2.0]), np.array([]))
+    assert list(sign) == [1.0, 1.0] and list(log_mag) == [0.0, 0.0]
+
+
+def _reference_recurrence(energy, values):
+    """The scalar loop: every step in plain floats, guard and rescale inline.
+    Returns the prefix determinants and the number of guarded steps whose
+    double-double value differs from the plain one."""
+    prev, prev2, log_shift, out, differs = 1.0, 0.0, 0.0, [], 0
+    for v in values:
+        d = float(v) - energy
+        t1 = d * prev
+        p = t1 - prev2
+        if abs(p) < transfer.CANCELLATION_GUARD * max(abs(t1), abs(prev2)):
+            hi, lo = transfer._two_prod(d, prev)
+            s, err = transfer._two_sum(hi, -prev2)
+            q = s + (err + lo)
+            differs += q != p
+            p = q
+        prev2, prev = prev, p
+        peak = max(abs(prev), abs(prev2))
+        if peak > 1e150 or 0.0 < peak < 1e-150:
+            prev /= peak
+            prev2 /= peak
+            log_shift += math.log(peak)
+        out.append(transfer._signed_log(prev, log_shift))
+    return out, differs
+
+
+def test_recurrence_lanes_are_bit_identical_to_the_scalar_loop():
+    rng = np.random.default_rng(110)
+    differs = 0
+    for trial in range(40):
+        m = int(rng.integers(1, 300))
+        kind = trial % 4
+        if kind == 0:
+            values = rng.uniform(-2.0, 2.0, m)
+        elif kind == 1:
+            values = bernoulli_window(rng, m)
+        elif kind == 2:  # rescales every few sites
+            values = rng.uniform(-2.0, 2.0, m) * 10.0 ** rng.integers(0, 120, m)
+        else:
+            values = rng.integers(-3, 4, m).astype(float)
+        energies = [0.0, 0.5, float(rng.uniform(-3.0, 3.0))]
+        if kind in (0, 3):  # eigenvalues: the last steps cancel with round-off
+            h = np.diag(values) + np.diag(np.ones(m - 1), 1) + np.diag(np.ones(m - 1), -1)
+            energies += list(np.linalg.eigvalsh(h)[:: max(1, m // 4)])
+        sign, log_mag = det_recurrence(np.array(energies), values)
+        for i, energy in enumerate(energies):
+            want, n = _reference_recurrence(float(energy), values)
+            differs += n
+            assert [d.sign for d in want] == list(sign[:, i])
+            assert [d.log_mag for d in want] == list(log_mag[:, i])
+            got = det_recurrence(float(energy), values)
+            assert [(d.sign, d.log_mag) for d in got] == [(d.sign, d.log_mag) for d in want]
+    assert differs > 0  # the guard recompute changed some steps
+
+
+def test_recurrence_lanes_match_one_lane_calls(monkeypatch):
+    # site-major columns: an exact zero at step 1 (E equals the single-site
+    # V), a cancellation at step 2 ([1, 1] at E = 0), growth past the 1e150
+    # rescale, and a plain lane
+    window = np.array([
+        [5.0, 1.0, 1e100, 0.3],
+        [2.0, 1.0, 1e100, -1.2],
+        [-1.0, 0.5, 1e100, 2.2],
+    ])
+    energies = np.array([5.0, 0.0, 0.0, 0.7])
+    guarded = []
+    two_prod = transfer._two_prod
+
+    def counting_two_prod(a, b):
+        guarded.append(np.size(a))
+        return two_prod(a, b)
+
+    monkeypatch.setattr(transfer, "_two_prod", counting_two_prod)
+    sign, log_mag = det_recurrence(energies, window)
+    assert guarded == [1]  # only the [1, 1] lane, only at step 2
+    assert sign.shape == log_mag.shape == (3, 4)
+    assert sign[0, 0] == 0.0 and log_mag[0, 0] == -math.inf
+    assert log_mag[-1, 2] == pytest.approx(300 * math.log(10.0), rel=1e-14)
+    for i, energy in enumerate(energies):
+        one_lane = det_recurrence(float(energy), window[:, i])
+        assert list(sign[:, i]) == [d.sign for d in one_lane]
+        assert list(log_mag[:, i]) == [d.log_mag for d in one_lane]
+    # reading chosen steps gives the same values
+    sign2, log2 = det_recurrence(energies, window, (3, 1))
+    assert np.array_equal(sign2, sign[[0, 2]]) and np.array_equal(log2, log_mag[[0, 2]])
+    last = interval_det(energies, window)
+    assert np.array_equal(last[0], sign[-1]) and np.array_equal(last[1], log_mag[-1])
 
 
 # ---------------------------------------------------------------------------
