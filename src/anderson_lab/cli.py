@@ -6,6 +6,10 @@ fixed documented column set, and is deterministic for a fixed seed across
 worker counts.  Progress goes to stderr; stdout carries only data unless
 ``--out`` redirects results to files.
 
+Validation is construction: one field table gives the type, range and default
+of every key, and the pass that checks a config builds its :class:`Scenario`,
+so each standing hypothesis is checked once, by its domain constructor.
+
 Exit codes: 0 ok, 1 validation error, 2 runtime/numeric error, 3 pinned
 expectation failed under ``--assert``.
 """
@@ -16,8 +20,10 @@ import json
 import math
 import os
 import sys
+from dataclasses import dataclass, field
 from enum import IntEnum
 from pathlib import Path
+from typing import Callable
 
 import numpy as np
 
@@ -31,6 +37,7 @@ from .estimators import (
 )
 from .experiments import (
     CENSUS_COLUMNS,
+    EDGE_CENSUS_COLUMNS,
     LOCALIZATION_COLUMNS,
     ResultTable,
     RunManifest,
@@ -38,14 +45,14 @@ from .experiments import (
     edge_bound_census,
     gamma_grid,
     persist,
+    require_interval_coverage,
+    require_localization_box,
     run_localization,
     singularity_census,
 )
 from .measures import (
     AtomReweight,
-    BaseMeasure,
     BumpSchedule,
-    DensitySequence,
     ExplicitSites,
     FiniteAtoms,
     Identity,
@@ -67,38 +74,6 @@ class ExitStatus(IntEnum):
     ASSERTION = 3
 
 
-SUBCOMMANDS = (
-    "lyapunov", "lde", "lift-check", "conditions", "localize",
-    "census", "edge-census", "craig-simon", "spectrum",
-)
-
-COLUMNS = {
-    "lyapunov": (
-        "scenario_id", "seed", "law_tag", "energy_re", "energy_im",
-        "n", "samples", "mean", "stderr",
-    ),
-    "lde": (
-        "scenario_id", "seed", "law_tag", "statistic", "energy", "epsilon",
-        "epsilon_eff", "n", "count", "tail_prob", "fitted_eta", "eta_stderr", "fit_flag",
-    ),
-    "lift-check": (
-        "scenario_id", "seed", "statistic", "energy", "epsilon", "n",
-        "count_exact", "count_approx", "tail_exact", "tail_approx",
-        "log_bound", "violation",
-    ),
-    "conditions": ("scenario_id", "condition", "N", "value", "verdict"),
-    "localize": LOCALIZATION_COLUMNS,
-    "census": CENSUS_COLUMNS,
-    "edge-census": (
-        "scenario_id", "seed", "n", "trials", "zone_sites", "threshold",
-        "site_violations", "site_freq", "site_pred",
-        "event_count", "event_freq", "event_pred", "chebyshev_bound",
-    ),
-    "craig-simon": ("scenario_id", "seed", "family", "energy", "n", "excess"),
-    "spectrum": ("scenario_id", "seed", "law_tag", "box_lo", "box_hi", "j", "eigenvalue"),
-}
-
-
 class UsageError(Exception):
     pass
 
@@ -111,8 +86,8 @@ class _Parser(argparse.ArgumentParser):
 def build_parser() -> _Parser:
     parser = _Parser(prog="anderson-lab", add_help=True)
     sub = parser.add_subparsers(dest="command")
-    for name in SUBCOMMANDS:
-        p = sub.add_parser(name, add_help=True)
+    for kind in COMMANDS:
+        p = sub.add_parser(kind.replace("_", "-"), add_help=True)
         p.add_argument("--config", required=True, help="scenario config (JSON)")
         p.add_argument("--seed", type=int, default=None, help="override the config seed")
         p.add_argument("--workers", type=int, default=None, help="worker count")
@@ -126,392 +101,248 @@ def build_parser() -> _Parser:
 
 
 # ---------------------------------------------------------------------------
-# config validation
+# the config schema: field checks take (value, path, violations) and return
+# the value as the domain wants it, or _BAD after reporting "<path>: <reason>"
 # ---------------------------------------------------------------------------
 
-_TOP_KEYS = {"scenario_id", "measure", "densities", "experiment", "grids", "sampling", "output", "expected"}
-_MEASURE_KEYS = {"kind", "atoms", "lo", "hi", "scale", "exponent", "symmetric", "alpha_moment", "allow_trivial"}
-_DENSITY_KEYS = {"kind", "schedule", "sites", "weights"}
-_SITES_KEYS = {"kind", "values"}
-_EXPERIMENT_KEYS = {
-    "kind", "n", "energy", "interval", "box", "epsilon", "statistic", "rate_power",
-    "p", "r", "alpha", "gamma_n", "gamma_samples", "n_max", "k_max", "u", "v",
-}
-_GRID_KEYS = {"energy", "n"}
-_SAMPLING_KEYS = {"seed", "samples", "workers"}
-_OUTPUT_KEYS = {"path", "format"}
-_EXPECTED_KEYS = {"metrics"}
-_MEASURE_KINDS = ("finite_atoms", "uniform_interval", "pareto_tail")
-_DENSITY_KINDS = ("identity", "atom_reweight", "bump")
-_EXPERIMENT_KINDS = (
-    "lyapunov", "lde", "lift_check", "conditions", "localize",
-    "census", "edge_census", "craig_simon", "spectrum",
-)
+REQUIRED = object()  #: default of a key the config must give
+OPTIONAL = object()  #: default of a key that may be left out; the code reading it has the default
+_BAD = object()  #: a value that failed its check; the reason is already reported
 
 
-def _unknown_keys(section: dict, allowed: set, path: str, out: list[str]) -> None:
-    for key in section:
-        if key not in allowed:
-            out.append(f"{path}.{key}: unknown key")
+def _fail(out: list[str], path: str, reason: str):
+    out.append(f"{path}: {reason}")
+    return _BAD
 
 
-def _require_number(section: dict, key: str, path: str, out: list[str], *, integer=False) -> bool:
-    if key not in section:
-        out.append(f"{path}.{key}: required")
+def _check(ok: Callable[[object], bool], reason: str, convert: Callable = lambda x: x) -> Callable:
+    """The field check that passes ``convert(x)`` when ``ok(x)``."""
+    return lambda x, path, out: convert(x) if ok(x) else _fail(out, path, reason)
+
+
+def _is_number(x) -> bool:
+    """A finite JSON number: no bool, no integer beyond the float range."""
+    try:
+        return isinstance(x, (int, float)) and not isinstance(x, bool) and math.isfinite(x)
+    except OverflowError:
         return False
-    value = section[key]
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        out.append(f"{path}.{key}: must be a number")
-        return False
-    if integer and not isinstance(value, int):
-        out.append(f"{path}.{key}: must be an integer")
-        return False
-    return True
 
 
-def _validate_measure(measure, out: list[str]) -> None:
-    if not isinstance(measure, dict):
-        out.append("measure: must be an object")
-        return
-    _unknown_keys(measure, _MEASURE_KEYS, "measure", out)
-    kind = measure.get("kind")
-    if kind not in _MEASURE_KINDS:
-        out.append(f"measure.kind: must be one of {_MEASURE_KINDS}")
-        return
-    if not _require_number(measure, "alpha_moment", "measure", out):
-        return
-    if measure["alpha_moment"] <= 0:
-        out.append("measure.alpha_moment: must be positive")
-    if kind == "finite_atoms":
-        atoms = measure.get("atoms")
-        if not isinstance(atoms, list) or not atoms or not all(
-            isinstance(a, list) and len(a) == 2 and all(isinstance(x, (int, float)) and not isinstance(x, bool) for x in a)
-            for a in atoms
-        ):
-            out.append("measure.atoms: must be a non-empty list of [location, weight] pairs")
-            return
-        weights = [a[1] for a in atoms]
-        if any(w <= 0 for w in weights):
-            out.append("measure.atoms: weights must be positive")
-        if abs(math.fsum(weights) - 1.0) > 1e-12:
-            out.append(f"measure.atoms: weights sum to {math.fsum(weights)!r}, must be 1")
-        locs = [a[0] for a in atoms]
-        if len(set(locs)) != len(locs):
-            out.append("measure.atoms: locations must be distinct")
-        if len(atoms) < 2 and not measure.get("allow_trivial", False):
-            out.append("measure: non-trivial support required (at least two atoms)")
-    elif kind == "uniform_interval":
-        if _require_number(measure, "lo", "measure", out) & _require_number(measure, "hi", "measure", out):
-            if not measure["lo"] < measure["hi"]:
-                out.append("measure.lo: must be strictly below measure.hi")
-    elif kind == "pareto_tail":
-        ok = _require_number(measure, "scale", "measure", out)
-        ok &= _require_number(measure, "exponent", "measure", out)
-        if ok:
-            if measure["scale"] <= 0:
-                out.append("measure.scale: must be positive")
-            if measure["exponent"] <= measure.get("alpha_moment", 0):
-                out.append("measure.exponent: moment condition unsatisfiable (exponent <= alpha_moment)")
+def _is_integer(x) -> bool:
+    return isinstance(x, int) and not isinstance(x, bool)
 
 
-def _validate_densities(densities, measure, out: list[str]) -> None:
-    if densities is None:
-        return
-    if not isinstance(densities, dict):
-        out.append("densities: must be an object")
-        return
-    _unknown_keys(densities, _DENSITY_KEYS, "densities", out)
-    kind = densities.get("kind")
-    if kind not in _DENSITY_KINDS:
-        out.append(f"densities.kind: must be one of {_DENSITY_KINDS}")
-        return
-    atomic = isinstance(measure, dict) and measure.get("kind") == "finite_atoms"
-    n_atoms = len(measure.get("atoms", [])) if atomic else 0
+def _above(bound: float) -> Callable:
+    return _check(lambda x: _is_number(x) and x > bound, f"must be a number > {bound}", float)
 
-    def check_weights(vec, path):
-        if not isinstance(vec, list) or not all(
-            isinstance(x, (int, float)) and not isinstance(x, bool) for x in vec
-        ):
-            out.append(f"{path}: must be a list of numbers")
-            return
-        if atomic and len(vec) != n_atoms:
-            out.append(f"{path}: length must match the atom count")
-        if any(x < 0 for x in vec):
-            out.append(f"{path}: entries must be nonnegative")
-        if abs(math.fsum(vec) - 1.0) > 1e-12:
-            out.append(f"{path}: weights must sum to 1")
 
-    if kind == "atom_reweight":
-        if not atomic:
-            out.append("densities.kind: atom_reweight needs a finite_atoms measure")
-        schedule = densities.get("schedule")
-        if not isinstance(schedule, dict) or not schedule:
-            out.append("densities.schedule: must be a non-empty object mapping site -> weights")
-            return
-        for site, vec in schedule.items():
+def _at_least(bound: int) -> Callable:
+    return _check(lambda x: _is_integer(x) and x >= bound, f"must be an integer >= {bound}")
+
+
+def _one_of(*options) -> Callable:
+    """One of the given strings or numbers, as the options' type."""
+    return _check(
+        lambda x: isinstance(x, (str, int, float)) and not isinstance(x, bool) and x in options,
+        f"must be one of {options}", type(options[0]),
+    )
+
+
+_NUMBER = _check(_is_number, "must be a number", float)
+_INTEGER = _check(_is_integer, "must be an integer")
+_TEXT = _check(lambda x: isinstance(x, str), "must be a string")
+_FLAG = _check(lambda x: isinstance(x, bool), "must be true or false")
+
+
+def _listof(item: Callable, *, size: int | None = None, ascending=False, empty=False) -> Callable:
+    """A JSON list of values checked by ``item``, as a tuple."""
+    what = f"a list of {size} values" if size else "a list" if empty else "a non-empty list"
+
+    def check(x, path, out):
+        if not isinstance(x, list) or (size and len(x) != size) or not (x or empty):
+            return _fail(out, path, f"must be {what}")
+        start = len(out)
+        items = tuple(item(v, f"{path}[{i}]", out) for i, v in enumerate(x))
+        if len(out) > start:
+            return _BAD
+        if ascending and any(b <= a for a, b in zip(items, items[1:])):
+            return _fail(out, path, "must be strictly ascending")
+        return items
+
+    return check
+
+
+def _mapping(item: Callable, *, sites=False) -> Callable:
+    """A JSON object with free keys, each value checked by ``item``; with
+    ``sites`` the keys are lattice sites (integers) and there is at least one."""
+
+    def check(x, path, out):
+        if not isinstance(x, dict) or (sites and not x):
+            return _fail(out, path, "must be a non-empty object" if sites else "must be an object")
+        start, got = len(out), {}
+        for key, value in x.items():
             try:
-                int(site)
-            except (TypeError, ValueError):
-                out.append(f"densities.schedule.{site}: site must be an integer")
+                name = int(key) if sites else key
+            except ValueError:
+                _fail(out, f"{path}.{key}", "site must be an integer")
                 continue
-            check_weights(vec, f"densities.schedule.{site}")
-    elif kind == "bump":
-        sites = densities.get("sites")
-        if not isinstance(sites, dict):
-            out.append("densities.sites: must be an object with a kind")
-        else:
-            _unknown_keys(sites, _SITES_KEYS, "densities.sites", out)
-            skind = sites.get("kind")
-            if skind == "explicit":
-                if not isinstance(sites.get("values"), list) or not all(
-                    isinstance(v, int) and not isinstance(v, bool) for v in sites.get("values", [])
-                ):
-                    out.append("densities.sites.values: must be a list of integers")
-            elif skind != "powers_of_two":
-                out.append("densities.sites.kind: must be 'powers_of_two' or 'explicit'")
-        if not atomic:
-            out.append("densities.kind: bump schedules are configurable only over finite_atoms measures")
-        weights = densities.get("weights")
-        if weights is None:
-            out.append("densities.weights: required for bump schedules")
-        else:
-            check_weights(weights, "densities.weights")
+            got[name] = item(value, f"{path}.{key}", out)
+        return got if len(out) == start else _BAD
+
+    check.item = item  # type: ignore[attr-defined]
+    return check
 
 
-def _validate_experiment(experiment, grids, command_kind: str | None, out: list[str]) -> None:
-    if not isinstance(experiment, dict):
-        out.append("experiment: must be an object")
-        return
-    _unknown_keys(experiment, _EXPERIMENT_KEYS, "experiment", out)
-    kind = experiment.get("kind")
-    if kind not in _EXPERIMENT_KINDS:
-        out.append(f"experiment.kind: must be one of {_EXPERIMENT_KINDS}")
-        return
-    if command_kind is not None and kind != command_kind:
-        out.append(f"experiment.kind: config is for {kind!r}, command expects {command_kind!r}")
-    has_energy_grid = isinstance(grids, dict) and bool(grids.get("energy"))
-    has_n_grid = isinstance(grids, dict) and bool(grids.get("n"))
-    if kind == "lyapunov":
-        _require_number(experiment, "n", "experiment", out, integer=True)
-        if "energy" not in experiment and not has_energy_grid:
-            out.append("experiment.energy: required (or provide grids.energy)")
-    if kind in ("lde", "lift_check", "edge_census") and not has_n_grid:
-        out.append("grids.n: required for this experiment")
-    if kind in ("localize", "census", "craig_simon") and not (has_energy_grid and has_n_grid):
-        out.append("grids: energy and n grids are required for this experiment")
-    if kind in ("lde", "lift_check"):
-        if _require_number(experiment, "epsilon", "experiment", out) and experiment["epsilon"] <= 0:
-            out.append("experiment.epsilon: must be positive")
-        _require_number(experiment, "energy", "experiment", out)
-    if kind == "conditions":
-        _require_number(experiment, "n_max", "experiment", out, integer=True)
-        _require_number(experiment, "k_max", "experiment", out, integer=True)
-    if kind in ("localize", "census"):
-        interval = experiment.get("interval")
-        if (
-            not isinstance(interval, list) or len(interval) != 2
-            or not all(isinstance(x, (int, float)) and not isinstance(x, bool) for x in interval)
-        ):
-            out.append("experiment.interval: must be [s, t]")
-        elif not interval[0] < interval[1]:
-            out.append("experiment.interval: requires s < t")
-    if kind in ("localize", "spectrum"):
-        box = experiment.get("box")
-        if not isinstance(box, list) or len(box) != 2 or not all(isinstance(x, int) and not isinstance(x, bool) for x in box):
-            out.append("experiment.box: must be [lo, hi] integers")
-        elif box[0] > box[1]:
-            out.append("experiment.box: requires lo <= hi")
-    if kind == "edge_census":
-        if _require_number(experiment, "p", "experiment", out) and experiment["p"] <= 0:
-            out.append("experiment.p: must be positive")
-        if _require_number(experiment, "r", "experiment", out) and experiment["r"] <= 1:
-            out.append("experiment.r: must exceed 1")
-    stat = experiment.get("statistic")
-    if stat is not None and stat not in STATISTICS:
-        out.append(f"experiment.statistic: must be one of {STATISTICS}")
-    rp = experiment.get("rate_power")
-    if rp is not None and rp not in (1.0, 0.5, 1):
-        out.append("experiment.rate_power: must be 1.0 or 0.5")
+def _read(obj: dict, key: str, spec: tuple, path: str, out: list[str], **context):
+    """Check ``obj[key]`` against ``spec = (check, default)``; an absent key
+    is required, left OPTIONAL, or takes the default through the same check."""
+    check, default = spec
+    if key in obj:
+        return check(obj[key], path, out, **context)
+    if default is REQUIRED:
+        return _fail(out, path, "required")
+    return default if default is OPTIONAL else check(default, path, out, **context)
 
 
-def validate(config, command_kind: str | None = None) -> list[str]:
-    """Schema plus standing-hypothesis checks; empty list means valid.
+def _attempt(out: list[str], build: Callable, names: dict, path: str, *args, **kwargs):
+    """``build(*args, **kwargs)``, or _BAD after reporting its ValueError.
 
-    Each violation names the JSON path it refers to.  No randomness is drawn
-    here or anywhere before validation passes.
+    Domain constructors lead a message with the argument they reject, so the
+    report goes to the path ``names`` gives for that first word, else to
+    ``path``.
     """
-    out: list[str] = []
-    if not isinstance(config, dict):
-        return ["config: must be a JSON object"]
-    _unknown_keys(config, _TOP_KEYS, "config", out)
-    if "scenario_id" in config and not isinstance(config["scenario_id"], str):
-        out.append("scenario_id: must be a string")
-    if "measure" not in config:
-        out.append("measure: required")
-    else:
-        _validate_measure(config["measure"], out)
-    _validate_densities(config.get("densities"), config.get("measure"), out)
-    if "experiment" not in config:
-        out.append("experiment: required")
-    else:
-        _validate_experiment(config["experiment"], config.get("grids", {}), command_kind, out)
-    grids = config.get("grids")
-    if grids is not None:
-        if not isinstance(grids, dict):
-            out.append("grids: must be an object")
-        else:
-            _unknown_keys(grids, _GRID_KEYS, "grids", out)
-            for key, integer in (("energy", False), ("n", True)):
-                if key in grids:
-                    seq = grids[key]
-                    if not isinstance(seq, list) or not seq:
-                        out.append(f"grids.{key}: must be a non-empty list")
-                    elif integer and not all(isinstance(x, int) and not isinstance(x, bool) for x in seq):
-                        out.append(f"grids.{key}: entries must be integers")
-                    elif not all(isinstance(x, (int, float)) and not isinstance(x, bool) for x in seq):
-                        out.append(f"grids.{key}: entries must be numbers")
-                    elif any(b <= a for a, b in zip(seq, seq[1:])):
-                        out.append(f"grids.{key}: must be strictly ascending")
-    sampling = config.get("sampling")
-    if not isinstance(sampling, dict):
-        out.append("sampling: required")
-    else:
-        _unknown_keys(sampling, _SAMPLING_KEYS, "sampling", out)
-        if _require_number(sampling, "seed", "sampling", out, integer=True) and sampling["seed"] < 0:
-            out.append("sampling.seed: must be nonnegative")
-        if "samples" in sampling:
-            if not isinstance(sampling["samples"], int) or isinstance(sampling["samples"], bool) or sampling["samples"] < 1:
-                out.append("sampling.samples: must be a positive integer")
-        if "workers" in sampling:
-            if not isinstance(sampling["workers"], int) or isinstance(sampling["workers"], bool) or sampling["workers"] < 1:
-                out.append("sampling.workers: must be a positive integer")
-    output = config.get("output")
-    if output is not None:
-        if not isinstance(output, dict):
-            out.append("output: must be an object")
-        else:
-            _unknown_keys(output, _OUTPUT_KEYS, "output", out)
-            if "format" in output and output["format"] not in ("csv", "json"):
-                out.append("output.format: must be 'csv' or 'json'")
-    expected = config.get("expected")
-    if expected is not None:
-        if not isinstance(expected, dict):
-            out.append("expected: must be an object")
-        else:
-            _unknown_keys(expected, _EXPECTED_KEYS, "expected", out)
-            metrics = expected.get("metrics")
-            if not isinstance(metrics, dict):
-                out.append("expected.metrics: required object")
-            else:
-                for name, spec in metrics.items():
-                    if not isinstance(spec, dict) or not (
-                        {"value", "abs_tol"} <= set(spec)
-                        or {"value", "rel_tol"} <= set(spec)
-                        or "min" in spec
-                        or "max" in spec
-                    ):
-                        out.append(
-                            f"expected.metrics.{name}: needs value+abs_tol, value+rel_tol, min, or max"
-                        )
-    return out
+    try:
+        return build(*args, **kwargs)
+    except ValueError as err:
+        return _fail(out, names.get(str(err).split(" ", 1)[0], path), str(err))
 
 
-# ---------------------------------------------------------------------------
-# config -> domain objects
-# ---------------------------------------------------------------------------
+@dataclass(frozen=True)
+class Section:
+    """A JSON object of the config: ``fields`` maps each key to ``(check,
+    default)``; with ``kinds``, the object's ``kind`` picks ``(build, fields)``
+    extending them.  ``build``, called with the checked values and the
+    caller's context, makes the domain object.  Other keys are rejected.
+    """
 
-def build_measure(measure: dict) -> BaseMeasure:
-    kind = measure["kind"]
-    if kind == "finite_atoms":
-        return FiniteAtoms(
-            atoms=tuple((float(a), float(w)) for a, w in measure["atoms"]),
-            alpha_moment=float(measure["alpha_moment"]),
-            allow_trivial=bool(measure.get("allow_trivial", False)),
+    fields: dict = field(default_factory=dict)
+    kinds: dict | None = None
+    build: Callable | None = None
+
+    def __call__(self, value, path: str, out: list[str], **context):
+        if not isinstance(value, dict):
+            return _fail(out, path, "must be an object")
+        fields, build, suffix = self.fields, self.build, ""
+        if self.kinds is not None:
+            kind = value.get("kind")
+            if not isinstance(kind, str) or kind not in self.kinds:
+                return _fail(out, f"{path}.kind", f"must be one of {tuple(self.kinds)}")
+            build, extra = self.kinds[kind]
+            fields, suffix = {**fields, **extra}, f" for kind {kind!r}"
+        start = len(out)
+        out.extend(
+            f"{path}.{key}: unknown key{suffix}" for key in value
+            if key not in fields and not (key == "kind" and suffix)
         )
-    if kind == "uniform_interval":
-        return UniformInterval(
-            lo=float(measure["lo"]), hi=float(measure["hi"]),
-            alpha_moment=float(measure["alpha_moment"]),
-        )
-    return ParetoTail(
-        scale=float(measure["scale"]), exponent=float(measure["exponent"]),
-        symmetric=bool(measure.get("symmetric", True)),
-        alpha_moment=float(measure["alpha_moment"]),
-    )
+        got = {key: _read(value, key, spec, f"{path}.{key}", out) for key, spec in fields.items()}
+        got = {key: checked for key, checked in got.items() if checked is not OPTIONAL}
+        if len(out) > start or any(v is _BAD for v in context.values()):
+            return _BAD
+        if build is None:
+            return got
+        names = {key: f"{path}.{key}" for key in fields}
+        return _attempt(out, build, names, path, **context, **got)
 
 
-def build_densities(densities: dict | None, base: BaseMeasure) -> DensitySequence:
-    if densities is None or densities["kind"] == "identity":
-        return Identity()
-    if densities["kind"] == "atom_reweight":
-        schedule = {int(site): tuple(vec) for site, vec in densities["schedule"].items()}
-        return AtomReweight(base, schedule)  # type: ignore[arg-type]
-    sites_cfg = densities["sites"]
-    sites = (
-        PowersOfTwoSites()
-        if sites_cfg["kind"] == "powers_of_two"
-        else ExplicitSites(frozenset(sites_cfg["values"]))
-    )
-    return BumpSchedule(sites=sites, base=base, weights=tuple(densities["weights"]))
+_WEIGHTS = _listof(_NUMBER)
+
+MEASURE = Section({"alpha_moment": (_NUMBER, REQUIRED)}, kinds={
+    "finite_atoms": (FiniteAtoms, {
+        "atoms": (_listof(_listof(_NUMBER, size=2)), REQUIRED),
+        "allow_trivial": (_FLAG, OPTIONAL),
+    }),
+    "uniform_interval": (UniformInterval, {"lo": (_NUMBER, REQUIRED), "hi": (_NUMBER, REQUIRED)}),
+    "pareto_tail": (ParetoTail, {
+        "scale": (_NUMBER, REQUIRED),
+        "exponent": (_NUMBER, REQUIRED),
+        "symmetric": (_FLAG, OPTIONAL),
+    }),
+})
+
+DENSITIES = Section(kinds={
+    "identity": (lambda base: Identity(), {}),
+    "atom_reweight": (AtomReweight, {"schedule": (_mapping(_WEIGHTS, sites=True), REQUIRED)}),
+    "bump": (BumpSchedule, {
+        "sites": (Section(kinds={
+            "powers_of_two": (PowersOfTwoSites, {}),
+            "explicit": (
+                lambda values: ExplicitSites(frozenset(values)),
+                {"values": (_listof(_INTEGER, empty=True), REQUIRED)},
+            ),
+        }), REQUIRED),
+        "weights": (_WEIGHTS, REQUIRED),
+    }),
+})
+
+SAMPLING = Section({
+    "seed": (_INTEGER, REQUIRED),
+    "samples": (_INTEGER, OPTIONAL),
+    "workers": (_at_least(1), OPTIONAL),
+})
+
+OUTPUT = Section({"path": (_TEXT, OPTIONAL), "format": (_one_of("csv", "json"), OPTIONAL)})
 
 
-def scenario_from_config(
-    config: dict,
-    *,
-    seed: int | None = None,
-    workers: int | None = None,
-    default_id: str = "scenario",
-) -> Scenario:
-    base = build_measure(config["measure"])
-    densities = build_densities(config.get("densities"), base)
-    experiment = config["experiment"]
-    grids = config.get("grids", {})
-    sampling = config["sampling"]
-    env_workers = os.environ.get(WORKERS_ENV)
-    resolved_workers = (
-        workers
-        if workers is not None
-        else sampling.get("workers", int(env_workers) if env_workers else 1)
-    )
-    n_grid = tuple(int(n) for n in grids.get("n", ()))
-    if experiment["kind"] == "lyapunov" and not n_grid:
-        n_grid = (int(experiment["n"]),)
-    interval = experiment.get("interval")
-    energy = experiment.get("energy")
-    return Scenario(
-        scenario_id=config.get("scenario_id", default_id),
-        kind=experiment["kind"],
-        base=base,
-        densities=densities,
-        seed=int(seed if seed is not None else sampling["seed"]),
-        samples=int(sampling.get("samples", 1)),
-        e_grid=tuple(float(e) for e in grids.get("energy", ())),
-        n_grid=n_grid,
-        interval=tuple(interval) if interval else None,
-        box=tuple(experiment["box"]) if experiment.get("box") else None,
-        energy=float(energy) if energy is not None else None,
-        epsilon=float(experiment["epsilon"]) if experiment.get("epsilon") is not None else None,
-        statistic=experiment.get("statistic", "log_norm"),
-        rate_power=float(experiment.get("rate_power", 1.0)),
-        edge_p=float(experiment["p"]) if experiment.get("p") is not None else None,
-        edge_r=float(experiment["r"]) if experiment.get("r") is not None else None,
-        gamma_n=int(experiment.get("gamma_n", 1000)),
-        gamma_samples=int(experiment.get("gamma_samples", 200)),
-        workers=int(resolved_workers),
-        expected=config.get("expected"),
-    )
+def _pinned(**spec) -> dict:
+    tolerance = spec.keys() & {"abs_tol", "rel_tol"}
+    if not ("min" in spec or "max" in spec or "value" in spec and tolerance):
+        raise ValueError("needs value+abs_tol, value+rel_tol, min, or max")
+    return spec
+
+
+EXPECTED = Section({
+    "metrics": (_mapping(Section(
+        {key: (_NUMBER, OPTIONAL) for key in ("value", "abs_tol", "rel_tol", "min", "max")},
+        build=_pinned,
+    )), REQUIRED),
+})
+
+# per-kind experiment keys shared by several commands
+_E_GRID = _listof(_NUMBER, ascending=True)
+_N_GRID = _listof(_INTEGER, ascending=True)
+_BOTH_GRIDS = {"energy": (_E_GRID, REQUIRED), "n": (_N_GRID, REQUIRED)}
+_RADII = {"n": (_N_GRID, REQUIRED)}
+_INTERVAL = (_listof(_NUMBER, size=2), REQUIRED)
+_BOX = (_listof(_INTEGER, size=2), REQUIRED)
+_GAMMA = {"gamma_n": (_at_least(1), OPTIONAL), "gamma_samples": (_at_least(1), OPTIONAL)}
+_TAILS = {
+    "energy": (_NUMBER, REQUIRED),
+    "epsilon": (_above(0), REQUIRED),
+    "statistic": (_one_of(*STATISTICS), OPTIONAL),
+    "rate_power": (_one_of(1.0, 0.5), OPTIONAL),
+    "u": (_listof(_NUMBER, size=2), OPTIONAL),
+    "v": (_listof(_NUMBER, size=2), OPTIONAL),
+}
+#: experiment keys whose Scenario argument has another name
+_SCENARIO_ARGS = {"p": "edge_p", "r": "edge_r", "alpha": "edge_alpha"}
 
 
 # ---------------------------------------------------------------------------
 # subcommand runners
 # ---------------------------------------------------------------------------
 
-def _run_lyapunov(sc: Scenario, config: dict) -> ResultTable:
-    energies = sc.e_grid if sc.e_grid else (sc.energy,)
+def _energies(sc: Scenario) -> tuple:
+    """The lyapunov energies: the energy grid, else the one experiment energy."""
+    if not sc.e_grid and sc.energy is None:
+        raise ValueError("energy is required unless grids.energy is given")
+    return sc.e_grid or (sc.energy,)
+
+
+def _run_lyapunov(sc: Scenario) -> ResultTable:
     n = sc.n_grid[-1]
     law = sc.law()
     rows = []
-    for i, e in enumerate(energies):
+    for i, e in enumerate(_energies(sc)):
         est = lyapunov_mc(law, e, n, sc.samples, sc.stream().child(i), workers=sc.workers)
         rows.append(
             {
@@ -527,10 +358,10 @@ def _run_lyapunov(sc: Scenario, config: dict) -> ResultTable:
     return ResultTable("lyapunov", COLUMNS["lyapunov"], tuple(rows), summary)
 
 
-def _run_lde(sc: Scenario, config: dict) -> ResultTable:
+def _run_lde(sc: Scenario) -> ResultTable:
     curve = lde_curve(
         sc.law(), sc.energy, sc.epsilon, sc.n_grid, sc.samples, sc.stream(),
-        sc.statistic, rate_power=sc.rate_power, workers=sc.workers,
+        sc.statistic, u=sc.u, v=sc.v, rate_power=sc.rate_power, workers=sc.workers,
     )
     rows = tuple(
         {
@@ -551,10 +382,10 @@ def _run_lde(sc: Scenario, config: dict) -> ResultTable:
     return ResultTable("lde", COLUMNS["lde"], rows, summary)
 
 
-def _run_lift(sc: Scenario, config: dict) -> ResultTable:
+def _run_lift(sc: Scenario) -> ResultTable:
     report = lift_check(
         sc.densities, sc.base, sc.energy, sc.epsilon, sc.n_grid, sc.samples,
-        sc.stream(), sc.statistic, rate_power=sc.rate_power, workers=sc.workers,
+        sc.stream(), sc.statistic, u=sc.u, v=sc.v, rate_power=sc.rate_power, workers=sc.workers,
     )
     violated = {v.n for v in report.violations}
     rows = tuple(
@@ -581,9 +412,8 @@ def _run_lift(sc: Scenario, config: dict) -> ResultTable:
     return ResultTable("lift_check", COLUMNS["lift-check"], rows, summary)
 
 
-def _run_conditions(sc: Scenario, config: dict) -> ResultTable:
-    experiment = config["experiment"]
-    report = condition_report(sc.densities, int(experiment["n_max"]), int(experiment["k_max"]))
+def _run_conditions(sc: Scenario) -> ResultTable:
+    report = condition_report(sc.densities, sc.n_max, sc.k_max)
     trajectories = {
         "mean_log_sup": report.mean,
         "uniform_mean_log_sup": report.uniform,
@@ -605,22 +435,7 @@ def _run_conditions(sc: Scenario, config: dict) -> ResultTable:
     return ResultTable("conditions", COLUMNS["conditions"], tuple(rows), summary)
 
 
-def _run_localize(sc: Scenario, config: dict) -> ResultTable:
-    return run_localization(sc).to_table()
-
-
-def _run_census(sc: Scenario, config: dict) -> ResultTable:
-    return singularity_census(sc).to_table()
-
-
-def _run_edge_census(sc: Scenario, config: dict) -> ResultTable:
-    alpha = config["experiment"].get("alpha")
-    return edge_bound_census(sc, sc.edge_p, sc.edge_r, alpha).to_table()
-
-
-def _run_craig_simon(sc: Scenario, config: dict) -> ResultTable:
-    if not sc.e_grid or not sc.n_grid:
-        raise ValueError("craig-simon needs energy and n grids")
+def _run_craig_simon(sc: Scenario) -> ResultTable:
     n_max = max(sc.n_grid)
     window = sample_window(sc.law(), -n_max, 3 * n_max + 1, sc.stream().child(0))
     gammas, _ = gamma_grid(sc, sc.stream().child(1))
@@ -641,10 +456,8 @@ def _run_craig_simon(sc: Scenario, config: dict) -> ResultTable:
     return ResultTable("craig_simon", COLUMNS["craig-simon"], tuple(rows), summary)
 
 
-def _run_spectrum(sc: Scenario, config: dict) -> ResultTable:
-    if sc.box is None:
-        raise ValueError("spectrum needs a box")
-    lo, hi = sc.box
+def _run_spectrum(sc: Scenario) -> ResultTable:
+    lo, hi = sc.box  # type: ignore[misc]
     window = sample_window(sc.law(), lo, hi, sc.stream().child(0))
     values = eigenvalues(TridiagonalBox(window))
     rows = tuple(
@@ -658,17 +471,174 @@ def _run_spectrum(sc: Scenario, config: dict) -> ResultTable:
     return ResultTable("spectrum", COLUMNS["spectrum"], rows, summary)
 
 
-_RUNNERS = {
-    "lyapunov": _run_lyapunov,
-    "lde": _run_lde,
-    "lift-check": _run_lift,
-    "conditions": _run_conditions,
-    "localize": _run_localize,
-    "census": _run_census,
-    "edge-census": _run_edge_census,
-    "craig-simon": _run_craig_simon,
-    "spectrum": _run_spectrum,
+@dataclass(frozen=True)
+class Command:
+    """A subcommand: runner, CSV columns, the experiment and grid keys its kind
+    reads, and domain checks of the built scenario with the path each reports at."""
+
+    run: Callable[[Scenario], ResultTable]
+    columns: tuple[str, ...]
+    experiment: dict
+    grids: dict = field(default_factory=dict)
+    checks: tuple = ()
+
+
+#: keyed by experiment kind; the subcommand is the kind with "-" for "_"
+COMMANDS = {
+    "lyapunov": Command(
+        _run_lyapunov,
+        ("scenario_id", "seed", "law_tag", "energy_re", "energy_im",
+         "n", "samples", "mean", "stderr"),
+        {"n": (_INTEGER, REQUIRED), "energy": (_NUMBER, OPTIONAL)},
+        {"energy": (_E_GRID, OPTIONAL), "n": (_N_GRID, OPTIONAL)},
+        ((_energies, "experiment.energy"),),
+    ),
+    "lde": Command(
+        _run_lde,
+        ("scenario_id", "seed", "law_tag", "statistic", "energy", "epsilon",
+         "epsilon_eff", "n", "count", "tail_prob", "fitted_eta", "eta_stderr", "fit_flag"),
+        _TAILS, _RADII,
+    ),
+    "lift_check": Command(
+        _run_lift,
+        ("scenario_id", "seed", "statistic", "energy", "epsilon", "n",
+         "count_exact", "count_approx", "tail_exact", "tail_approx", "log_bound", "violation"),
+        _TAILS, _RADII,
+    ),
+    "conditions": Command(
+        _run_conditions,
+        ("scenario_id", "condition", "N", "value", "verdict"),
+        {"n_max": (_at_least(1), REQUIRED), "k_max": (_at_least(0), REQUIRED)},
+    ),
+    "localize": Command(
+        lambda sc: run_localization(sc).to_table(), LOCALIZATION_COLUMNS,
+        {"interval": _INTERVAL, "box": _BOX, **_GAMMA}, _BOTH_GRIDS,
+        ((require_interval_coverage, "grids.energy"), (require_localization_box, "experiment.box")),
+    ),
+    "census": Command(
+        lambda sc: singularity_census(sc).to_table(), CENSUS_COLUMNS,
+        {"interval": _INTERVAL, **_GAMMA}, _BOTH_GRIDS,
+        ((require_interval_coverage, "grids.energy"),),
+    ),
+    "edge_census": Command(
+        lambda sc: edge_bound_census(sc, sc.edge_p, sc.edge_r, sc.edge_alpha).to_table(),
+        EDGE_CENSUS_COLUMNS,
+        {"p": (_above(0), REQUIRED), "r": (_above(1), REQUIRED), "alpha": (_above(0), OPTIONAL)},
+        _RADII,
+    ),
+    "craig_simon": Command(
+        _run_craig_simon,
+        ("scenario_id", "seed", "family", "energy", "n", "excess"),
+        # the shifted inverse family spans sites [2n+2, 3n], empty below n = 2
+        _GAMMA, {**_BOTH_GRIDS, "n": (_listof(_at_least(2), ascending=True), REQUIRED)},
+    ),
+    "spectrum": Command(
+        _run_spectrum,
+        ("scenario_id", "seed", "law_tag", "box_lo", "box_hi", "j", "eigenvalue"),
+        {"box": _BOX},
+    ),
 }
+
+COLUMNS = {kind.replace("_", "-"): command.columns for kind, command in COMMANDS.items()}
+
+EXPERIMENT = Section(kinds={kind: (None, c.experiment) for kind, c in COMMANDS.items()})
+
+#: the top level; sections are named by their key alone ("measure.atoms")
+CONFIG = {
+    "scenario_id": (_TEXT, OPTIONAL),
+    "measure": (MEASURE, REQUIRED),
+    "densities": (DENSITIES, {"kind": "identity"}),
+    "experiment": (EXPERIMENT, REQUIRED),
+    # the grid keys are those the experiment kind reads
+    "grids": (lambda value, path, out, kind: Section(COMMANDS[kind].grids)(value, path, out), {}),
+    "sampling": (SAMPLING, REQUIRED),
+    "output": (OUTPUT, {}),
+    "expected": (EXPECTED, OPTIONAL),
+}
+
+
+# ---------------------------------------------------------------------------
+# config -> scenario, in one pass
+# ---------------------------------------------------------------------------
+
+def _build(config, command_kind=None, *, seed=None, workers=None, default_id="scenario"):
+    """``(scenario, [])``, or ``(None, violations)`` each led by the JSON path,
+    flag or environment variable at fault; overrides go through the checks of
+    the keys they replace (configs/SCHEMA.md).  No random number is drawn."""
+    if not isinstance(config, dict):
+        return None, ["config: must be a JSON object"]
+    out = [f"config.{key}: unknown key" for key in config if key not in CONFIG]
+
+    def read(key, spec=None, **context):
+        return _read(config, key, spec or CONFIG[key], key, out, **context)
+
+    scenario_id = read("scenario_id", (_TEXT, default_id))
+    base = read("measure")
+    densities = read("densities", base=base)
+    experiment = read("experiment")
+    kind = config["experiment"].get("kind") if isinstance(config.get("experiment"), dict) else None
+    grids = _BAD
+    if isinstance(kind, str) and kind in COMMANDS:
+        grids = read("grids", kind=kind)
+        if command_kind is not None and kind != command_kind:
+            out.append(f"experiment.kind: config is for {kind!r}, command expects {command_kind!r}")
+    sampling = read("sampling")
+    read("output")
+    read("expected")
+
+    names = {key: f"sampling.{key}" for key in SAMPLING.fields}
+    overrides = [("seed", "--seed", seed), ("workers", "--workers", workers)]
+    env = os.environ.get(WORKERS_ENV)
+    if workers is None and env and sampling is not _BAD and "workers" not in sampling:
+        value = int(env) if env.strip().removeprefix("-").isdecimal() else env
+        overrides.append(("workers", WORKERS_ENV, value))
+    for key, name, value in overrides:
+        if value is not None:
+            names[key] = name
+            value = SAMPLING.fields[key][0](value, name, out)
+            if sampling is not _BAD:
+                sampling[key] = value
+    if out:
+        return None, out
+
+    n = experiment.pop("n", None)
+    n_grid = grids.get("n") or ((n,) if n is not None else ())
+    names |= {_SCENARIO_ARGS.get(k, k): f"experiment.{k}" for k in COMMANDS[kind].experiment}
+    names |= {"e_grid": "grids.energy", "n_grid": "grids.n" if "n" in grids else "experiment.n"}
+    scenario = _attempt(
+        out, Scenario, names, "experiment",
+        scenario_id=scenario_id, kind=kind, base=base, densities=densities,
+        e_grid=grids.get("energy", ()), n_grid=n_grid, expected=config.get("expected"),
+        **sampling, **{_SCENARIO_ARGS.get(k, k): v for k, v in experiment.items()},
+    )
+    if scenario is not _BAD:
+        for check, path in COMMANDS[kind].checks:
+            _attempt(out, check, {}, path, scenario)
+    return (None, out) if out else (scenario, out)
+
+
+def validate(config, command_kind: str | None = None) -> list[str]:
+    """Schema plus standing-hypothesis checks; empty list means valid.
+
+    Each violation names the JSON path (or environment variable) it refers
+    to.  No randomness is drawn here or anywhere before validation passes.
+    """
+    return _build(config, command_kind)[1]
+
+
+def scenario_from_config(
+    config: dict,
+    *,
+    seed: int | None = None,
+    workers: int | None = None,
+    default_id: str = "scenario",
+) -> Scenario:
+    """The scenario a config describes; a ValueError listing every violation
+    when :func:`validate` would reject it."""
+    scenario, violations = _build(config, seed=seed, workers=workers, default_id=default_id)
+    if violations:
+        raise ValueError("invalid config: " + "; ".join(violations))
+    return scenario
 
 
 # ---------------------------------------------------------------------------
@@ -718,14 +688,14 @@ def dispatch(argv: list[str] | None = None) -> int:
     except (OSError, json.JSONDecodeError) as err:
         print(f"error: cannot read config {config_path}: {err}", file=sys.stderr)
         return ExitStatus.VALIDATION
-    violations = validate(config, command_kind=args.command.replace("-", "_"))
+    kind = args.command.replace("-", "_")
+    scenario, violations = _build(
+        config, kind, seed=args.seed, workers=args.workers, default_id=config_path.stem
+    )
     if violations:
         for v in violations:
             print(f"invalid config: {v}", file=sys.stderr)
         return ExitStatus.VALIDATION
-    scenario = scenario_from_config(
-        config, seed=args.seed, workers=args.workers, default_id=config_path.stem
-    )
     out_format = args.format or config.get("output", {}).get("format", "csv")
     print(
         f"# {args.command}: scenario={scenario.scenario_id} seed={scenario.seed} "
@@ -733,7 +703,7 @@ def dispatch(argv: list[str] | None = None) -> int:
         file=sys.stderr,
     )
     try:
-        table = _RUNNERS[args.command](scenario, config)
+        table = COMMANDS[kind].run(scenario)
     except (ValueError, ArithmeticError, RuntimeError, OSError, np.linalg.LinAlgError) as err:
         print(f"error: {err}", file=sys.stderr)
         return ExitStatus.RUNTIME

@@ -32,6 +32,7 @@ from .measures import (
 )
 from .rng import RngStream
 from .spectral import TridiagonalBox, classify_regularity, eigenpairs
+from .transfer import require_unit
 
 #: minimum decay rate / regularity rate used in pass tests, so that the
 #: free-operator negative control cannot pass on noise around zero
@@ -42,6 +43,11 @@ LOCALIZATION_COLUMNS = (
     "gamma_hat", "gamma_stderr", "decay_rate", "center", "pass",
 )
 CENSUS_COLUMNS = ("scenario_id", "seed", "law_tag", "n", "site", "verdict")
+EDGE_CENSUS_COLUMNS = (
+    "scenario_id", "seed", "n", "trials", "zone_sites", "threshold",
+    "site_violations", "site_freq", "site_pred",
+    "event_count", "event_freq", "event_pred", "chebyshev_bound",
+)
 
 
 # ---------------------------------------------------------------------------
@@ -57,7 +63,7 @@ class Scenario:
     base: BaseMeasure
     densities: DensitySequence
     seed: int
-    samples: int
+    samples: int = 1
     e_grid: tuple[float, ...] = ()
     n_grid: tuple[int, ...] = ()
     interval: tuple[float, float] | None = None
@@ -68,20 +74,34 @@ class Scenario:
     rate_power: float = 1.0
     edge_p: float | None = None
     edge_r: float | None = None
+    edge_alpha: float | None = None  # edge census: moment order overriding the base's
     gamma_n: int = 1000
     gamma_samples: int = 200
     workers: int = 1
     expected: dict | None = None
+    n_max: int | None = None  # conditions: trajectory range
+    k_max: int | None = None  # conditions: center range
+    u: tuple[float, float] | None = None  # matrix_element statistic: <u, S v>
+    v: tuple[float, float] | None = None
 
     def __post_init__(self) -> None:
+        # each message leads with the argument it rejects; the CLI reports it there
         if self.seed < 0:
             raise ValueError("seed must be a nonnegative integer")
         if self.samples < 1:
             raise ValueError("samples must be >= 1")
         if self.interval is not None and not self.interval[0] < self.interval[1]:
-            raise ValueError("energy interval requires s < t")
+            raise ValueError("interval requires s < t")
+        if self.box is not None and self.box[0] > self.box[1]:
+            raise ValueError("box requires lo <= hi")
         if self.n_grid and any(n < 1 for n in self.n_grid):
-            raise ValueError("n grid entries must be >= 1")
+            raise ValueError("n_grid entries must be >= 1")
+        for name in ("u", "v"):
+            vec = getattr(self, name)
+            if (vec is None) == (self.statistic == "matrix_element"):
+                raise ValueError(f"{name} must be given exactly when statistic is 'matrix_element'")
+            if vec is not None:
+                require_unit(name, vec)
 
     @property
     def law_tag(self) -> str:
@@ -257,7 +277,8 @@ def gamma_grid(scenario: Scenario, stream: RngStream) -> tuple[np.ndarray, np.nd
     return gammas, errs
 
 
-def _require_interval_coverage(scenario: Scenario) -> None:
+def require_interval_coverage(scenario: Scenario) -> None:
+    """The energy grid must cover the interval at a spacing of at most 0.1."""
     if scenario.interval is None:
         raise ValueError(f"experiment {scenario.kind!r} needs an energy interval")
     if not scenario.e_grid:
@@ -276,7 +297,7 @@ def nu_inf(scenario: Scenario) -> float:
     Returns ``min over the grid of (gamma_hat - stderr)`` and warns when any
     grid estimate is not separated from zero by three standard errors.
     """
-    _require_interval_coverage(scenario)
+    require_interval_coverage(scenario)
     gammas, errs = gamma_grid(scenario, scenario.stream().child(2))
     if np.any(gammas < 3.0 * errs):
         warnings.warn(
@@ -375,6 +396,16 @@ class LocalizationReport:
         return ResultTable("localization", LOCALIZATION_COLUMNS, rows, summary)
 
 
+def require_localization_box(scenario: Scenario) -> tuple[int, int]:
+    """The scenario's box, which localization needs at dimension >= 200."""
+    if scenario.box is None:
+        raise ValueError("localization needs a box")
+    box_lo, box_hi = scenario.box
+    if box_hi - box_lo + 1 < 200:
+        raise ValueError("localization box must have dimension >= 200")
+    return box_lo, box_hi
+
+
 def run_localization(scenario: Scenario) -> LocalizationReport:
     """Diagonalize one sampled box and test eigenfunction decay in the
     energy interval.
@@ -386,12 +417,8 @@ def run_localization(scenario: Scenario) -> LocalizationReport:
     ``gamma_hat - 8 eps0``, and the largest radius still singular is
     reported per eigenfunction.
     """
-    if scenario.box is None:
-        raise ValueError("localization needs a box")
-    box_lo, box_hi = scenario.box
-    if box_hi - box_lo + 1 < 200:
-        raise ValueError("localization box must have dimension >= 200")
-    _require_interval_coverage(scenario)
+    box_lo, box_hi = require_localization_box(scenario)
+    require_interval_coverage(scenario)
     stream = scenario.stream()
     n_max = max(scenario.n_grid) if scenario.n_grid else 0
     win_lo = min(box_lo, 0)
@@ -495,7 +522,7 @@ def singularity_census(scenario: Scenario) -> CensusReport:
     energy, with rate ``gamma_hat(E) - 8 eps0``.  Both signs are scanned:
     site-dependent densities break the reflection symmetry of the exact law.
     """
-    _require_interval_coverage(scenario)
+    require_interval_coverage(scenario)
     if not scenario.n_grid:
         raise ValueError("census needs a radius grid")
     stream = scenario.stream()
@@ -561,11 +588,6 @@ class EdgeCensusReport:
     persistent: bool
 
     def to_table(self) -> ResultTable:
-        columns = (
-            "scenario_id", "seed", "n", "trials", "zone_sites", "threshold",
-            "site_violations", "site_freq", "site_pred",
-            "event_count", "event_freq", "event_pred", "chebyshev_bound",
-        )
         summary = {
             "p": self.p,
             "r": self.r,
@@ -573,7 +595,7 @@ class EdgeCensusReport:
             "last_violation_n": self.last_violation_n,
             "persistent_violations": self.persistent,
         }
-        return ResultTable("edge_census", columns, self.rows, summary)
+        return ResultTable("edge_census", EDGE_CENSUS_COLUMNS, self.rows, summary)
 
 
 def _site_tail(scenario: Scenario, site: int, threshold: float) -> float:

@@ -88,20 +88,20 @@ class FiniteAtoms(BaseMeasure):
         if self.alpha_moment <= 0:
             raise ValueError("alpha_moment must be positive")
         if len(self.atoms) == 0:
-            raise ValueError("at least one atom required")
+            raise ValueError("atoms must not be empty")
         if len(self.atoms) < 2 and not self.allow_trivial:
             raise ValueError(
-                "measure must be supported on at least two points "
+                "atoms must give non-trivial support, on at least two points "
                 "(pass allow_trivial=True only for closed-form test oracles)"
             )
         locs = [a[0] for a in self.atoms]
         if len(set(locs)) != len(locs):
-            raise ValueError("atom locations must be strictly distinct")
+            raise ValueError("atoms must have strictly distinct locations")
         weights = [a[1] for a in self.atoms]
         if any(w <= 0 for w in weights):
-            raise ValueError("atom weights must be positive")
+            raise ValueError("atoms must have positive weights")
         if abs(math.fsum(weights) - 1.0) > ATOM_WEIGHT_TOL:
-            raise ValueError("atom weights must sum to 1 within 1e-12")
+            raise ValueError("atoms must have weights that sum to 1 within 1e-12")
 
     @property
     def locations(self) -> np.ndarray:
@@ -196,8 +196,8 @@ class ParetoTail(BaseMeasure):
             raise ValueError("alpha_moment must be positive")
         if not self.exponent > self.alpha_moment:
             raise ValueError(
-                "Pareto exponent must exceed alpha_moment, otherwise the "
-                "declared moment is infinite"
+                "exponent must exceed alpha_moment, otherwise the declared "
+                "moment is infinite (moment condition unsatisfiable)"
             )
 
     def sample(self, rng: np.random.Generator, size: int) -> np.ndarray:
@@ -354,6 +354,8 @@ class AtomReweight(DensitySequence):
     schedule: Mapping[int, tuple[float, ...]]
 
     def __post_init__(self) -> None:
+        if not isinstance(self.base, FiniteAtoms):
+            raise ValueError("atom reweighting requires an atomic base measure")
         checked = {int(n): _check_atom_reweight(self.base, b) for n, b in self.schedule.items()}
         object.__setattr__(self, "schedule", checked)
 

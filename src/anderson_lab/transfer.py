@@ -392,13 +392,17 @@ def interval_det(energy: complex | float | np.ndarray, window):
     return dets[0]
 
 
+def require_unit(name: str, vec) -> np.ndarray:
+    """``vec`` as an array; a ValueError unless its norm is 1 within 1e-12."""
+    vec = np.asarray(vec)
+    if abs(np.linalg.norm(vec) - 1.0) > 1e-12:
+        raise ValueError(f"{name} must be a unit vector")
+    return vec
+
+
 def matrix_element(u: np.ndarray, s: ScaledMatrix, v: np.ndarray) -> SignedLog:
     """Signed log of the bilinear form <u, S v> for unit vectors u, v."""
-    u = np.asarray(u)
-    v = np.asarray(v)
-    for name, vec in (("u", u), ("v", v)):
-        if abs(np.linalg.norm(vec) - 1.0) > 1e-12:
-            raise ValueError(f"{name} must be a unit vector")
+    u, v = require_unit("u", u), require_unit("v", v)
     ip = np.vdot(u, s.entries @ v)
     ip = complex(ip) if np.iscomplexobj(s.entries) else float(ip.real)
     if ip == 0:
