@@ -82,6 +82,27 @@ def tail_estimate(count: int, samples: int) -> tuple[float, float]:
     return p, math.sqrt(p * (1.0 - p) / samples)
 
 
+def _moments(values: np.ndarray) -> tuple[int, float, float]:
+    """``(count, mean, M2)`` of a sample, M2 being the sum of squared
+    deviations from the mean (two passes, no cancellation)."""
+    mean = float(np.mean(values))
+    return len(values), mean, float(np.sum((values - mean) ** 2))
+
+
+def _merge_moments(parts) -> tuple[int, float, float]:
+    """``(count, mean, M2)`` of the union of samples, merged pairwise in the
+    given order (Chan, Golub & LeVeque 1979), so the result depends on the
+    batch order only, not on the worker count."""
+    count, mean, m2 = 0, 0.0, 0.0
+    for n_b, mean_b, m2_b in parts:
+        total = count + n_b
+        delta = mean_b - mean
+        mean += delta * n_b / total
+        m2 += m2_b + delta * delta * count * n_b / total
+        count = total
+    return count, mean, m2
+
+
 # ---------------------------------------------------------------------------
 # Lyapunov exponent
 # ---------------------------------------------------------------------------
@@ -122,20 +143,14 @@ def lyapunov_mc(
         wins = sample_windows(law, 1, n + BURN_IN, size, stream.child(i))
         logs = vector_growth_logs(energy, wins, (BURN_IN, BURN_IN + n))
         g = (logs[1] - logs[0]) / n
-        return float(np.sum(g)), float(np.sum(g * g)), (g if keep_samples else None)
+        return _moments(g), (g if keep_samples else None)
 
     parts = _map_batches(batch, samples, workers)
-    total = math.fsum(p[0] for p in parts)
-    total_sq = math.fsum(p[1] for p in parts)
-    mean = total / samples
-    if samples > 1:
-        var = max(total_sq - samples * mean * mean, 0.0) / (samples - 1)
-        stderr = math.sqrt(var / samples)
-    else:
-        stderr = 0.0
+    _, mean, m2 = _merge_moments(p[0] for p in parts)
+    stderr = math.sqrt(m2 / (samples - 1) / samples) if samples > 1 else 0.0
     if not math.isfinite(mean):
         raise ArithmeticError(f"Lyapunov estimate diverged at energy {energy!r}")
-    per_sample = np.concatenate([p[2] for p in parts]) if keep_samples else None
+    per_sample = np.concatenate([p[1] for p in parts]) if keep_samples else None
     return LyapunovEstimate(energy, n, samples, mean, stderr, per_sample)
 
 
@@ -525,6 +540,9 @@ def craig_simon_scan(
     gamma = np.asarray(list(gamma), dtype=float)
     if gamma.shape != e_grid.shape:
         raise ValueError("gamma must align with e_grid")
+    if np.any(n_grid < 2):
+        # the shifted inverse family spans sites [2n+2, 3n], empty below n = 2
+        raise ValueError(f"n_grid entries must be >= 2, got {n_grid.tolist()}")
     spans = {
         "forward": lambda n: (1, n),
         "backward_inverse": lambda n: (-n, -1),

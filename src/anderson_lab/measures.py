@@ -42,6 +42,38 @@ class RejectionCapError(RuntimeError):
     """Raised when the accept/reject sampler for a perturbed site stalls."""
 
 
+#: draws per pass of :func:`_categorical` over its index buffer
+_CATEGORICAL_CHUNK = 1 << 14
+
+
+def _categorical(
+    rng: np.random.Generator, locations: np.ndarray, weights: np.ndarray, size: int
+) -> np.ndarray:
+    """``size`` draws of ``locations`` with probabilities ``weights``.
+
+    Replays ``locations[rng.choice(len(weights), size, p=weights)]`` exactly:
+    the same uniforms, cut points and indices, so the values and the state
+    the generator is left in are identical.  The index of a uniform ``u`` is
+    the number of cut points ``cdf[j]``, ``j < k - 1``, with ``u >= cdf[j]``
+    (``searchsorted(side="right")``).  The values overwrite the uniforms, so
+    the only full-size buffer is the returned one.
+    """
+    cdf = np.cumsum(weights, dtype=float)
+    cdf /= cdf[-1]
+    u = rng.random(size)
+    index = np.empty(min(size, _CATEGORICAL_CHUNK), dtype=np.intp)
+    hit = np.empty(len(index), dtype=bool)
+    for start in range(0, size, _CATEGORICAL_CHUNK):
+        part = u[start : start + _CATEGORICAL_CHUNK]
+        idx, h = index[: len(part)], hit[: len(part)]
+        np.greater_equal(part, cdf[0], out=idx)  # never true for one atom: cdf[0] == 1
+        for cut in cdf[1:-1]:
+            np.greater_equal(part, cut, out=h)
+            idx += h
+        np.take(locations, idx, out=part)
+    return u
+
+
 # ---------------------------------------------------------------------------
 # single-site measures
 # ---------------------------------------------------------------------------
@@ -120,8 +152,7 @@ class FiniteAtoms(BaseMeasure):
         return idx
 
     def sample(self, rng: np.random.Generator, size: int) -> np.ndarray:
-        choice = rng.choice(len(self.atoms), size=size, p=self.weights)
-        return self.locations[choice]
+        return _categorical(rng, self.locations, self.weights, size)
 
     def in_support(self, values: np.ndarray) -> np.ndarray:
         return self.atom_index(values) >= 0
@@ -591,8 +622,7 @@ def sample_windows(
     for site in law.densities.perturbed_sites(lo, hi):
         beta = law.densities.atom_weights_at(site)
         if beta is not None:
-            choice = rng.choice(len(beta), size=count, p=beta)
-            column = law.base.locations[choice]  # type: ignore[union-attr]
+            column = _categorical(rng, law.base.locations, beta, count)  # type: ignore[union-attr]
         else:
             column = _rejection_column(law.base, law.densities, site, count, rng)
         values[:, site - lo] = column

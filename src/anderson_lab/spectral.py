@@ -24,7 +24,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import solve_banded
 
 from .measures import PotentialWindow
 from .transfer import NEG_INF, SignedLog, det_recurrence, interval_det
@@ -199,6 +198,8 @@ def eigenvector(
     times.  Vectors listed in ``orthogonalize_against`` are projected out on
     every iteration (used for near-degenerate clusters).
     """
+    from scipy.linalg import solve_banded  # imported here: scipy is slow to load
+
     d = box.diagonal
     scale = box.scale
     res_tol = RESIDUAL_TOL_FACTOR * scale
@@ -319,6 +320,8 @@ def green(box: TridiagonalBox, energy, x: int, y, method: str = "det_ratio"):
             f"{RESONANCE_DISTANCE_FACTOR * box.scale:.3e}"
         )
     if method == "direct_solve":
+        from scipy.linalg import solve_banded  # imported here: scipy is slow to load
+
         rhs = np.zeros(box.dim)
         rhs[y - box.lo] = 1.0
         sol = solve_banded((1, 1), _banded(values, energy), rhs)

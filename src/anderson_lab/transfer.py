@@ -11,8 +11,9 @@ product equal (up to the sign convention of ``det(E - H)`` versus
      [ P[a, b-1], -P[a+1, b-1] ]]
 
 which is what :func:`block_identity_check` verifies numerically.  Products of
-length 1e5+ never overflow: matrices are stored as (normalized entries,
-log scale factor) and renormalized after every multiply.
+length 1e5+ never overflow: one batched kernel keeps each lane's rows times
+an exact power of two, rescales only when a bound on their growth nears a
+fixed headroom, and normalizes once, at the end or at a checkpoint.
 """
 from __future__ import annotations
 
@@ -59,12 +60,7 @@ class SignedLog:
 
     @classmethod
     def from_value(cls, x: complex | float) -> "SignedLog":
-        if x == 0:
-            return cls(0.0, NEG_INF)
-        if isinstance(x, complex) and x.imag != 0:
-            return cls(x / abs(x), math.log(abs(x)))
-        x = float(x.real) if isinstance(x, complex) else float(x)
-        return cls(math.copysign(1.0, x), math.log(abs(x)))
+        return _signed_log(x, 0.0)
 
     @classmethod
     def zero(cls) -> "SignedLog":
@@ -112,10 +108,10 @@ def _signed_log(mantissa: complex | float, log_shift: float) -> SignedLog:
 class ScaledMatrix:
     """A 2x2 matrix stored as normalized entries times ``exp(log_scale)``.
 
-    After renormalization the largest entry magnitude is 1 (the zero matrix
+    After normalization the largest entry magnitude is 1 (the zero matrix
     is forbidden).  Freshly built one-step factors keep their exact entries
-    with ``log_scale == 0``; :func:`product` renormalizes after every
-    multiply.
+    with ``log_scale == 0``; :func:`product` normalizes once, at the end, and
+    ``@`` after every multiply.
     """
 
     entries: np.ndarray
@@ -172,11 +168,7 @@ class ScaledMatrix:
     def log_norm(self) -> float:
         """log of the spectral norm of the true matrix."""
         e = self.entries
-        frob2 = float(np.sum(np.abs(e) ** 2))
-        det2 = float(abs(e[0, 0] * e[1, 1] - e[0, 1] * e[1, 0])) ** 2
-        gap = max(frob2 * frob2 - 4.0 * det2, 0.0)
-        smax2 = 0.5 * (frob2 + math.sqrt(gap))
-        return self.log_scale + 0.5 * math.log(smax2)
+        return float(log_norm_batch(e[0, 0], e[0, 1], e[1, 0], e[1, 1], self.log_scale))
 
     def inverse(self) -> "ScaledMatrix":
         e = self.entries
@@ -190,39 +182,20 @@ class ScaledMatrix:
 
 def one_step(energy: complex | float, v: float) -> ScaledMatrix:
     """The one-step factor [[E - v, -1], [1, 0]]; exact entries, unit det."""
-    d = energy - v
-    dtype = complex if isinstance(d, complex) else float
-    return ScaledMatrix(np.array([[d, -1.0], [1.0, 0.0]], dtype=dtype), 0.0)
+    return ScaledMatrix(np.array([[energy - v, -1.0], [1.0, 0.0]]), 0.0)
 
 
 def product(energy: complex | float, window) -> ScaledMatrix:
     """Scaled product of one-step factors over a potential window.
 
-    Factors are composed with the top-site factor leftmost, renormalizing by
-    the largest entry magnitude after every multiply.
+    Factors are composed with the top-site factor leftmost; this is a
+    one-lane call of :func:`matrix_batch`.
     """
     values = np.asarray(window.values if hasattr(window, "values") else window, dtype=float)
     if values.size == 0:
         raise ValueError("product requires a non-empty window")
-    is_complex = isinstance(energy, complex) and energy.imag != 0
-    e = complex(energy) if is_complex else float(energy)
-    s00, s01, s10, s11 = (1 + 0j, 0j, 0j, 1 + 0j) if is_complex else (1.0, 0.0, 0.0, 1.0)
-    log_scale = 0.0
-    for v in values:
-        d = e - v
-        t00 = d * s00 - s10
-        t01 = d * s01 - s11
-        s10, s11 = s00, s01
-        s00, s01 = t00, t01
-        peak = max(abs(s00), abs(s01), abs(s10), abs(s11))
-        inv = 1.0 / peak
-        s00 *= inv
-        s01 *= inv
-        s10 *= inv
-        s11 *= inv
-        log_scale += math.log(peak)
-    dtype = complex if is_complex else float
-    return ScaledMatrix(np.array([[s00, s01], [s10, s11]], dtype=dtype), log_scale)
+    s00, s01, s10, s11, log_scale = matrix_batch(energy, values[None, :])
+    return ScaledMatrix(np.array([[s00[0], s01[0]], [s10[0], s11[0]]]), float(log_scale[0]))
 
 
 # ---------------------------------------------------------------------------
@@ -431,10 +404,8 @@ def block_identity_check(energy: complex | float, window) -> float:
         full[-2],  # [a, b-1]
         inner[-2] if len(inner) >= 2 else SignedLog.one(),  # [a+1, b-1]
     ]
-    entry_logs = []
     with np.errstate(divide="ignore"):
-        for val in np.abs(s.entries).ravel():
-            entry_logs.append(s.log_scale + (math.log(val) if val > 0 else NEG_INF))
+        entry_logs = (s.log_scale + np.log(np.abs(s.entries).ravel())).tolist()
     worst = 0.0
     for got, want in zip(entry_logs, dets):
         if got == NEG_INF and want.log_mag == NEG_INF:
@@ -449,43 +420,85 @@ def block_identity_check(energy: complex | float, window) -> float:
 # batched drivers (vectorized across windows, sequential across sites)
 # ---------------------------------------------------------------------------
 
+#: sites per block of the propagation kernel, and lanes per tile when a
+#: block of windows is transposed to site-major
+_BLOCK, _TILE = 64, 512
+
+#: log2 of the growth the stored rows may reach between two rescales
+_HEADROOM = 500.0
+
+
+def _rescale(pair: np.ndarray, shift: np.ndarray) -> None:
+    """Scale each lane of a ``(2, c, L)`` row pair by a power of two so that
+    its largest magnitude lies in ``[1, 2)``; the exponents go into ``shift``."""
+    _, exponent = np.frexp(np.abs(pair).max(axis=(0, 1)))
+    exponent -= 1
+    pair *= np.ldexp(1.0, -exponent)
+    shift += exponent
+
+
+def _propagate(energy, windows: np.ndarray, columns: int, marks):
+    """Yield ``(top, bottom, shift)`` after each of the ascending site counts
+    ``marks``: the row pair of the product applied to the first ``columns``
+    columns of the identity (the matrix for 2, the vector ``(1, 0)`` for 1),
+    each a ``(columns, L)`` array, true value ``row * 2**shift``.
+
+    A site maps ``top, bottom`` to ``d * top - bottom, top`` with
+    ``d = E - V``, formed once per site-major block of :data:`_BLOCK` sites;
+    each site costs two in-place ufunc calls.  A site grows the rows by at
+    most a factor ``max|d| + 1`` and, the product having unit determinant,
+    shrinks them by at most as much, so they are rescaled only when the sum
+    of ``log2(max|d| + 1)`` since the last rescale would pass
+    :data:`_HEADROOM`, and at every mark.
+    """
+    e = np.asarray(energy)
+    dtype = complex if np.iscomplexobj(e) and np.any(e.imag != 0) else float
+    lanes = len(windows)
+    e = np.broadcast_to(e if dtype is complex else e.real, (lanes,))
+    rows = np.zeros((_BLOCK + 2, columns, lanes), dtype=dtype)  # bottom, top, new tops
+    rows[1, 0] = rows[0, 1:] = 1.0
+    d = np.empty((_BLOCK, 1, lanes), dtype=dtype)
+    r, dk = list(rows), list(d)  # per-site views, built once
+    shift = np.zeros(lanes, dtype=np.int64)
+    grown = 1.0  # log2 bound on the stored rows
+    done = 0
+    for mark in marks:
+        while done < mark:
+            size = min(_BLOCK, mark - done)
+            block, peak = d[:size, 0], np.zeros(size)
+            for a in range(0, lanes, _TILE):  # transpose in cache-sized tiles
+                z = min(a + _TILE, lanes)
+                np.subtract(e[a:z], windows[a:z, done : done + size].T, out=block[:, a:z])
+                np.maximum(peak, np.abs(block[:, a:z]).max(axis=1), out=peak)
+            bound = np.log2(peak + 1.0).tolist()
+            for k in range(size):
+                grown += bound[k]
+                if grown > _HEADROOM:
+                    _rescale(rows[k : k + 2], shift)
+                    grown = 1.0 + bound[k]
+                np.multiply(dk[k], r[k + 1], out=r[k + 2])
+                np.subtract(r[k + 2], r[k], out=r[k + 2])
+            rows[:2] = rows[size : size + 2]
+            done += size
+        _rescale(rows[:2], shift)
+        grown = 1.0
+        yield rows[1], rows[0], shift
+
+
 def matrix_batch(
     energy: complex | float | np.ndarray, windows: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """Scaled interval products for a batch of windows.
 
     ``windows`` has one window per row; ``energy`` is a scalar or one value
-    per row.  Returns the four normalized entry arrays and the log scales,
-    renormalized after every site step exactly like :func:`product`.
+    per row.  Returns the four entry arrays, normalized once at the end so
+    that each product's largest entry magnitude is 1, and the log scales.
     """
     windows = np.atleast_2d(np.asarray(windows, dtype=float))
-    count, n_sites = windows.shape
-    e = np.asarray(energy)
-    is_complex = np.iscomplexobj(e) and np.any(e.imag != 0)
-    dtype = complex if is_complex else float
-    s00 = np.ones(count, dtype=dtype)
-    s01 = np.zeros(count, dtype=dtype)
-    s10 = np.zeros(count, dtype=dtype)
-    s11 = np.ones(count, dtype=dtype)
-    log_scale = np.zeros(count)
-    e = e.astype(dtype)
-    for k in range(n_sites):
-        d = e - windows[:, k]
-        t00 = d * s00 - s10
-        t01 = d * s01 - s11
-        s10, s11 = s00, s01
-        s00, s01 = t00, t01
-        peak = np.abs(s00)
-        np.maximum(peak, np.abs(s01), out=peak)
-        np.maximum(peak, np.abs(s10), out=peak)
-        np.maximum(peak, np.abs(s11), out=peak)
-        inv = 1.0 / peak
-        s00 *= inv
-        s01 *= inv
-        s10 *= inv
-        s11 *= inv
-        log_scale += np.log(peak)
-    return s00, s01, s10, s11, log_scale
+    ((top, bottom, shift),) = _propagate(energy, windows, 2, (windows.shape[1],))
+    peak = np.maximum(np.abs(top).max(axis=0), np.abs(bottom).max(axis=0))
+    (s00, s01), (s10, s11) = top / peak, bottom / peak
+    return s00, s01, s10, s11, shift * math.log(2.0) + np.log(peak)
 
 
 def log_norm_batch(
@@ -513,34 +526,17 @@ def vector_growth_logs(
     """log norms of the propagated solution vector at given site counts.
 
     Starts from ``(1, 0)`` and applies the one-step recurrence across each
-    row of ``windows``, renormalizing every step.  Returns an array of shape
-    ``(len(checkpoints), count)`` holding ``log || S_[1,k] (1,0) ||`` for each
-    checkpoint ``k``; checkpoint 0 is the initial vector.
+    row of ``windows``, read off the kernel at each checkpoint.  Returns an
+    array of shape ``(len(checkpoints), count)`` holding
+    ``log || S_[1,k] (1,0) ||`` for each checkpoint ``k``; checkpoint 0 is
+    the initial vector.
     """
     windows = np.atleast_2d(np.asarray(windows, dtype=float))
-    count, n_sites = windows.shape
     marks = sorted(set(checkpoints))
-    if marks[0] < 0 or marks[-1] > n_sites:
+    if marks[0] < 0 or marks[-1] > windows.shape[1]:
         raise ValueError("checkpoints must lie in [0, window length]")
-    is_complex = isinstance(energy, complex) and energy.imag != 0
-    dtype = complex if is_complex else float
-    x = np.ones(count, dtype=dtype)
-    y = np.zeros(count, dtype=dtype)
-    acc = np.zeros(count)
-    out = np.empty((len(checkpoints), count))
-    recorded = {}
-    if 0 in marks:
-        recorded[0] = acc + 0.0  # log ||(1, 0)|| == 0
-    for k in range(n_sites):
-        d = energy - windows[:, k]
-        x, y = d * x - y, x
-        peak = np.maximum(np.abs(x), np.abs(y))
-        inv = 1.0 / peak
-        x *= inv
-        y *= inv
-        acc += np.log(peak)
-        if (k + 1) in marks:
-            recorded[k + 1] = acc + 0.5 * np.log(np.abs(x) ** 2 + np.abs(y) ** 2)
-    for i, c in enumerate(checkpoints):
-        out[i] = recorded[c]
-    return out
+    recorded = {
+        mark: shift * math.log(2.0) + 0.5 * np.log(np.abs(x[0]) ** 2 + np.abs(y[0]) ** 2)
+        for mark, (x, y, shift) in zip(marks, _propagate(energy, windows, 1, marks))
+    }
+    return np.array([recorded[c] for c in checkpoints])

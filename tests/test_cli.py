@@ -1,5 +1,8 @@
 import json
 import math
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -303,3 +306,14 @@ def test_workers_env_variable_is_the_default(monkeypatch):
     assert scenario_from_config(cfg).workers == 2
     # an explicit override beats both
     assert scenario_from_config(cfg, workers=3).workers == 3
+
+
+def test_cli_import_leaves_scipy_unloaded():
+    # scipy is imported by the two spectral routines that call it, not at start-up
+    paths = [str(Path(__file__).resolve().parent.parent / "src"), os.environ.get("PYTHONPATH")]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, paths)))
+    code = "import sys, anderson_lab.cli; print('scipy' in sys.modules)"
+    out = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+    )
+    assert out.stdout.strip() == "False"

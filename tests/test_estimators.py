@@ -5,7 +5,10 @@ import numpy as np
 import pytest
 
 from anderson_lab.estimators import (
+    BATCH_SIZE,
     BURN_IN,
+    _merge_moments,
+    _moments,
     DeviationClass,
     craig_simon_scan,
     deviation_classify,
@@ -89,9 +92,24 @@ def test_doubling_n_is_consistent_up_to_subadditivity_slack():
 
 def test_worker_count_does_not_change_the_result():
     a = lyapunov_mc(BERNOULLI_LAW, 0.5, 300, 9000, RngStream(7), workers=1)
-    b = lyapunov_mc(BERNOULLI_LAW, 0.5, 300, 9000, RngStream(7), workers=4)
-    assert a.mean == b.mean
-    assert a.stderr == b.stderr
+    for workers in (2, 4):
+        b = lyapunov_mc(BERNOULLI_LAW, 0.5, 300, 9000, RngStream(7), workers=workers)
+        assert a.mean == b.mean
+        assert a.stderr == b.stderr
+
+
+def test_batch_moments_merge_without_cancellation():
+    # values near 1e8 with unit noise: the one-pass sum of squares minus
+    # n * mean^2 loses every digit of the variance, merged batch moments keep it
+    rng = np.random.default_rng(27)
+    values = 1e8 + rng.standard_normal(3 * BATCH_SIZE + 123)
+    parts = [_moments(values[i : i + BATCH_SIZE]) for i in range(0, len(values), BATCH_SIZE)]
+    count, mean, m2 = _merge_moments(parts)
+    assert count == len(values)
+    assert mean == pytest.approx(np.mean(values), rel=1e-15)
+    assert m2 / (count - 1) == pytest.approx(np.var(values, ddof=1), rel=1e-9)
+    one_pass = (np.sum(values**2) - count * np.mean(values) ** 2) / (count - 1)
+    assert abs(one_pass - np.var(values, ddof=1)) > 1e-3
 
 
 def test_per_sample_logs_are_retained_on_request():
@@ -302,6 +320,13 @@ def test_scan_requires_aligned_gamma():
     window = PotentialWindow(-8, 25, np.zeros(34))
     with pytest.raises(ValueError, match="align"):
         craig_simon_scan(window, [0.0, 1.0], [8], [0.0])
+
+
+def test_scan_rejects_radius_one():
+    # the shifted inverse family spans sites [2n+2, 3n], empty at n = 1
+    window = PotentialWindow(-8, 25, np.zeros(34))
+    with pytest.raises(ValueError, match=r"n_grid entries must be >= 2"):
+        craig_simon_scan(window, [0.0], [1, 8], [0.0])
 
 
 # ---------------------------------------------------------------------------

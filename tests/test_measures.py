@@ -185,6 +185,74 @@ def test_rejection_cap_names_the_site():
         sample_windows(law, 7, 7, 50, RngStream(6))
 
 
+ONE_ATOM = FiniteAtoms(atoms=((2.5, 1.0),), allow_trivial=True)
+THREE_ATOMS = FiniteAtoms(atoms=((-2.0, 0.2), (0.0, 0.3), (3.0, 0.5)))
+FIVE_ATOMS = FiniteAtoms(
+    atoms=((-2.0, 0.1), (-1.0, 0.2), (0.0, 0.3), (1.5, 0.15), (4.0, 0.25))
+)
+
+
+@pytest.mark.parametrize("base", [ONE_ATOM, BERNOULLI, THREE_ATOMS, FIVE_ATOMS])
+def test_atomic_draws_replay_generator_choice(base):
+    # same values and same generator state as locations[rng.choice(...)],
+    # across several chunks of the index buffer
+    for seed in (1, 2):
+        ours, ref = np.random.default_rng(seed), np.random.default_rng(seed)
+        got = base.sample(ours, 40_007)
+        want = base.locations[ref.choice(len(base.atoms), size=40_007, p=base.weights)]
+        assert np.array_equal(got, want)
+        assert ours.bit_generator.state == ref.bit_generator.state
+
+
+class _KeptGenerator:
+    """A stream stand-in whose generator can be inspected after the draw."""
+
+    def __init__(self, seed):
+        self.rng = np.random.default_rng(seed)
+
+    def generator(self):
+        return self.rng
+
+
+def _reference_windows(law, lo, hi, count, rng):
+    """The draw of sample_windows for atomic laws, written with rng.choice."""
+    k = len(law.base.atoms)
+    values = law.base.locations[rng.choice(k, size=count * (hi - lo + 1), p=law.base.weights)]
+    values = values.reshape(count, hi - lo + 1)
+    for site in law.densities.perturbed_sites(lo, hi):
+        beta = law.densities.atom_weights_at(site)
+        values[:, site - lo] = law.base.locations[rng.choice(k, size=count, p=beta)]
+    return values
+
+
+@pytest.mark.parametrize(
+    "law",
+    [
+        ProductLaw.approximate(
+            BERNOULLI, BumpSchedule(sites=PowersOfTwoSites(), base=BERNOULLI, weights=(0.75, 0.25))
+        ),
+        # a bump with a zero weight: the middle atom never appears there
+        ProductLaw.approximate(
+            THREE_ATOMS,
+            BumpSchedule(sites=PowersOfTwoSites(), base=THREE_ATOMS, weights=(0.5, 0.0, 0.5)),
+        ),
+        ProductLaw.approximate(
+            FIVE_ATOMS, AtomReweight(FIVE_ATOMS, {-3: (0.0, 0.0, 0.0, 0.0, 1.0), 5: (0.2,) * 5})
+        ),
+    ],
+)
+def test_perturbed_columns_replay_generator_choice(law):
+    for seed in (3, 4):
+        ours, ref = _KeptGenerator(seed), np.random.default_rng(seed)
+        got = sample_windows(law, -9, 17, 301, ours)
+        assert np.array_equal(got, _reference_windows(law, -9, 17, 301, ref))
+        assert ours.rng.bit_generator.state == ref.bit_generator.state
+    column = sample_windows(law, 4, 4, 5000, RngStream(5))[:, 0]
+    beta = law.densities.atom_weights_at(4)
+    if beta is not None:
+        assert set(np.unique(column)) == set(law.base.locations[beta > 0])
+
+
 # ---------------------------------------------------------------------------
 # Radon-Nikodym products
 # ---------------------------------------------------------------------------

@@ -1,9 +1,11 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
 
 import anderson_lab.transfer as transfer
+from anderson_lab.estimators import _statistic_logs
 from anderson_lab.transfer import (
     ScaledMatrix,
     SignedLog,
@@ -393,3 +395,98 @@ def test_matrix_batch_complex_energy_matches_scalar():
         s = product(z, windows[i])
         assert norms[i] == pytest.approx(s.log_norm(), abs=1e-10)
         assert s00[i] == pytest.approx(s.entries[0, 0], rel=1e-12)
+
+
+# ---------------------------------------------------------------------------
+# the rescaled kernel against the per-site loops it replaced
+# ---------------------------------------------------------------------------
+
+def _reference_matrix_batch(energy, windows):
+    """The per-site loop: normalize by the peak entry after every site."""
+    count, n_sites = windows.shape
+    e = np.asarray(energy)
+    dtype = complex if np.iscomplexobj(e) and np.any(e.imag != 0) else float
+    e = e.astype(dtype)
+    s00, s01 = np.ones(count, dtype=dtype), np.zeros(count, dtype=dtype)
+    s10, s11 = np.zeros(count, dtype=dtype), np.ones(count, dtype=dtype)
+    log_scale = np.zeros(count)
+    for k in range(n_sites):
+        d = e - windows[:, k]
+        s00, s01, s10, s11 = d * s00 - s10, d * s01 - s11, s00, s01
+        peak = np.maximum.reduce([np.abs(s00), np.abs(s01), np.abs(s10), np.abs(s11)])
+        s00, s01, s10, s11 = s00 / peak, s01 / peak, s10 / peak, s11 / peak
+        log_scale = log_scale + np.log(peak)
+    return s00, s01, s10, s11, log_scale
+
+
+def _reference_vector_growth_logs(energy, windows, checkpoints):
+    """The per-site loop: normalize the vector after every site."""
+    count, n_sites = windows.shape
+    dtype = complex if isinstance(energy, complex) and energy.imag != 0 else float
+    x, y, acc = np.ones(count, dtype=dtype), np.zeros(count, dtype=dtype), np.zeros(count)
+    recorded = {0: acc.copy()}
+    for k in range(n_sites):
+        x, y = (energy - windows[:, k]) * x - y, x
+        peak = np.maximum(np.abs(x), np.abs(y))
+        x, y, acc = x / peak, y / peak, acc + np.log(peak)
+        recorded[k + 1] = acc + 0.5 * np.log(np.abs(x) ** 2 + np.abs(y) ** 2)
+    return np.array([recorded[c] for c in checkpoints])
+
+
+def _kernel_windows(kind, rng, count, n):
+    if kind == "bernoulli":
+        return bernoulli_window(rng, (count, n))
+    if kind == "uniform":
+        return rng.uniform(-3.0, 3.0, (count, n))
+    # symmetric Pareto tail with exponent 1.5, plus sites at +-1e200
+    values = (rng.pareto(1.5, (count, n)) + 1.0) * np.where(rng.random((count, n)) < 0.5, -1, 1)
+    huge = rng.random((count, n)) < 0.02
+    values[huge] = np.where(rng.random(np.count_nonzero(huge)) < 0.5, -1e200, 1e200)
+    return values
+
+
+UNIT_U = np.array([0.6, 0.8])
+UNIT_V = np.array([1.0, 1.0]) / math.sqrt(2.0)
+
+
+@pytest.mark.parametrize("kind", ["bernoulli", "uniform", "pareto"])
+def test_rescaled_kernel_matches_the_per_site_loops(kind):
+    # logs agree to 1e-12 (absolutely too: a log difference is the relative
+    # error of the norm itself), every value is finite except the -inf of an
+    # exact zero, and no numpy warning
+    rng = np.random.default_rng(111)
+    for n in (1, 2, 63, 64, 65, 300, 1500):
+        for energy in (0.0, 0.37, 2.9, 0.4 + 0.6j, -1.5 + 1e-3j):
+            windows = _kernel_windows(kind, rng, 13, n)
+            marks = (n, 0, n // 2, min(n, 64))
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                batch = matrix_batch(energy, windows)
+                stats = {s: _statistic_logs(s, batch, UNIT_U, UNIT_V) for s in
+                         ("log_norm", "log_det", "matrix_element")}
+                logs = vector_growth_logs(energy, windows, marks)
+            want = _reference_matrix_batch(energy, windows)
+            with np.errstate(divide="ignore"):
+                for name, got in stats.items():
+                    # Bernoulli windows at E = 0 have exact zeros, marked -inf
+                    finite = np.isfinite(got) | ((got == -np.inf) & (kind == "bernoulli"))
+                    assert np.all(finite), (name, n, energy)
+                    ref = _statistic_logs(name, want, UNIT_U, UNIT_V)
+                    np.testing.assert_allclose(got, ref, rtol=1e-12, atol=1e-12)
+            assert np.all(np.isfinite(logs)) and np.all(logs[1] == 0.0)
+            ref = _reference_vector_growth_logs(energy, windows, marks)
+            np.testing.assert_allclose(logs, ref, rtol=1e-12, atol=1e-12)
+            # normalized entries: the largest magnitude of each product is 1
+            peak = np.maximum.reduce([np.abs(s) for s in batch[:4]])
+            np.testing.assert_allclose(peak, 1.0, rtol=0.0, atol=1e-15)
+
+
+def test_rescaled_kernel_energy_per_lane_across_tiles():
+    # more lanes than one transpose tile, one energy per lane
+    rng = np.random.default_rng(112)
+    windows = rng.uniform(-2.0, 2.0, (1100, 90))
+    energies = np.linspace(-3.0, 3.0, 1100)
+    got = matrix_batch(energies, windows)
+    want = _reference_matrix_batch(energies, windows)
+    np.testing.assert_allclose(log_norm_batch(*got), log_norm_batch(*want), rtol=1e-12, atol=1e-12)
+    np.testing.assert_allclose(got[0], want[0], rtol=1e-12, atol=1e-12)
