@@ -5,8 +5,12 @@ against the pinned constants (config ``expected`` blocks and the constants
 at the top of tests/test_acceptance.py), and update them deliberately.
 Takes several minutes at the full sample sizes.
 """
+import json
+from pathlib import Path
+
 import numpy as np
 
+from anderson_lab.cli import COMMANDS, scenario_from_config
 from anderson_lab.estimators import lyapunov_mc
 from anderson_lab.experiments import Scenario, run_localization, singularity_census
 from anderson_lab.measures import BumpSchedule, FiniteAtoms, Identity, PowersOfTwoSites, ProductLaw
@@ -57,3 +61,14 @@ for label, densities in (
         f"{label}: pass_fraction={report.pass_fraction:.4f} "
         f"eigenfunctions={len(report.rows)} census_zero_from={census.zero_from}"
     )
+
+# Monte Carlo pins in config ``expected`` blocks, each at its config's own seed.
+configs = Path(__file__).resolve().parent.parent / "configs"
+for stem, metric in (
+    ("lde_bernoulli", "fitted_eta"),
+    ("lift_bumps", "violations"),
+    ("abscont_reweight", "violations"),
+):
+    scenario = scenario_from_config(json.loads((configs / f"{stem}.json").read_text()))
+    table = COMMANDS[scenario.kind].run(scenario)
+    print(f"{stem}: {metric}={table.metrics()[metric]!r}")

@@ -13,7 +13,9 @@ product equal (up to the sign convention of ``det(E - H)`` versus
 which is what :func:`block_identity_check` verifies numerically.  Products of
 length 1e5+ never overflow: one batched kernel keeps each lane's rows times
 an exact power of two, rescales only when a bound on their growth nears a
-fixed headroom, and normalizes once, at the end or at a checkpoint.
+fixed headroom, and normalizes once, at the end or at a checkpoint.  The
+centered windows ``[-n, n]`` of a whole radius grid come from one pass over
+each half of the largest window.
 """
 from __future__ import annotations
 
@@ -127,14 +129,6 @@ class ScaledMatrix:
             raise ValueError("the zero matrix has no scaled representation")
         object.__setattr__(self, "entries", entries)
 
-    @classmethod
-    def identity(cls, *, dtype=float) -> "ScaledMatrix":
-        return cls(np.eye(2, dtype=dtype), 0.0)
-
-    @classmethod
-    def from_dense(cls, m: np.ndarray) -> "ScaledMatrix":
-        return cls(np.asarray(m), 0.0).normalized()
-
     def normalized(self) -> "ScaledMatrix":
         peak = float(np.max(np.abs(self.entries)))
         return ScaledMatrix(self.entries / peak, self.log_scale + math.log(peak))
@@ -169,15 +163,6 @@ class ScaledMatrix:
         """log of the spectral norm of the true matrix."""
         e = self.entries
         return float(log_norm_batch(e[0, 0], e[0, 1], e[1, 0], e[1, 1], self.log_scale))
-
-    def inverse(self) -> "ScaledMatrix":
-        e = self.entries
-        adj = np.array([[e[1, 1], -e[0, 1]], [-e[1, 0], e[0, 0]]], dtype=e.dtype)
-        det = self.det()
-        if det.is_zero():
-            raise ZeroDivisionError("matrix is singular to working precision")
-        scaled = ScaledMatrix(adj / det.sign, self.log_scale - det.log_mag)
-        return scaled.normalized()
 
 
 def one_step(energy: complex | float, v: float) -> ScaledMatrix:
@@ -395,14 +380,15 @@ def block_identity_check(energy: complex | float, window) -> float:
     values = np.asarray(window.values if hasattr(window, "values") else window, dtype=float)
     if values.size < 2:
         raise ValueError("block identity needs a window of length >= 2")
+    m = len(values)
     s = product(energy, values)
-    full = det_recurrence(energy, values)
-    inner = det_recurrence(energy, values[1:])
+    full = det_recurrence(energy, values, (m - 1, m))
+    inner = det_recurrence(energy, values[1:], range(max(m - 2, 1), m))
     dets = [
-        full[-1],  # [a, b]
+        full[1],  # [a, b]
         inner[-1],  # [a+1, b]
-        full[-2],  # [a, b-1]
-        inner[-2] if len(inner) >= 2 else SignedLog.one(),  # [a+1, b-1]
+        full[0],  # [a, b-1]
+        inner[0] if m > 2 else SignedLog.one(),  # [a+1, b-1]
     ]
     with np.errstate(divide="ignore"):
         entry_logs = (s.log_scale + np.log(np.abs(s.entries).ravel())).tolist()
@@ -429,8 +415,9 @@ _HEADROOM = 500.0
 
 
 def _rescale(pair: np.ndarray, shift: np.ndarray) -> None:
-    """Scale each lane of a ``(2, c, L)`` row pair by a power of two so that
-    its largest magnitude lies in ``[1, 2)``; the exponents go into ``shift``."""
+    """Scale each lane of a ``(2, c, *lanes)`` row pair by a power of two so
+    that its largest magnitude lies in ``[1, 2)``; the exponents go into
+    ``shift``, shaped like the lanes."""
     _, exponent = np.frexp(np.abs(pair).max(axis=(0, 1)))
     exponent -= 1
     pair *= np.ldexp(1.0, -exponent)
@@ -485,20 +472,74 @@ def _propagate(energy, windows: np.ndarray, columns: int, marks):
         yield rows[1], rows[0], shift
 
 
+def _checked_marks(checkpoints, length: int) -> list[int]:
+    marks = sorted({int(c) for c in checkpoints})
+    if not marks or marks[0] < 0 or marks[-1] > length:
+        raise ValueError("checkpoints must lie in [0, window length]")
+    return marks
+
+
 def matrix_batch(
-    energy: complex | float | np.ndarray, windows: np.ndarray
+    energy: complex | float | np.ndarray, windows: np.ndarray, checkpoints=None
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """Scaled interval products for a batch of windows.
 
     ``windows`` has one window per row; ``energy`` is a scalar or one value
     per row.  Returns the four entry arrays, normalized once at the end so
     that each product's largest entry magnitude is 1, and the log scales.
+
+    With ``checkpoints`` (site counts in ``[0, window length]``) the product
+    over the first ``k`` sites of each window is read off the kernel at each
+    checkpoint ``k``, in one pass: each of the five arrays gains a leading
+    axis with one row per checkpoint, and the entries are scaled by an exact
+    power of two so that each product's largest entry magnitude lies in
+    ``[1, 2)`` (no rounding, so products composed from them keep exact zeros).
     """
     windows = np.atleast_2d(np.asarray(windows, dtype=float))
-    ((top, bottom, shift),) = _propagate(energy, windows, 2, (windows.shape[1],))
-    peak = np.maximum(np.abs(top).max(axis=0), np.abs(bottom).max(axis=0))
-    (s00, s01), (s10, s11) = top / peak, bottom / peak
-    return s00, s01, s10, s11, shift * math.log(2.0) + np.log(peak)
+    if checkpoints is None:
+        ((top, bottom, shift),) = _propagate(energy, windows, 2, (windows.shape[1],))
+        peak = np.maximum(np.abs(top).max(axis=0), np.abs(bottom).max(axis=0))
+        (s00, s01), (s10, s11) = top / peak, bottom / peak
+        return s00, s01, s10, s11, shift * math.log(2.0) + np.log(peak)
+    marks = _checked_marks(checkpoints, windows.shape[1])
+    recorded = {
+        mark: (np.stack([top, bottom]), shift * math.log(2.0))
+        for mark, (top, bottom, shift) in zip(marks, _propagate(energy, windows, 2, marks))
+    }
+    entries = np.stack([recorded[c][0] for c in checkpoints], axis=2)  # (2, 2, k, L)
+    log_scale = np.stack([recorded[c][1] for c in checkpoints])
+    (s00, s01), (s10, s11) = entries
+    return s00, s01, s10, s11, log_scale
+
+
+def centered_batch(
+    energy: complex | float | np.ndarray, windows: np.ndarray, radii
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Scaled products over the centered windows ``[-n, n]``, every radius
+    ``n`` of ``radii`` from one kernel pass over each half.
+
+    ``windows`` holds one window over ``[-m, m]`` per row (site 0 in the
+    middle column); radii lie in ``[0, m]``.  The product over sites
+    ``1 .. n`` is ``R_n``, read at checkpoint ``n`` of a pass over the right
+    half.  The product over the reversed sites ``0, -1, .., -n`` is ``P_n``,
+    read at checkpoint ``n + 1`` of a pass over a negative-stride view of the
+    left half (no copy).  Every one-step factor satisfies ``T^t = J T J``
+    with ``J = diag(1, -1)``, so ``S_[-n, 0] = J P_n^t J`` and
+    ``S_[-n, n] = R_n J P_n^t J``.  Returns the five arrays of
+    :func:`matrix_batch` with checkpoints, one row per radius.
+    """
+    windows = np.atleast_2d(np.asarray(windows, dtype=float))
+    m = windows.shape[1] // 2
+    if windows.shape[1] != 2 * m + 1:
+        raise ValueError("centered windows must have odd length")
+    r00, r01, r10, r11, log_r = matrix_batch(energy, windows[:, m + 1 :], radii)
+    p00, p01, p10, p11, log_p = matrix_batch(energy, windows[:, m::-1], [n + 1 for n in radii])
+    pair = np.array([[r00 * p00 - r01 * p01, r01 * p11 - r00 * p10],
+                     [r10 * p00 - r11 * p01, r11 * p11 - r10 * p10]])
+    shift = np.zeros(log_r.shape, dtype=np.int64)
+    _rescale(pair, shift)
+    (s00, s01), (s10, s11) = pair
+    return s00, s01, s10, s11, log_r + log_p + shift * math.log(2.0)
 
 
 def log_norm_batch(
@@ -532,9 +573,7 @@ def vector_growth_logs(
     the initial vector.
     """
     windows = np.atleast_2d(np.asarray(windows, dtype=float))
-    marks = sorted(set(checkpoints))
-    if marks[0] < 0 or marks[-1] > windows.shape[1]:
-        raise ValueError("checkpoints must lie in [0, window length]")
+    marks = _checked_marks(checkpoints, windows.shape[1])
     recorded = {
         mark: shift * math.log(2.0) + 0.5 * np.log(np.abs(x[0]) ** 2 + np.abs(y[0]) ** 2)
         for mark, (x, y, shift) in zip(marks, _propagate(energy, windows, 1, marks))

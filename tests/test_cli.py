@@ -256,6 +256,22 @@ def test_workers_do_not_change_csv_bytes(tmp_path):
     assert outputs[1] == outputs[4]
 
 
+
+def test_lift_check_csv_bytes_do_not_depend_on_workers(tmp_path):
+    # three batches, each drawn once over [-16, 16] for the whole radius grid
+    cfg = base_config()
+    cfg["densities"] = {"kind": "atom_reweight", "schedule": {"0": [0.75, 0.25], "3": [0.25, 0.75]}}
+    cfg["experiment"] = {"kind": "lift_check", "energy": 0.0, "epsilon": 0.2}
+    cfg["grids"] = {"n": [4, 8, 16]}
+    cfg["sampling"] = {"seed": 13, "samples": 9000}
+    path = write_config(tmp_path, cfg)
+    outputs = {}
+    for workers in (1, 2, 4):
+        out_dir = tmp_path / f"w{workers}"
+        assert dispatch(["lift-check", "--config", path, "--workers", str(workers), "--out", str(out_dir)]) == 0
+        outputs[workers] = (out_dir / "t.csv").read_bytes()
+    assert outputs[1] == outputs[2] == outputs[4]
+
 # ---------------------------------------------------------------------------
 # pinned expectations
 # ---------------------------------------------------------------------------

@@ -9,6 +9,8 @@ from anderson_lab.estimators import (
     BURN_IN,
     _merge_moments,
     _moments,
+    _statistic_logs,
+    _tail_counts,
     DeviationClass,
     craig_simon_scan,
     deviation_classify,
@@ -28,8 +30,10 @@ from anderson_lab.measures import (
     PotentialWindow,
     ProductLaw,
     sample_window,
+    sample_windows,
 )
 from anderson_lab.rng import RngStream
+from anderson_lab.transfer import matrix_batch
 
 BERNOULLI = FiniteAtoms(atoms=((-1.0, 0.5), (1.0, 0.5)))
 BERNOULLI_LAW = ProductLaw.exact(BERNOULLI)
@@ -151,6 +155,48 @@ def test_non_finite_statistic_is_an_error(monkeypatch):
                 BERNOULLI_LAW, 0.0, 0.1, [16, 32], 100, RngStream(9),
                 gamma=0.3, gamma_stderr=0.0,
             )
+
+
+def test_non_finite_statistic_names_the_largest_radius_of_a_lift_batch(monkeypatch):
+    # an inf at site -n_max lies only in the window of the largest radius
+    import anderson_lab.estimators as estimators
+
+    real = estimators.sample_windows
+
+    def with_inf(law, lo, hi, count, stream):
+        wins = real(law, lo, hi, count, stream)
+        if lo < 0:  # the tail-count draws, not the gamma estimate's
+            wins[3, 0] = math.inf
+        return wins
+
+    monkeypatch.setattr(estimators, "sample_windows", with_inf)
+    with pytest.raises(ValueError, match=r"energy 0\.0, radius 32: 1 of 100 lanes"):
+        with np.errstate(invalid="ignore"):
+            lift_check(Identity(), BERNOULLI, 0.0, 0.1, [8, 16, 32], 100, RngStream(9))
+
+
+@pytest.mark.parametrize("centered", [False, True])
+def test_nested_counts_equal_direct_counts_per_radius(centered):
+    # one batch, one draw over the largest radius: the count at each radius
+    # equals the count from a matrix_batch call on that radius's own window
+    law = ProductLaw.approximate(
+        BERNOULLI, BumpSchedule(sites=PowersOfTwoSites(), base=BERNOULLI, weights=(0.75, 0.25))
+    )
+    grid = np.array([1, 5, 17, 40])
+    samples, stream, e1 = 1500, RngStream(23), np.array([1.0, 0.0])
+    wins = sample_windows(law, -40 if centered else 1, 40, samples, stream.child(0))
+    for stat, gamma, eps in (("log_norm", 0.1, 0.08), ("log_det", 0.1, 0.08),
+                             ("matrix_element", 0.1, 0.15)):
+        counts = _tail_counts(law, 0.3, centered, eps, gamma, grid, samples, stream,
+                              stat, e1, e1, 1)
+        direct = []
+        for n in grid:
+            sub = wins[:, 40 - n : 40 + n + 1] if centered else wins[:, :n]
+            with np.errstate(divide="ignore"):
+                logs = _statistic_logs(stat, matrix_batch(0.3, sub), e1, e1)
+            direct.append(int(np.count_nonzero(np.abs(logs / sub.shape[1] - gamma) > eps)))
+        assert counts.tolist() == direct, stat
+        assert 0 < counts.sum() < samples * len(grid)
 
 
 def test_exact_zero_log_det_counts_as_a_deviation():

@@ -10,6 +10,7 @@ from anderson_lab.transfer import (
     ScaledMatrix,
     SignedLog,
     block_identity_check,
+    centered_batch,
     det_recurrence,
     interval_det,
     log_det_abs_batch,
@@ -327,6 +328,35 @@ def test_block_identity_constant_potential_against_recurrence_oracle():
     assert block_identity_check(0.0, np.full(10, 5.0)) <= 1e-8
 
 
+def _all_prefix_block_identity(energy, values):
+    """The check as it was, reading the four determinants off every-prefix runs."""
+    s = product(energy, values)
+    full = det_recurrence(energy, values)
+    inner = det_recurrence(energy, values[1:])
+    dets = [full[-1], inner[-1], full[-2], inner[-2] if len(inner) >= 2 else SignedLog.one()]
+    with np.errstate(divide="ignore"):
+        entry_logs = (s.log_scale + np.log(np.abs(s.entries).ravel())).tolist()
+    worst = 0.0
+    for got, want in zip(entry_logs, dets):
+        if got == -math.inf and want.log_mag == -math.inf:
+            continue
+        if got == -math.inf or want.log_mag == -math.inf:
+            return math.inf
+        worst = max(worst, abs(got - want.log_mag))
+    return worst
+
+
+def test_block_identity_reads_two_prefixes_bit_for_bit():
+    rng = np.random.default_rng(77)
+    cases = [(0.0, np.zeros(n)) for n in (2, 3, 4, 5)]  # exact zeros, length-1 inner
+    for n in (2, 3, 17, 300, 1000):
+        cases.append((float(rng.uniform(-3.0, 3.0)), bernoulli_window(rng, n)))
+        cases.append((float(rng.uniform(-3.0, 3.0)), rng.uniform(-1.0, 1.0, n)))
+        cases.append((0.0, 1e120 * rng.uniform(-1.0, 1.0, n)))
+    for energy, values in cases:
+        assert block_identity_check(energy, values) == _all_prefix_block_identity(energy, values)
+
+
 def test_block_identity_long_random_window():
     rng = np.random.default_rng(106)
     window = bernoulli_window(rng, 1000)
@@ -490,3 +520,97 @@ def test_rescaled_kernel_energy_per_lane_across_tiles():
     want = _reference_matrix_batch(energies, windows)
     np.testing.assert_allclose(log_norm_batch(*got), log_norm_batch(*want), rtol=1e-12, atol=1e-12)
     np.testing.assert_allclose(got[0], want[0], rtol=1e-12, atol=1e-12)
+
+
+# ---------------------------------------------------------------------------
+# checkpointed products and centered windows from two half passes
+# ---------------------------------------------------------------------------
+
+STATS = ("log_norm", "log_det", "matrix_element")
+
+
+def test_matrix_batch_checkpoints_read_every_prefix():
+    rng = np.random.default_rng(113)
+    for kind in ("bernoulli", "uniform", "pareto"):
+        for energy in (0.0, 0.37, 0.4 + 0.6j):
+            windows = _kernel_windows(kind, rng, 17, 150)
+            marks = (150, 0, 1, 64, 65, 77)
+            batch = matrix_batch(energy, windows, marks)
+            assert all(a.shape == (len(marks), 17) for a in batch)
+            peak = np.maximum.reduce([np.abs(s) for s in batch[:4]])
+            assert np.all((peak >= 1.0) & (peak < 2.0))
+            np.testing.assert_array_equal(batch[0][1], 1.0)  # checkpoint 0: identity
+            np.testing.assert_array_equal(batch[1][1], 0.0)
+            np.testing.assert_array_equal(batch[4][1], 0.0)
+            for j, mark in enumerate(marks[2:], start=2):
+                direct = matrix_batch(energy, windows[:, :mark])
+                for stat in STATS:
+                    with np.errstate(divide="ignore"):
+                        got = _statistic_logs(stat, tuple(a[j] for a in batch), UNIT_U, UNIT_V)
+                        want = _statistic_logs(stat, direct, UNIT_U, UNIT_V)
+                    np.testing.assert_allclose(got, want, rtol=1e-13, atol=1e-13)
+    with pytest.raises(ValueError, match="checkpoints"):
+        matrix_batch(0.0, np.zeros((2, 5)), (6,))
+
+
+def _split_log_condition(energy, windows, stat_logs):
+    """Per lane, ``log max_k |S_[a,k]| |S_[k+1,b]| / |statistic|`` over every
+    split of each window (the empty product counts as the identity): an error
+    ``eps`` in any partial product moves the statistic's log by up to
+    ``eps`` times this condition number."""
+    length = windows.shape[1]
+    marks = range(length + 1)
+    prefix = log_norm_batch(*matrix_batch(energy, windows, marks))
+    # suffixes from prefixes of the reversed sites: S_[k+1,b] = J P^t J
+    suffix = log_norm_batch(*matrix_batch(energy, windows[:, ::-1], marks))[::-1]
+    return np.max(prefix + suffix, axis=0) - stat_logs
+
+
+@pytest.mark.parametrize("kind", ["bernoulli", "uniform", "pareto"])
+def test_centered_products_match_the_full_window(kind):
+    # R_n J P_n^t J against one matrix_batch pass over [-n, n]: within 1e-10
+    # in the log where no split of the window is ill conditioned, and within
+    # a few rounding units times the split condition number everywhere
+    rng = np.random.default_rng(114)
+    conditioned = total = 0
+    for m, radii in ((1, (1,)), (150, (1, 2, 7, 64, 65, 150))):
+        for energy in (0.0, 0.37, 2.9, 0.4 + 0.6j, -1.5 + 1e-3j):
+            windows = _kernel_windows(kind, rng, 48, 2 * m + 1)
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                composed = centered_batch(energy, windows, radii)
+            assert all(a.shape == (len(radii), 48) for a in composed)
+            for j, n in enumerate(radii):
+                sub = windows[:, m - n : m + n + 1]
+                direct = matrix_batch(energy, sub)
+                for stat in STATS:
+                    with np.errstate(divide="ignore"):
+                        got = _statistic_logs(stat, tuple(a[j] for a in composed), UNIT_U, UNIT_V)
+                        want = _statistic_logs(stat, direct, UNIT_U, UNIT_V)
+                        # an exact zero stays -inf, and -inf only marks one
+                        np.testing.assert_array_equal(got == -np.inf, want == -np.inf)
+                        zero = want == -np.inf
+                        cond = _split_log_condition(energy, sub, want)
+                    assert np.all(np.isfinite(got[~zero])), (stat, n, energy)
+                    diff = np.abs(got[~zero] - want[~zero])
+                    tol = 1e-10 + 1e-14 * np.exp(np.minimum(cond[~zero], 700.0))
+                    assert np.all(diff <= tol), (stat, n, energy, diff.max())
+                    calm = cond[~zero] < math.log(1e4)
+                    assert np.all(diff[calm] <= 1e-10), (stat, n, energy)
+                    conditioned += int(np.count_nonzero(calm))
+                    total += int(np.count_nonzero(~zero))
+    # the loose bound must not be what carries the test
+    assert conditioned >= 0.95 * total
+
+
+def test_centered_exact_zero_stays_minus_inf():
+    # V == 0 at E = 0: every odd-length window has determinant exactly 0
+    windows = np.zeros((3, 2 * 40 + 1))
+    composed = centered_batch(0.0, windows, (1, 2, 7, 40))
+    with np.errstate(divide="ignore"):
+        logs = _statistic_logs("log_det", composed, UNIT_U, UNIT_V)
+    assert np.all(logs == -np.inf)
+    # each factor is the quarter turn [[0, -1], [1, 0]], so S is a rotation
+    np.testing.assert_allclose(log_norm_batch(*composed), 0.0, atol=1e-15)
+    with pytest.raises(ValueError, match="odd length"):
+        centered_batch(0.0, np.zeros((2, 4)), (1,))
