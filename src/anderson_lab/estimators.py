@@ -313,10 +313,6 @@ class LDECurve:
         if np.any(self.counts > self.samples):
             raise ValueError("tail counts cannot exceed the sample count")
 
-    @property
-    def tail_probs(self) -> np.ndarray:
-        return self.counts / self.samples
-
 
 def _checked_grid(n_grid: Sequence[int]) -> np.ndarray:
     grid = np.asarray(list(n_grid), dtype=np.int64)

@@ -2,12 +2,14 @@
 
 A window of potential values defines a symmetric tridiagonal box (diagonal =
 values, off-diagonals = 1).  Eigenvalues come from Sturm-count bisection on
-the scaled determinant recurrence, eigenvectors from shifted inverse
-iteration; both are deterministic for fixed input regardless of scheduling.
-Green's functions are available through the determinant-ratio formula and
-through a direct banded solve, and the module also provides the regularity
-classification of a site, interior reconstruction from boundary data, and
-the eigenfunction-correlator bound used as a dynamical-localization proxy.
+the scaled determinant recurrence.  Eigenvectors come from inverse iteration
+through one numpy LU of ``T - shift`` over eigenvalue lanes, pivoted as in
+LAPACK ``dgttrf`` (an exactly zero last pivot becomes ``eps * scale``); both
+are deterministic for fixed input regardless of scheduling.  Green's
+functions come from the determinant-ratio formula or a solve through the
+same LU.  The module also provides the regularity classification of a site,
+interior reconstruction from boundary data, and the eigenfunction-correlator
+bound used as a dynamical-localization proxy.
 
 Regularity is lane-batched.  A lane is one (site, energy, rate) triple; all
 lanes of one radius share the box coordinates ``[-radius, radius]`` and are
@@ -74,14 +76,11 @@ class TridiagonalBox:
         return float(np.min(d)) - 2.0, float(np.max(d)) + 2.0
 
     def dense(self) -> np.ndarray:
-        m = np.diag(self.diagonal)
-        idx = np.arange(self.dim - 1)
-        m[idx, idx + 1] = 1.0
-        m[idx + 1, idx] = 1.0
-        return m
+        return np.diag(self.diagonal) + np.eye(self.dim, k=1) + np.eye(self.dim, k=-1)
 
     def matvec(self, v: np.ndarray) -> np.ndarray:
-        out = self.diagonal * v
+        """``H v`` for one vector, or for a site-major block of columns."""
+        out = (self.diagonal.T * v.T).T
         out[:-1] += v[1:]
         out[1:] += v[:-1]
         return out
@@ -170,88 +169,106 @@ def eigenvalues(box: TridiagonalBox) -> np.ndarray:
     return 0.5 * (lo + hi)
 
 
-def _start_vector(dim: int) -> np.ndarray:
-    rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence(0x51E9, spawn_key=(dim,))))
-    v = rng.standard_normal(dim)
-    return v / np.linalg.norm(v)
+def _tridiagonal_lu(diagonal: np.ndarray, shifts: np.ndarray, scale) -> tuple[np.ndarray, ...]:
+    """LU factors of ``T - shift`` (unit off-diagonals), one lane per shift.
+
+    Partial pivoting as in LAPACK ``dgttrf`` swaps rows exactly when the
+    running pivot is below 1 in magnitude, so every pivot but the last is at
+    least 1; an exactly zero last pivot becomes ``eps * scale``.  Returns the
+    site-major ``(m, L)`` pivots, first superdiagonal, multipliers and swap
+    flags (a swap puts a unit on the second superdiagonal).
+    """
+    d = diagonal[:, None] - shifts
+    pivot, upper, mult = np.zeros((3,) + d.shape)
+    swap = np.zeros(d.shape, dtype=bool)
+    a, c = d[0], 1.0
+    for i in range(len(d) - 1):
+        s = swap[i] = np.abs(a) < 1.0
+        pivot[i] = np.where(s, 1.0, a)
+        upper[i] = np.where(s, d[i + 1], c)
+        mult[i] = np.where(s, a, 1.0 / pivot[i])
+        a, c = np.where(s, c - a * d[i + 1], d[i + 1] - mult[i] * c), np.where(s, -a, 1.0)
+    pivot[-1] = np.where(a == 0.0, np.finfo(float).eps * scale, a)
+    return pivot, upper, mult, swap
 
 
-def _banded(diagonal: np.ndarray, shift: float) -> np.ndarray:
-    n = len(diagonal)
-    ab = np.zeros((3, n))
-    ab[0, 1:] = 1.0
-    ab[1] = diagonal - shift
-    ab[2, :-1] = 1.0
-    return ab
+def _lu_solve(factors: tuple[np.ndarray, ...], rhs: np.ndarray) -> np.ndarray:
+    """Solve ``(T - shift) x = rhs`` (site-major) from :func:`_tridiagonal_lu`."""
+    pivot, upper, mult, swap = factors
+    m = len(pivot)
+    y = rhs.copy()
+    for i in range(m - 1):
+        y[i], y[i + 1] = np.where(swap[i], y[i + 1], y[i]), np.where(swap[i], y[i], y[i + 1])
+        y[i + 1] -= mult[i] * y[i]
+    x = np.zeros((m + 2,) + y.shape[1:])
+    for i in range(m - 1, -1, -1):
+        x[i] = (y[i] - upper[i] * x[i + 1] - swap[i] * x[i + 2]) / pivot[i]
+    return x[:m]
+
+
+def _inverse_iteration(box: TridiagonalBox, values: np.ndarray, against=()) -> tuple:
+    """Inverse-iteration vectors (one column per value) and their residuals.
+
+    All lanes are factored once and iterate together from one start vector,
+    projecting out ``against`` each round.  A lane stops after 8 rounds, or
+    once its residual is below ``1e-13 * scale`` or stops falling, and then
+    leaves the solve.  The sign makes each largest-magnitude entry positive.
+    """
+    scale = box.scale
+    factors = _tridiagonal_lu(box.diagonal, values, scale)
+    rng = np.random.default_rng(np.random.SeedSequence(0x51E9, spawn_key=(box.dim,)))
+    start = rng.standard_normal(box.dim)
+    vectors = np.repeat((start / np.linalg.norm(start))[:, None], len(values), axis=1)
+    residual = np.full(len(values), math.inf)
+    active = np.ones(len(values), dtype=bool)
+    for _ in range(8):
+        lanes = np.flatnonzero(active)
+        w = _lu_solve(tuple(f[:, lanes] for f in factors), vectors[:, lanes])
+        for prev in against:
+            w -= prev[:, None] * (prev @ w)
+        w /= np.linalg.norm(w, axis=0)
+        r = np.linalg.norm(box.matvec(w) - w * values[lanes], axis=0)
+        active[lanes] = (r > 1e-13 * scale) & (r < residual[lanes])
+        vectors[:, lanes], residual[lanes] = w, r
+        if not active.any():
+            break
+    peaks = np.argmax(np.abs(vectors), axis=0)
+    vectors *= np.sign(vectors[peaks, np.arange(len(values))])  # residuals unchanged
+    for value, r in zip(values.tolist(), residual):
+        if not r <= RESIDUAL_TOL_FACTOR * scale:
+            raise RuntimeError(f"inverse iteration did not converge at {value!r}: residual {r:.3e}")
+    return vectors, residual
 
 
 def eigenvector(
-    box: TridiagonalBox,
-    value: float,
-    *,
-    orthogonalize_against: tuple[np.ndarray, ...] = (),
+    box: TridiagonalBox, value: float, *, orthogonalize_against: tuple[np.ndarray, ...] = ()
 ) -> EigenPair:
     """Inverse iteration at a shift within ~1e-6 of a true eigenvalue.
 
-    The sign is fixed so the largest-magnitude entry is positive.  An exactly
-    singular shift is perturbed by ``1e-12 * scale`` and retried, at most five
-    times.  Vectors listed in ``orthogonalize_against`` are projected out on
-    every iteration (used for near-degenerate clusters).
+    The one-lane case of the tridiagonal LU behind :func:`eigenpairs`, so an
+    exactly singular shift leaves a zero last pivot, which becomes
+    ``eps * scale``.  The sign makes the largest-magnitude entry positive.
+    Vectors in ``orthogonalize_against`` are projected out on every
+    iteration (used for near-degenerate clusters).
     """
-    from scipy.linalg import solve_banded  # imported here: scipy is slow to load
-
-    d = box.diagonal
-    scale = box.scale
-    res_tol = RESIDUAL_TOL_FACTOR * scale
-    v = _start_vector(box.dim)
-    shift = float(value)
-    for attempt in range(6):
-        try:
-            last_residual = math.inf
-            for _ in range(8):
-                with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-                    w = solve_banded((1, 1), _banded(d, shift), v)
-                for prev in orthogonalize_against:
-                    w = w - np.dot(prev, w) * prev
-                norm = np.linalg.norm(w)
-                if not np.isfinite(norm) or norm == 0.0:
-                    raise np.linalg.LinAlgError("inverse iteration produced no direction")
-                v = w / norm
-                residual = float(np.linalg.norm(box.matvec(v) - value * v))
-                if residual <= 1e-13 * scale or residual >= last_residual:
-                    break
-                last_residual = residual
-            break
-        except np.linalg.LinAlgError:
-            if attempt == 5:
-                raise
-            shift = float(value) + (attempt + 1) * 1e-12 * scale
-            v = _start_vector(box.dim)
-    peak = int(np.argmax(np.abs(v)))
-    if v[peak] < 0:
-        v = -v
-    residual = float(np.linalg.norm(box.matvec(v) - value * v))
-    if residual > res_tol:
-        raise RuntimeError(
-            f"inverse iteration failed to converge at {value!r}: residual {residual:.3e}"
-        )
-    return EigenPair(float(value), v, residual)
+    vectors, residual = _inverse_iteration(box, np.array([value], float), orthogonalize_against)
+    return EigenPair(float(value), vectors[:, 0], float(residual[0]))
 
 
 def eigenpairs(box: TridiagonalBox) -> tuple[np.ndarray, np.ndarray]:
     """Full decomposition: ascending eigenvalues and the matrix of
-    eigenvectors (one per column), cluster-orthogonalized in index order."""
+    eigenvectors (one per column), from one tridiagonal LU over eigenvalue
+    lanes.  A value within ``CLUSTER_GAP_FACTOR * scale`` of its predecessor
+    continues a cluster; such members are redone one at a time in index
+    order, orthogonalized against the earlier members of their cluster."""
     values = eigenvalues(box)
-    cluster_gap = CLUSTER_GAP_FACTOR * box.scale
+    follows = np.concatenate(([False], np.diff(values) < CLUSTER_GAP_FACTOR * box.scale))
+    first = np.maximum.accumulate(np.where(follows, 0, np.arange(box.dim)))
     vectors = np.empty((box.dim, box.dim))
-    for j, lam in enumerate(values):
-        against = []
-        k = j - 1
-        while k >= 0 and values[k + 1] - values[k] < cluster_gap:
-            against.append(vectors[:, k])
-            k -= 1
-        pair = eigenvector(box, float(lam), orthogonalize_against=tuple(against))
-        vectors[:, j] = pair.vector
+    vectors[:, ~follows] = _inverse_iteration(box, values[~follows])[0]
+    for j in np.flatnonzero(follows):
+        against = tuple(vectors[:, i] for i in range(j - 1, first[j] - 1, -1))
+        vectors[:, j] = eigenvector(box, values[j], orthogonalize_against=against).vector
     return values, vectors
 
 
@@ -275,21 +292,13 @@ class GreenLanes:
     resonant: np.ndarray
 
 
-def _resonant(diagonal: np.ndarray, energy: np.ndarray, full_sign: np.ndarray, scale) -> np.ndarray:
-    """Lanes whose full determinant vanished or whose box has an eigenvalue
-    within ``1e-12 * scale`` of the energy."""
-    delta = RESONANCE_DISTANCE_FACTOR * scale
-    counts = sturm_counts(diagonal, np.stack(np.broadcast_arrays(energy - delta, energy + delta)))
-    return (full_sign == 0) | (counts[0] != counts[1])
-
-
 def green(box: TridiagonalBox, energy, x: int, y, method: str = "det_ratio"):
     """Signed log of the box Green's function <delta_x, (H - E)^{-1} delta_y>.
 
     ``det_ratio`` evaluates the quotient of truncated determinants in scaled
     arithmetic (empty intervals count as 1); ``direct_solve`` solves the
-    banded linear system.  Energies within round-off of the spectrum raise
-    :class:`ResonantEnergyError`.
+    linear system through the pivoted tridiagonal LU of :func:`eigenpairs`.
+    Energies within round-off of the spectrum raise :class:`ResonantEnergyError`.
 
     Lanes: a box holding one potential column per lane, an array of energies,
     or a tuple of targets ``y`` return :class:`GreenLanes` with values of
@@ -311,7 +320,9 @@ def green(box: TridiagonalBox, energy, x: int, y, method: str = "det_ratio"):
     steps = sorted({a - box.lo for a, _ in pairs if a > box.lo} | {box.dim})
     prefix_sign, prefix_log = det_recurrence(e, values, steps)
     full_sign, full_log = prefix_sign[-1], prefix_log[-1]
-    resonant = _resonant(values, e, full_sign, box.scale)
+    delta = RESONANCE_DISTANCE_FACTOR * box.scale
+    counts = sturm_counts(values, np.stack(np.broadcast_arrays(e - delta, e + delta)))
+    resonant = (full_sign == 0) | (counts[0] != counts[1])
     if not lanes and resonant[0]:
         if full_sign[0] == 0:
             raise ResonantEnergyError(f"resonant energy {energy!r}: det(H - E) vanished")
@@ -320,12 +331,10 @@ def green(box: TridiagonalBox, energy, x: int, y, method: str = "det_ratio"):
             f"{RESONANCE_DISTANCE_FACTOR * box.scale:.3e}"
         )
     if method == "direct_solve":
-        from scipy.linalg import solve_banded  # imported here: scipy is slow to load
-
-        rhs = np.zeros(box.dim)
+        rhs = np.zeros((box.dim, 1))
         rhs[y - box.lo] = 1.0
-        sol = solve_banded((1, 1), _banded(values, energy), rhs)
-        return SignedLog.from_value(float(sol[x - box.lo]))
+        sol = _lu_solve(_tridiagonal_lu(values, e, box.scale), rhs)
+        return SignedLog.from_value(float(sol[x - box.lo, 0]))
     above = {b: interval_det(e, values[b - box.lo + 1 :]) for _, b in pairs}
     sign = np.empty((len(pairs),) + full_sign.shape)
     log_mag = np.empty_like(sign)
@@ -377,9 +386,7 @@ def classify_regularity(window: PotentialWindow, site, radius: int, rate, energy
     if radius < 1:
         raise ValueError("radius must be >= 1")
     lanes = np.ndim(site) > 0 or np.ndim(rate) > 0 or np.ndim(energy) > 0
-    sites, rates, energies = (
-        np.atleast_1d(a) for a in np.broadcast_arrays(site, rate, energy)
-    )
+    sites, rates, energies = (np.atleast_1d(a) for a in np.broadcast_arrays(site, rate, energy))
     sites = sites.astype(np.int64)
     lo, hi = int(np.min(sites)) - radius, int(np.max(sites)) + radius
     if not (window.lo <= lo and hi <= window.hi):
@@ -396,15 +403,9 @@ def classify_regularity(window: PotentialWindow, site, radius: int, rate, energy
         raise ResonantEnergyError(
             f"resonant energy {energy!r} for the box [{site - radius}, {site + radius}]"
         )
-    return RegularityReport(
-        site=site,
-        radius=radius,
-        rate=rate,
-        energy=energy,
-        green_left=SignedLog(float(g.sign[0, 0]), float(g.log_mag[0, 0])),
-        green_right=SignedLog(float(g.sign[1, 0]), float(g.log_mag[1, 0])),
-        verdict="regular" if regular[0] else "singular",
-    )
+    left, right = (SignedLog(float(g.sign[k, 0]), float(g.log_mag[k, 0])) for k in (0, 1))
+    verdict = "regular" if regular[0] else "singular"
+    return RegularityReport(site, radius, rate, energy, left, right, verdict)
 
 
 def reconstruct_interior(
@@ -431,10 +432,7 @@ def correlator(box: TridiagonalBox) -> Correlator:
     _, vectors = eigenpairs(box)
     amp = np.abs(vectors)
     q = amp @ amp.T
-    n = box.dim
-    if n < 2:
-        return Correlator(q, 0.0)
-    ii, jj = np.triu_indices(n, k=1)
+    ii, jj = np.triu_indices(box.dim, k=1)
     dist = (jj - ii).astype(float)
     vals = q[ii, jj]
     keep = vals > 0

@@ -324,12 +324,36 @@ def test_workers_env_variable_is_the_default(monkeypatch):
     assert scenario_from_config(cfg, workers=3).workers == 3
 
 
-def test_cli_import_leaves_scipy_unloaded():
-    # scipy is imported by the two spectral routines that call it, not at start-up
+_SCIPY_BLOCKED_RUN = """
+import importlib.abc, sys
+
+class BlockScipy(importlib.abc.MetaPathFinder):
+    def find_spec(self, name, path, target=None):
+        if name.split(".")[0] == "scipy":
+            raise ImportError(f"{name} is blocked")
+
+sys.meta_path.insert(0, BlockScipy())
+import numpy as np
+from anderson_lab.cli import dispatch
+from anderson_lab.measures import PotentialWindow
+from anderson_lab.spectral import TridiagonalBox, green
+
+code = dispatch(["localize", "--config", sys.argv[1]])
+box = TridiagonalBox(PotentialWindow(-2, 2, np.array([0.5, -1.0, 0.0, 2.0, 0.3])))
+green(box, 0.17, -1, 1, "direct_solve")
+print(code, "scipy" in sys.modules)
+"""
+
+
+def test_cli_import_leaves_scipy_unloaded(tmp_path):
+    # a whole localize run and a direct-solve Green's function never import scipy
+    cfg = json.loads((CONFIG_DIR / "localize_bumps.json").read_text())
+    cfg["grids"]["n"] = [10, 20]
+    cfg["experiment"].update(gamma_n=200, gamma_samples=20)
     paths = [str(Path(__file__).resolve().parent.parent / "src"), os.environ.get("PYTHONPATH")]
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, paths)))
-    code = "import sys, anderson_lab.cli; print('scipy' in sys.modules)"
     out = subprocess.run(
-        [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+        [sys.executable, "-c", _SCIPY_BLOCKED_RUN, write_config(tmp_path, cfg)],
+        env=env, capture_output=True, text=True, check=True,
     )
-    assert out.stdout.strip() == "False"
+    assert out.stdout.splitlines()[-1] == "0 False"

@@ -4,8 +4,10 @@ import numpy as np
 import pytest
 from scipy.linalg import expm
 
+from anderson_lab import spectral
 from anderson_lab.measures import PotentialWindow
 from anderson_lab.spectral import (
+    CLUSTER_GAP_FACTOR,
     Correlator,
     ResonantEnergyError,
     TridiagonalBox,
@@ -154,6 +156,26 @@ def test_residual_bound_holds():
     assert np.max(np.abs(np.linalg.norm(vectors, axis=0) - 1.0)) < 1e-12
 
 
+def test_cluster_members_get_the_sequential_pass(monkeypatch):
+    # two identical blocks behind a high barrier: every eigenvalue but the
+    # barrier's pairs up with one of the other block within the cluster gap
+    block = np.random.default_rng(209).uniform(-2, 2, 20)
+    box = box_from(np.concatenate([block, [1e3], block]))
+    sequential = []
+
+    def spy(box, value, *, orthogonalize_against=()):
+        sequential.append(len(orthogonalize_against))
+        return eigenvector(box, value, orthogonalize_against=orthogonalize_against)
+
+    monkeypatch.setattr(spectral, "eigenvector", spy)
+    values, vectors = eigenpairs(box)
+    assert np.count_nonzero(np.diff(values) < CLUSTER_GAP_FACTOR * box.scale) == 20
+    assert sequential == [1] * 20
+    residuals = np.linalg.norm(box.dense() @ vectors - vectors * values, axis=0)
+    assert np.max(residuals) <= 1e-8 * box.scale
+    assert np.max(np.abs(vectors.T @ vectors - np.eye(box.dim))) <= 1e-12
+
+
 # ---------------------------------------------------------------------------
 # Green's functions
 # ---------------------------------------------------------------------------
@@ -191,6 +213,31 @@ def test_det_ratio_agrees_with_direct_solve():
         b = green(box, energy, x, y, "direct_solve")
         assert a.sign == b.sign
         assert a.log_mag == pytest.approx(b.log_mag, abs=1e-8)
+        done += 1
+
+
+@pytest.mark.parametrize("kind", ["uniform", "exact_zeros", "all_pivot"])
+def test_direct_solve_matches_dense_solve(kind):
+    # exact zeros and |V - E| < 1 everywhere drive the row swaps of the LU
+    rng = np.random.default_rng({"uniform": 211, "exact_zeros": 212, "all_pivot": 213}[kind])
+    offsets = {
+        "uniform": lambda n: rng.uniform(-4, 4, n),
+        "exact_zeros": lambda n: np.where(rng.random(n) < 0.5, 0.0, rng.uniform(-2, 2, n)),
+        "all_pivot": lambda n: rng.uniform(-1, 1, n),
+    }[kind]
+    done = 0
+    while done < 60:
+        n = int(rng.integers(1, 13))
+        energy = float(rng.uniform(-3, 3))
+        box = box_from(energy + offsets(n), lo=int(rng.integers(-6, 6)))
+        y = int(rng.integers(n))
+        box_sites = range(box.lo, box.hi + 1)
+        try:
+            got = [green(box, energy, x, box.lo + y, "direct_solve").value() for x in box_sites]
+        except ResonantEnergyError:
+            continue
+        want = np.linalg.solve(box.dense() - energy * np.eye(n), np.eye(n)[:, y])
+        assert np.max(np.abs(np.array(got) - want)) <= 1e-12 * np.max(np.abs(want))
         done += 1
 
 
