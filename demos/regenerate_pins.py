@@ -1,8 +1,9 @@
 """Recompute every pinned reference value used by configs and tests.
 
 Run after an intentional change to sampling or numerics, compare the output
-against the pinned constants (config ``expected`` blocks and the constants
-at the top of tests/test_acceptance.py), and update them deliberately.
+against the pinned constants (config ``expected`` blocks, the constants at
+the top of tests/test_estimators.py and the smoke-size verdicts of
+tests/test_experiments.py), and update them deliberately.
 Takes several minutes at the full sample sizes.
 """
 import json
@@ -62,13 +63,43 @@ for label, densities in (
         f"eigenfunctions={len(report.rows)} census_zero_from={census.zero_from}"
     )
 
-# Monte Carlo pins in config ``expected`` blocks, each at its config's own seed.
 configs = Path(__file__).resolve().parent.parent / "configs"
-for stem, metric in (
-    ("lde_bernoulli", "fitted_eta"),
-    ("lift_bumps", "violations"),
-    ("abscont_reweight", "violations"),
-):
-    scenario = scenario_from_config(json.loads((configs / f"{stem}.json").read_text()))
-    table = COMMANDS[scenario.kind].run(scenario)
-    print(f"{stem}: {metric}={table.metrics()[metric]!r}")
+
+
+def run_lengths(values) -> str:
+    """A list as the sum of run-length repeats it is pinned as, e.g.
+    ``[10] * 2 + [None] * 4``."""
+    runs = []
+    for v in values:
+        if runs and runs[-1][0] == v:
+            runs[-1][1] += 1
+        else:
+            runs.append([v, 1])
+    return " + ".join(f"[{v!r}] * {k}" for v, k in runs) or "[]"
+
+
+# Smoke-size bump studies pinned in tests/test_experiments.py
+# (test_bump_studies_reproduce_pinned_verdicts): grids.n [10, 25],
+# gamma_n 200, gamma_samples 20, at the configs' own seed.
+for stem in ("census_bumps", "localize_bumps"):
+    config = json.loads((configs / f"{stem}.json").read_text())
+    config["grids"]["n"] = [10, 25]
+    config["experiment"].update(gamma_n=200, gamma_samples=20)
+    scenario = scenario_from_config(config)
+    if scenario.kind == "census":
+        report = singularity_census(scenario)
+        print(f"smoke {stem}: rows={report.rows!r} skips={report.skips!r}")
+    else:
+        report = run_localization(scenario)
+        singular = [r.largest_singular_n for r in report.rows]
+        print(f"smoke {stem}: largest_singular_n={run_lengths(singular)} skips={report.skips!r}")
+
+# Every metric named in a config ``expected`` block, at the config's own seed.
+for path in sorted(configs.glob("*.json")):
+    config = json.loads(path.read_text())
+    if not config.get("expected"):
+        continue
+    scenario = scenario_from_config(config)
+    metrics = COMMANDS[scenario.kind].run(scenario).metrics()
+    for metric, bound in config["expected"]["metrics"].items():
+        print(f"{path.stem}: {metric}={metrics[metric]!r} (expected {bound})")

@@ -339,18 +339,17 @@ def _energies(sc: Scenario) -> tuple:
 
 
 def _run_lyapunov(sc: Scenario) -> ResultTable:
-    n = sc.n_grid[-1]
-    law = sc.law()
-    rows = []
-    for i, e in enumerate(_energies(sc)):
-        est = lyapunov_mc(law, e, n, sc.samples, sc.stream().child(i), workers=sc.workers)
-        rows.append(
-            {
-                "scenario_id": sc.scenario_id, "seed": sc.seed, "law_tag": sc.law_tag,
-                "energy_re": float(np.real(e)), "energy_im": float(np.imag(e)),
-                "n": n, "samples": sc.samples, "mean": est.mean, "stderr": est.stderr,
-            }
-        )
+    n, energies = sc.n_grid[-1], _energies(sc)
+    est = lyapunov_mc(sc.law(), np.asarray(energies), n, sc.samples, sc.stream().child(0),
+                      workers=sc.workers)
+    rows = [
+        {
+            "scenario_id": sc.scenario_id, "seed": sc.seed, "law_tag": sc.law_tag,
+            "energy_re": float(np.real(e)), "energy_im": float(np.imag(e)),
+            "n": n, "samples": sc.samples, "mean": mean, "stderr": stderr,
+        }
+        for e, mean, stderr in zip(energies, est.mean.tolist(), est.stderr.tolist())
+    ]
     summary = {"min_mean": min(r["mean"] for r in rows), "max_mean": max(r["mean"] for r in rows)}
     if len(rows) == 1:
         summary["mean"] = rows[0]["mean"]

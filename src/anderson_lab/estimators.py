@@ -6,9 +6,11 @@ index), and batch results are reduced in index order, so output is
 bit-identical for any worker count.  Tail counts take one draw per batch
 over the largest grid radius and read every radius off one kernel pass, so
 the counts at different radii come from the same windows and are
-correlated.  Statistical tolerances follow one rule
-throughout: three combined standard errors, with a Wilson-adjusted estimate
-substituted when a tail count is below ten.
+correlated.  Likewise one draw per batch serves every energy of a
+Lyapunov estimate, energy being one more lane axis of the kernel, so
+estimates across an energy grid are correlated too.  Statistical
+tolerances follow one rule throughout: three combined standard errors,
+with a Wilson-adjusted estimate substituted when a tail count is below ten.
 """
 from __future__ import annotations
 
@@ -47,22 +49,11 @@ WILSON_CUTOFF = 10
 RATE_FIT_MIN_COUNT = 5
 
 
-def _batches(total: int) -> list[tuple[int, int]]:
-    out = []
-    start = 0
-    index = 0
-    while start < total:
-        size = min(BATCH_SIZE, total - start)
-        out.append((index, size))
-        start += size
-        index += 1
-    return out
-
-
 def _map_batches(fn: Callable[[int, int], object], total: int, workers: int) -> list:
     """Run fn(batch_index, batch_size) over all batches; results come back in
     batch order regardless of scheduling."""
-    tasks = _batches(total)
+    starts = range(0, total, BATCH_SIZE)
+    tasks = [(i, min(BATCH_SIZE, total - start)) for i, start in enumerate(starts)]
     if workers <= 1 or len(tasks) <= 1:
         return [fn(i, size) for i, size in tasks]
     with ThreadPoolExecutor(max_workers=workers) as pool:
@@ -86,17 +77,18 @@ def tail_estimate(count: int, samples: int) -> tuple[float, float]:
     return p, math.sqrt(p * (1.0 - p) / samples)
 
 
-def _moments(values: np.ndarray) -> tuple[int, float, float]:
-    """``(count, mean, M2)`` of a sample, M2 being the sum of squared
-    deviations from the mean (two passes, no cancellation)."""
-    mean = float(np.mean(values))
-    return len(values), mean, float(np.sum((values - mean) ** 2))
+def _moments(values: np.ndarray) -> tuple[int, np.ndarray, np.ndarray]:
+    """``(count, mean, M2)`` along the last (sample) axis, M2 being the sum
+    of squared deviations from the mean (two passes, no cancellation)."""
+    mean = np.mean(values, axis=-1)
+    return values.shape[-1], mean, np.sum((values - mean[..., None]) ** 2, axis=-1)
 
 
-def _merge_moments(parts) -> tuple[int, float, float]:
+def _merge_moments(parts) -> tuple[int, np.ndarray, np.ndarray]:
     """``(count, mean, M2)`` of the union of samples, merged pairwise in the
     given order (Chan, Golub & LeVeque 1979), so the result depends on the
-    batch order only, not on the worker count."""
+    batch order only, not on the worker count; means and M2 merge
+    elementwise."""
     count, mean, m2 = 0, 0.0, 0.0
     for n_b, mean_b, m2_b in parts:
         total = count + n_b
@@ -113,25 +105,29 @@ def _merge_moments(parts) -> tuple[int, float, float]:
 
 @dataclass(frozen=True)
 class LyapunovEstimate:
-    """Monte Carlo estimate of the exponential growth rate at one energy.
+    """Monte Carlo estimate of the exponential growth rate at one energy or
+    at each of ``E`` energies.
 
     ``mean`` averages, over independent potential windows, the log growth of
     the transfer-propagated solution vector across ``n`` sites after a
     burn-in of :data:`BURN_IN` sites; the burn-in removes the O(1/n) start-up
     offset, so constant potentials reproduce the closed form to round-off.
+    As in :func:`matrix_batch`, fields are scalars for a scalar energy and
+    ``(E,)`` arrays for ``E`` energies (``per_sample``: ``(E, samples)``);
+    all energies read the same windows, so their estimates are correlated.
     """
 
-    energy: complex | float
+    energy: complex | float | np.ndarray
     n: int
     samples: int
-    mean: float
-    stderr: float
+    mean: float | np.ndarray
+    stderr: float | np.ndarray
     per_sample: np.ndarray | None = None
 
 
 def lyapunov_mc(
     law: ProductLaw,
-    energy: complex | float,
+    energy: complex | float | np.ndarray,
     n: int,
     samples: int,
     stream: RngStream,
@@ -139,23 +135,38 @@ def lyapunov_mc(
     workers: int = 1,
     keep_samples: bool = False,
 ) -> LyapunovEstimate:
-    """Estimate the Lyapunov exponent at ``energy`` from ``samples`` windows."""
+    """Estimate the Lyapunov exponent at ``energy`` (a scalar or a 1-D array)
+    from ``samples`` windows.
+
+    Batch ``b`` draws one window batch from ``stream.child(b)``, and that
+    draw serves every energy: ``(E, 1)`` energies broadcast against the
+    windows, in groups small enough that no kernel call exceeds
+    :data:`BATCH_SIZE` lanes.
+    """
     if n < 1 or samples < 1:
         raise ValueError("lyapunov_mc requires n >= 1 and samples >= 1")
+    shape, energies = np.shape(energy), np.reshape(energy, -1)
 
     def batch(i: int, size: int):
         wins = sample_windows(law, 1, n + BURN_IN, size, stream.child(i))
-        logs = vector_growth_logs(energy, wins, (BURN_IN, BURN_IN + n))
-        g = (logs[1] - logs[0]) / n
+        group = max(1, BATCH_SIZE // size)
+        g = np.concatenate([
+            np.diff(vector_growth_logs(part[:, None], wins, (BURN_IN, BURN_IN + n)), axis=0)[0] / n
+            for part in np.split(energies, range(group, energies.size, group))
+        ])
         return _moments(g), (g if keep_samples else None)
 
     parts = _map_batches(batch, samples, workers)
     _, mean, m2 = _merge_moments(p[0] for p in parts)
-    stderr = math.sqrt(m2 / (samples - 1) / samples) if samples > 1 else 0.0
-    if not math.isfinite(mean):
-        raise ArithmeticError(f"Lyapunov estimate diverged at energy {energy!r}")
-    per_sample = np.concatenate([p[1] for p in parts]) if keep_samples else None
-    return LyapunovEstimate(energy, n, samples, mean, stderr, per_sample)
+    stderr = np.sqrt(m2 / (samples - 1) / samples) if samples > 1 else 0.0 * mean
+    if not np.all(np.isfinite(mean)):
+        bad = energies[np.argmin(np.isfinite(mean))].item()
+        raise ArithmeticError(f"Lyapunov estimate diverged at energy {bad!r}")
+    per_sample = np.concatenate([p[1] for p in parts], axis=-1) if keep_samples else None
+    return LyapunovEstimate(
+        energies if shape else energy, n, samples, mean.reshape(shape)[()],
+        stderr.reshape(shape)[()], None if per_sample is None else per_sample.reshape(shape + (-1,)),
+    )
 
 
 def lyapunov_closed_form(c: float, energy: complex | float) -> float:
@@ -552,7 +563,8 @@ def craig_simon_scan(
     """Scan the four deterministic matrix families against reference rates.
 
     ``gamma`` must hold precomputed growth-rate estimates aligned with
-    ``e_grid``.  The window must contain sites ``[-n_max, 3 n_max]``.
+    ``e_grid``.  The window must contain sites ``[-n_max, 3 n_max]``.  Each
+    (radius, family) is one kernel call, ``(E, 1)`` energies against one row.
     """
     e_grid = np.asarray(list(e_grid), dtype=float)
     n_grid = np.asarray(list(n_grid), dtype=np.int64)
@@ -562,21 +574,18 @@ def craig_simon_scan(
     if np.any(n_grid < 2):
         # the shifted inverse family spans sites [2n+2, 3n], empty below n = 2
         raise ValueError(f"n_grid entries must be >= 2, got {n_grid.tolist()}")
-    spans = {
-        "forward": lambda n: (1, n),
-        "backward_inverse": lambda n: (-n, -1),
-        "shifted_forward": lambda n: (n + 1, 2 * n),
-        "shifted_inverse": lambda n: (2 * n + 2, 3 * n),
-    }
+    n_max = int(np.max(n_grid, initial=0))
+    if window.lo > -n_max or window.hi < 3 * n_max:
+        raise ValueError(
+            f"the window [{window.lo}, {window.hi}] must contain sites "
+            f"[{-n_max}, {3 * n_max}] for n_max = {n_max}"
+        )
     excess = np.empty((len(CS_FAMILIES), len(e_grid), len(n_grid)))
-    for j, n in enumerate(n_grid):
-        for f, name in enumerate(CS_FAMILIES):
-            lo, hi = spans[name](int(n))
-            values = window.slice(lo, hi).values
-            tiled = np.tile(values, (len(e_grid), 1))
-            batch = matrix_batch(e_grid, tiled)
-            log_norms = log_norm_batch(*batch)
-            excess[f, :, j] = log_norms / float(n) - gamma
+    for j, n in enumerate(n_grid.tolist()):
+        spans = ((1, n), (-n, -1), (n + 1, 2 * n), (2 * n + 2, 3 * n))  # CS_FAMILIES order
+        for f, (lo, hi) in enumerate(spans):
+            batch = matrix_batch(e_grid[:, None], window.slice(lo, hi).values[None, :])
+            excess[f, :, j] = log_norm_batch(*batch)[:, 0] / float(n) - gamma
     return CraigSimonScan(e_grid, n_grid, gamma, excess)
 
 
@@ -612,22 +621,27 @@ def submean_check(
     *,
     workers: int = 1,
 ) -> SubmeanResult:
-    """Compare the growth rate at ``z0`` with its average on a circle."""
+    """Compare the growth rate at ``z0`` with its average on a circle.
+
+    One :func:`lyapunov_mc` call from ``stream.child(0)`` serves the centre
+    and every circle point, so ``stderr`` is that of the per-sample
+    differences between the circle average and the centre.
+    """
     if radius <= 0:
         raise ValueError("radius must be positive")
     if circle_points < 8:
         raise ValueError("need at least 8 circle points")
-    center = lyapunov_mc(law, complex(z0), n, samples, stream.child(0), workers=workers)
-    means = []
-    variances = []
-    for j in range(circle_points):
-        z = complex(z0) + radius * cmath.exp(2j * math.pi * j / circle_points)
-        est = lyapunov_mc(law, z, n, samples, stream.child(j + 1), workers=workers)
-        means.append(est.mean)
-        variances.append(est.stderr**2)
-    circle_mean = math.fsum(means) / circle_points
-    stderr = math.sqrt(center.stderr**2 + math.fsum(variances) / circle_points**2)
+    z0 = complex(z0)
+    energies = [z0] + [
+        z0 + radius * cmath.exp(2j * math.pi * j / circle_points) for j in range(circle_points)
+    ]
+    est = lyapunov_mc(
+        law, np.array(energies), n, samples, stream.child(0), workers=workers, keep_samples=True
+    )
+    center_mean = float(est.mean[0])
+    circle_mean = math.fsum(est.mean[1:]) / circle_points
+    paired = np.mean(est.per_sample[1:], axis=0) - est.per_sample[0]
+    stderr = float(np.std(paired, ddof=1)) / math.sqrt(samples) if samples > 1 else 0.0
     return SubmeanResult(
-        complex(z0), radius, circle_points, center.mean, circle_mean,
-        circle_mean - center.mean, stderr,
+        z0, radius, circle_points, center_mean, circle_mean, circle_mean - center_mean, stderr
     )

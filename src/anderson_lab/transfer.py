@@ -428,7 +428,11 @@ def _propagate(energy, windows: np.ndarray, columns: int, marks):
     """Yield ``(top, bottom, shift)`` after each of the ascending site counts
     ``marks``: the row pair of the product applied to the first ``columns``
     columns of the identity (the matrix for 2, the vector ``(1, 0)`` for 1),
-    each a ``(columns, L)`` array, true value ``row * 2**shift``.
+    each a ``(columns, *lanes)`` array, true value ``row * 2**shift``.
+
+    The lanes are ``energy`` broadcast against the leading axes of
+    ``windows`` (numpy's rules; ``(E, 1)`` against ``(S, m)`` gives
+    ``(E, S)``), read through a site-major broadcast view, never copied.
 
     A site maps ``top, bottom`` to ``d * top - bottom, top`` with
     ``d = E - V``, formed once per site-major block of :data:`_BLOCK` sites;
@@ -440,11 +444,12 @@ def _propagate(energy, windows: np.ndarray, columns: int, marks):
     """
     e = np.asarray(energy)
     dtype = complex if np.iscomplexobj(e) and np.any(e.imag != 0) else float
-    lanes = len(windows)
-    e = np.broadcast_to(e if dtype is complex else e.real, (lanes,))
-    rows = np.zeros((_BLOCK + 2, columns, lanes), dtype=dtype)  # bottom, top, new tops
+    lanes = np.broadcast_shapes(e.shape, windows.shape[:-1])
+    e = np.broadcast_to(e if dtype is complex else e.real, lanes)
+    sites = np.moveaxis(np.broadcast_to(windows, lanes + windows.shape[-1:]), -1, 0)
+    rows = np.zeros((_BLOCK + 2, columns) + lanes, dtype=dtype)  # bottom, top, new tops
     rows[1, 0] = rows[0, 1:] = 1.0
-    d = np.empty((_BLOCK, 1, lanes), dtype=dtype)
+    d = np.empty((_BLOCK, 1) + lanes, dtype=dtype)
     r, dk = list(rows), list(d)  # per-site views, built once
     shift = np.zeros(lanes, dtype=np.int64)
     grown = 1.0  # log2 bound on the stored rows
@@ -453,10 +458,10 @@ def _propagate(energy, windows: np.ndarray, columns: int, marks):
         while done < mark:
             size = min(_BLOCK, mark - done)
             block, peak = d[:size, 0], np.zeros(size)
-            for a in range(0, lanes, _TILE):  # transpose in cache-sized tiles
-                z = min(a + _TILE, lanes)
-                np.subtract(e[a:z], windows[a:z, done : done + size].T, out=block[:, a:z])
-                np.maximum(peak, np.abs(block[:, a:z]).max(axis=1), out=peak)
+            for a in range(0, lanes[-1], _TILE):  # transpose in cache-sized tiles
+                z = min(a + _TILE, lanes[-1])
+                np.subtract(e[..., a:z], sites[done : done + size, ..., a:z], out=block[..., a:z])
+                np.maximum(peak, np.abs(block[..., a:z]).reshape(size, -1).max(axis=1), out=peak)
             bound = np.log2(peak + 1.0).tolist()
             for k in range(size):
                 grown += bound[k]
@@ -484,9 +489,11 @@ def matrix_batch(
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """Scaled interval products for a batch of windows.
 
-    ``windows`` has one window per row; ``energy`` is a scalar or one value
-    per row.  Returns the four entry arrays, normalized once at the end so
-    that each product's largest entry magnitude is 1, and the log scales.
+    ``windows`` has one window per row; ``energy`` broadcasts against its
+    leading axes: a scalar or one value per row, or ``(E, 1)`` for ``(E, S)``
+    lanes over ``S`` rows.  Returns the four entry arrays, normalized once at
+    the end so that each product's largest entry magnitude is 1, and the log
+    scales, one value per lane.
 
     With ``checkpoints`` (site counts in ``[0, window length]``) the product
     over the first ``k`` sites of each window is read off the kernel at each
@@ -497,11 +504,11 @@ def matrix_batch(
     """
     windows = np.atleast_2d(np.asarray(windows, dtype=float))
     if checkpoints is None:
-        ((top, bottom, shift),) = _propagate(energy, windows, 2, (windows.shape[1],))
+        ((top, bottom, shift),) = _propagate(energy, windows, 2, (windows.shape[-1],))
         peak = np.maximum(np.abs(top).max(axis=0), np.abs(bottom).max(axis=0))
         (s00, s01), (s10, s11) = top / peak, bottom / peak
         return s00, s01, s10, s11, shift * math.log(2.0) + np.log(peak)
-    marks = _checked_marks(checkpoints, windows.shape[1])
+    marks = _checked_marks(checkpoints, windows.shape[-1])
     recorded = {
         mark: (np.stack([top, bottom]), shift * math.log(2.0))
         for mark, (top, bottom, shift) in zip(marks, _propagate(energy, windows, 2, marks))
@@ -562,18 +569,18 @@ def log_det_abs_batch(
 
 
 def vector_growth_logs(
-    energy: complex | float, windows: np.ndarray, checkpoints: tuple[int, ...]
+    energy: complex | float | np.ndarray, windows: np.ndarray, checkpoints: tuple[int, ...]
 ) -> np.ndarray:
     """log norms of the propagated solution vector at given site counts.
 
     Starts from ``(1, 0)`` and applies the one-step recurrence across each
-    row of ``windows``, read off the kernel at each checkpoint.  Returns an
-    array of shape ``(len(checkpoints), count)`` holding
-    ``log || S_[1,k] (1,0) ||`` for each checkpoint ``k``; checkpoint 0 is
-    the initial vector.
+    row of ``windows``, read off the kernel at each checkpoint; ``energy``
+    broadcasts as in :func:`matrix_batch`.  Returns an array of shape
+    ``(len(checkpoints), *lanes)`` holding ``log || S_[1,k] (1,0) ||`` for
+    each checkpoint ``k``; checkpoint 0 is the initial vector.
     """
     windows = np.atleast_2d(np.asarray(windows, dtype=float))
-    marks = _checked_marks(checkpoints, windows.shape[1])
+    marks = _checked_marks(checkpoints, windows.shape[-1])
     recorded = {
         mark: shift * math.log(2.0) + 0.5 * np.log(np.abs(x[0]) ** 2 + np.abs(y[0]) ** 2)
         for mark, (x, y, shift) in zip(marks, _propagate(energy, windows, 1, marks))

@@ -4,6 +4,7 @@ import math
 import numpy as np
 import pytest
 
+import anderson_lab.estimators as estimators
 from anderson_lab.estimators import (
     BATCH_SIZE,
     BURN_IN,
@@ -120,6 +121,61 @@ def test_per_sample_logs_are_retained_on_request():
     est = lyapunov_mc(BERNOULLI_LAW, 0.0, 64, 100, RngStream(8), keep_samples=True)
     assert est.per_sample.shape == (100,)
     assert float(np.mean(est.per_sample)) == pytest.approx(est.mean)
+
+
+def test_energy_array_equals_scalar_calls_on_the_same_stream():
+    # two batches (4096 and 300 windows), so the energies go one per kernel
+    # call in the first and all together in the second
+    energies = np.array([-1.0, 0.0, 0.5 + 0.2j, 2.9])
+    samples = BATCH_SIZE + 300
+    est = lyapunov_mc(BERNOULLI_LAW, energies, 100, samples, RngStream(31), keep_samples=True)
+    assert est.mean.shape == est.stderr.shape == (4,)
+    assert est.per_sample.shape == (4, samples)
+    for i, e in enumerate(energies.tolist()):
+        one = lyapunov_mc(BERNOULLI_LAW, e, 100, samples, RngStream(31), keep_samples=True)
+        assert est.mean[i] == pytest.approx(one.mean, rel=1e-12, abs=1e-12)
+        assert est.stderr[i] == pytest.approx(one.stderr, rel=1e-12, abs=1e-12)
+        np.testing.assert_allclose(est.per_sample[i], one.per_sample, rtol=1e-12, atol=1e-12)
+
+
+def test_energy_array_is_identical_across_worker_counts():
+    energies = np.linspace(-1.0, 1.0, 5)
+    runs = [
+        lyapunov_mc(BERNOULLI_LAW, energies, 64, 2 * BATCH_SIZE + 50, RngStream(32),
+                    workers=workers, keep_samples=True)
+        for workers in (1, 2, 4)
+    ]
+    for other in runs[1:]:
+        np.testing.assert_array_equal(other.mean, runs[0].mean)
+        np.testing.assert_array_equal(other.stderr, runs[0].stderr)
+        np.testing.assert_array_equal(other.per_sample, runs[0].per_sample)
+
+
+def test_energy_groups_stay_within_batch_size_lanes(monkeypatch):
+    seen = []
+
+    def spy(energy, windows, checkpoints):
+        lanes = np.broadcast_shapes(np.shape(energy), windows.shape[:-1])
+        seen.append(math.prod(lanes))
+        return np.zeros((len(checkpoints),) + lanes)
+
+    monkeypatch.setattr(estimators, "vector_growth_logs", spy)
+    lyapunov_mc(BERNOULLI_LAW, np.linspace(-2.0, 2.0, 41), 8, 4096, RngStream(33))
+    assert max(seen) <= BATCH_SIZE
+    assert sum(seen) == 41 * 4096
+
+
+def test_non_finite_estimate_names_its_energy(monkeypatch):
+    kernel = estimators.vector_growth_logs
+
+    def broken(energy, windows, checkpoints):
+        logs = kernel(energy, windows, checkpoints)
+        logs[1][np.ravel(energy) == 0.5] = np.nan
+        return logs
+
+    monkeypatch.setattr(estimators, "vector_growth_logs", broken)
+    with pytest.raises(ArithmeticError, match=r"at energy 0\.5$"):
+        lyapunov_mc(BERNOULLI_LAW, np.array([-0.5, 0.0, 0.5, 1.0]), 16, 20, RngStream(34))
 
 
 # ---------------------------------------------------------------------------
@@ -366,6 +422,13 @@ def test_scan_requires_aligned_gamma():
     window = PotentialWindow(-8, 25, np.zeros(34))
     with pytest.raises(ValueError, match="align"):
         craig_simon_scan(window, [0.0, 1.0], [8], [0.0])
+
+
+def test_scan_window_must_cover_the_families():
+    # the shifted inverse family at n = 4 reaches site 12
+    window = PotentialWindow(-4, 10, np.zeros(15))
+    with pytest.raises(ValueError, match=r"must contain sites \[-4, 12\]"):
+        craig_simon_scan(window, [0.0], [4], [0.0])
 
 
 def test_scan_rejects_radius_one():

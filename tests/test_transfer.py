@@ -522,11 +522,40 @@ def test_rescaled_kernel_energy_per_lane_across_tiles():
     np.testing.assert_allclose(got[0], want[0], rtol=1e-12, atol=1e-12)
 
 
+STATS = ("log_norm", "log_det", "matrix_element")
+
+
+def test_energy_axis_broadcasts_against_the_window_rows():
+    # (E, 1) energies against (S, m) windows give E x S lanes, equal to an
+    # explicit call on tiled windows with one energy per row
+    rng = np.random.default_rng(115)
+    energies = np.array([0.0, 0.37, 2.9, 0.4 + 0.6j, -1.5 + 1e-3j])
+    windows = np.concatenate([_kernel_windows(k, rng, 4, 150) for k in ("bernoulli", "pareto")])
+    windows[0, 10], windows[5, 100], windows[6, 149] = 1e200, -1e200, 1e200
+    tiled = np.tile(windows, (len(energies), 1))
+    per_row = np.repeat(energies, len(windows))
+    marks = (150, 0, 1, 64, 65, 77)
+    lanes = (len(energies), len(windows))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for checkpoints, lead in ((None, ()), (marks, (len(marks),))):
+            got = matrix_batch(energies[:, None], windows, checkpoints)
+            want = matrix_batch(per_row, tiled, checkpoints)
+            assert all(a.shape == lead + lanes for a in got)
+            for stat in STATS:
+                with np.errstate(divide="ignore"):
+                    g = _statistic_logs(stat, got, UNIT_U, UNIT_V)
+                    w = _statistic_logs(stat, want, UNIT_U, UNIT_V).reshape(g.shape)
+                np.testing.assert_allclose(g, w, rtol=1e-12, atol=1e-12)
+        logs = vector_growth_logs(energies[:, None], windows, marks)
+        ref = vector_growth_logs(per_row, tiled, marks)
+    assert logs.shape == (len(marks),) + lanes
+    np.testing.assert_allclose(logs, ref.reshape(logs.shape), rtol=1e-12, atol=1e-12)
+
+
 # ---------------------------------------------------------------------------
 # checkpointed products and centered windows from two half passes
 # ---------------------------------------------------------------------------
-
-STATS = ("log_norm", "log_det", "matrix_element")
 
 
 def test_matrix_batch_checkpoints_read_every_prefix():
