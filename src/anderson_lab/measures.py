@@ -43,7 +43,7 @@ class RejectionCapError(RuntimeError):
 
 
 #: draws per pass of :func:`_categorical` over its index buffer
-_CATEGORICAL_CHUNK = 1 << 14
+_CATEGORICAL_PASS = 1 << 14
 
 
 def _categorical(
@@ -61,10 +61,10 @@ def _categorical(
     cdf = np.cumsum(weights, dtype=float)
     cdf /= cdf[-1]
     u = rng.random(size)
-    index = np.empty(min(size, _CATEGORICAL_CHUNK), dtype=np.intp)
+    index = np.empty(min(size, _CATEGORICAL_PASS), dtype=np.intp)
     hit = np.empty(len(index), dtype=bool)
-    for start in range(0, size, _CATEGORICAL_CHUNK):
-        part = u[start : start + _CATEGORICAL_CHUNK]
+    for start in range(0, size, _CATEGORICAL_PASS):
+        part = u[start : start + _CATEGORICAL_PASS]
         idx, h = index[: len(part)], hit[: len(part)]
         np.greater_equal(part, cdf[0], out=idx)  # never true for one atom: cdf[0] == 1
         for cut in cdf[1:-1]:

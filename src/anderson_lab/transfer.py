@@ -10,12 +10,17 @@ product equal (up to the sign convention of ``det(E - H)`` versus
     [[ P[a, b],   -P[a+1, b]   ],
      [ P[a, b-1], -P[a+1, b-1] ]]
 
-which is what :func:`block_identity_check` verifies numerically.  Products of
-length 1e5+ never overflow: one batched kernel keeps each lane's rows times
-an exact power of two, rescales only when a bound on their growth nears a
-fixed headroom, and normalizes once, at the end or at a checkpoint.  The
-centered windows ``[-n, n]`` of a whole radius grid come from one pass over
-each half of the largest window.
+which is what :func:`block_identity_check` verifies numerically.
+
+Both batched recurrences, the product rows and the determinant pair, hold
+each lane's values times ``2**shift`` under one rule: a site grows or
+shrinks them by at most ``max|V - E| + 1``, and they are scaled by exact
+powers of two (:func:`_rescale`) only when the sum of ``log2(max|V - E| + 1)``
+since the last rescale would pass :data:`_HEADROOM`.  A mark (a checkpoint
+or a requested step) copies the values inside a block and canonicalises the
+copy.  Power-of-two scaling is exact, so a lane's result is independent of
+its batch.  The centered windows ``[-n, n]`` of a whole radius grid come
+from one pass over each half of the largest window.
 """
 from __future__ import annotations
 
@@ -30,13 +35,22 @@ NEG_INF = float("-inf")
 #: recomputed in compensated double-double arithmetic
 CANCELLATION_GUARD = 1e-13
 
-_RESCALE_HI = 1e150
-_RESCALE_LO = 1e-150
+#: sites per block of both recurrences, and lanes per tile when a block of
+#: windows is transposed to site-major
+_BLOCK, _TILE = 64, 512
 
-#: sites per chunk of the lane recurrence; a chunk doubles after a clean
-#: pass and restarts small after a redone site
-_CHUNK_MIN = 8
-_CHUNK_MAX = 256
+#: log2 of the growth the stored rows may reach between two rescales
+_HEADROOM = 500.0
+
+
+def _rescale(pair: np.ndarray, shift: np.ndarray) -> None:
+    """Scale each lane of a ``(2, c, *lanes)`` row pair by a power of two so
+    that its largest magnitude lies in ``[1, 2)``; the exponents go into
+    ``shift``, shaped like the lanes."""
+    _, exponent = np.frexp(np.abs(pair).max(axis=(0, 1)))
+    exponent -= 1
+    pair *= np.ldexp(1.0, -exponent)
+    shift += exponent
 
 
 # ---------------------------------------------------------------------------
@@ -210,21 +224,22 @@ def _two_prod(a: float, b: float) -> tuple[float, float]:
 def _det_lanes(
     energy: complex | float | np.ndarray, values: np.ndarray, steps: tuple[int, ...]
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Mantissas and log shifts of the recurrence after each of ``steps``.
+    """Signs and log magnitudes of the recurrence after each of ``steps``.
 
     ``values`` is site-major: shape ``(m,)`` for one window shared by every
     lane, or ``(m, L)`` with one column per lane; ``energy`` is a scalar or
     holds one value per lane.  ``steps`` are ascending prefix lengths in
     ``[1, m]``.  Returns two arrays of shape ``(len(steps), L)``.
 
-    Each lane does exactly the arithmetic of the one-lane recurrence, in the
-    same order.  Sites are taken in chunks: the plain three-term step runs
-    over the chunk, then the guard and rescale conditions are checked on the
-    whole chunk at once.  The chunk is kept up to the first site where a
-    lane needs a rescale, or a guard recompute whose double-double value
-    differs from the plain one; that site is redone with the masked guard
-    and rescale (the log of each rescale peak taken with :func:`math.log`)
-    and the next chunk starts after it.
+    The pair ``(P_k, P_{k-1})`` follows the module's rescale rule: a block
+    of at most :data:`_BLOCK` sites (and at least one) ends before the
+    headroom would run out, so the pair is rescaled only at a block start.
+    The plain three-term step runs over the block, then the guard is checked
+    on the whole block at once; at the first site where a lane's
+    double-double value differs from the plain one, that value replaces it
+    and the rest of the block is run again.  The guard test is scale-free,
+    so each lane holds its one-lane recurrence times ``2**shift``; ``log|P|``
+    is the log of the :func:`numpy.frexp` fraction plus ``(exponent + shift) ln 2``.
     """
     e = np.atleast_1d(np.asarray(energy))
     is_complex = np.iscomplexobj(e) and bool(np.any(e.imag != 0))
@@ -232,66 +247,49 @@ def _det_lanes(
     e = e.astype(dtype) if is_complex else e.real.astype(float)
     values = values.reshape(len(values), -1)
     shape = np.broadcast_shapes(e.shape, values.shape[1:])
-    prev = np.ones(shape, dtype=dtype)  # empty interval
-    prev2 = np.zeros(shape, dtype=dtype)  # negative length
-    log_shift = np.zeros(shape)
+    run = np.empty((_BLOCK + 2,) + shape, dtype=dtype)  # P_{k-2}, P_{k-1}, P_k, ...
+    run[0], run[1] = 0.0, 1.0  # negative length, empty interval
+    terms = np.empty((_BLOCK,) + shape, dtype=dtype)  # (V_k - E) P_{k-1}
+    shift = np.zeros(shape, dtype=np.int64)
     marks = np.asarray(steps)
-    mantissas = np.empty((len(steps),) + shape, dtype=dtype)
-    shifts = np.empty((len(steps),) + shape)
-    run = np.empty((_CHUNK_MAX + 2,) + shape, dtype=dtype)  # P_{k-2}, P_{k-1}, P_k, ...
-    terms = np.empty((_CHUNK_MAX,) + shape, dtype=dtype)  # (V_k - E) P_{k-1}
-    done = 0  # sites consumed
-    j = 0  # next step to record
-    size = _CHUNK_MIN
-    with np.errstate(all="ignore"):  # sites past a redone one are discarded
+    dets = np.empty((len(steps),) + shape, dtype=dtype)
+    shifts = np.empty((len(steps),) + shape, dtype=np.int64)
+    done = j = 0  # sites consumed, next step to record
+    grown = 1.0  # log2 bound on the pair since the last rescale
+    with np.errstate(all="ignore"):  # exact zeros meet log and 0 / 0 below
         while done < steps[-1]:
-            size = min(size, _CHUNK_MAX, steps[-1] - done)
-            d = values[done : done + size] - e
-            run[0] = prev2
-            run[1] = prev
+            d = values[done : done + min(_BLOCK, steps[-1] - done)] - e
+            bound = np.cumsum(np.log2(np.abs(d).reshape(len(d), -1).max(axis=1) + 1.0))
+            if grown + bound[0] > _HEADROOM:
+                _rescale(run[:2, None], shift)
+                grown = 1.0
+            size = max(1, int(np.searchsorted(grown + bound, _HEADROOM, side="right")))
             for k in range(size):
                 np.multiply(d[k], run[k + 1], out=terms[k])
                 np.subtract(terms[k], run[k], out=run[k + 2])
-            p, p1, p2, t1 = run[2 : size + 2], run[1 : size + 1], run[:size], terms[:size]
-            redo = np.zeros(size, dtype=bool)
+            kept = size
             if not is_complex:
+                p, p2, t1 = run[2 : size + 2], run[:size], terms[:size]
                 cancel = np.abs(p) < CANCELLATION_GUARD * np.maximum(np.abs(t1), np.abs(p2))
                 if cancel.any():
-                    hi, lo = _two_prod(d[cancel], p1[cancel])
+                    hi, lo = _two_prod(d[:size][cancel], run[1 : size + 1][cancel])
                     s, err = _two_sum(hi, -p2[cancel])
-                    guarded = np.where(cancel, 0.0, p)
+                    guarded = p.copy()
                     guarded[cancel] = s + (err + lo)
-                    redo |= np.any(cancel & (guarded != p), axis=1)
-            peak = np.maximum(np.abs(p), np.abs(p1))
-            rescale = (peak > _RESCALE_HI) | ((peak > 0.0) & (peak < _RESCALE_LO))
-            redo |= np.any(rescale, axis=1)
-            kept = int(np.argmax(redo)) if redo.any() else size
+                    changed = np.any(cancel & (guarded != p), axis=1)
+                    if changed.any():
+                        kept = int(np.argmax(changed)) + 1
+                        p[kept - 1] = guarded[kept - 1]
             upto = j + int(np.searchsorted(marks[j:], done + kept, side="right"))
-            mantissas[j:upto] = p[marks[j:upto] - done - 1]
-            shifts[j:upto] = log_shift
+            dets[j:upto] = run[marks[j:upto] - done + 1]
+            shifts[j:upto] = shift
             j = upto
-            if kept == size:
-                prev2, prev = p1[-1].copy(), p[-1].copy()
-                done += size
-                size *= 2
-                continue
-            prev2, prev = p1[kept].copy(), p[kept].copy()
-            if not is_complex and cancel[kept].any():
-                prev[cancel[kept]] = guarded[kept][cancel[kept]]
-            peak = np.maximum(np.abs(prev), np.abs(prev2))
-            rescale = (peak > _RESCALE_HI) | ((peak > 0.0) & (peak < _RESCALE_LO))
-            for i in np.flatnonzero(rescale):
-                top = float(peak[i])
-                prev[i] = prev[i].item() / top
-                prev2[i] = prev2[i].item() / top
-                log_shift[i] += math.log(top)
-            done += kept + 1
-            if j < len(marks) and marks[j] == done:
-                mantissas[j] = prev
-                shifts[j] = log_shift
-                j += 1
-            size = max(2 * (kept + 1), _CHUNK_MIN)
-    return mantissas, shifts
+            run[:2] = run[kept : kept + 2]
+            grown += bound[kept - 1]
+            done += kept
+        fraction, exponent = np.frexp(np.abs(dets))
+        sign = np.where(dets == 0, 0.0, dets / np.abs(dets))
+        return sign, np.log(fraction) + (exponent + shifts) * math.log(2.0)
 
 
 def _is_lanes(energy, values: np.ndarray) -> bool:
@@ -304,31 +302,30 @@ def det_recurrence(energy: complex | float | np.ndarray, window, steps=None):
     Evaluates the three-term recurrence ``P_k = (V_k - E) P_{k-1} - P_{k-2}``
     (empty interval 1, negative-length interval 0) in scaled arithmetic.
     When the two recurrence terms nearly cancel, the step is recomputed in
-    compensated double-double arithmetic; magnitudes are rescaled before they
-    can underflow, so a ``-inf`` log only ever marks an exact zero.
+    compensated double-double arithmetic.  The terms are scaled by exact
+    powers of two before they can overflow or underflow (see
+    :func:`_det_lanes`), so a ``-inf`` log only ever marks an exact zero.
 
     ``steps`` lists the prefix lengths to read (default: every prefix).  With
     a scalar energy and one window the result is a list of :class:`SignedLog`.
     Lanes (an array of energies, or a site-major ``(m, L)`` window with one
     column per lane) give a ``(sign, log_mag)`` pair of arrays of shape
-    ``(len(steps), L)``; every lane runs the one-lane arithmetic exactly.
+    ``(len(steps), L)``, each lane equal bit for bit to its one-lane call.
+    Non-finite potentials raise a ValueError naming the first one.
     """
     values = np.asarray(window.values if hasattr(window, "values") else window, dtype=float)
     if len(values) == 0:
         raise ValueError("det_recurrence requires a non-empty window")
+    if not np.isfinite(values).all():
+        at = np.argwhere(~np.isfinite(values))[0]
+        raise ValueError(f"potentials must be finite: window{at.tolist()} is {values[tuple(at)]}")
     steps = tuple(range(1, len(values) + 1)) if steps is None else tuple(sorted(set(steps)))
-    if steps[0] < 1 or steps[-1] > len(values):
+    if not steps or steps[0] < 1 or steps[-1] > len(values):
         raise ValueError("steps must lie in [1, window length]")
-    mantissas, shifts = _det_lanes(energy, values, steps)
-    dets = [
-        [_signed_log(m, s) for m, s in zip(ms, ss)]
-        for ms, ss in zip(mantissas.tolist(), shifts.tolist())
-    ]
-    if not _is_lanes(energy, values):
-        return [row[0] for row in dets]
-    sign = np.array([[d.sign for d in row] for row in dets])
-    log_mag = np.array([[d.log_mag for d in row] for row in dets])
-    return sign, log_mag
+    sign, log_mag = _det_lanes(energy, values, steps)
+    if _is_lanes(energy, values):
+        return sign, log_mag
+    return [SignedLog(s, m) for s, m in zip(sign[:, 0].tolist(), log_mag[:, 0].tolist())]
 
 
 def interval_det(energy: complex | float | np.ndarray, window):
@@ -344,10 +341,7 @@ def interval_det(energy: complex | float | np.ndarray, window):
         shape = np.broadcast_shapes(np.shape(energy), values.shape[1:])
         return np.ones(shape), np.zeros(shape)
     dets = det_recurrence(energy, values, (len(values),))
-    if _is_lanes(energy, values):
-        sign, log_mag = dets
-        return sign[0], log_mag[0]
-    return dets[0]
+    return (dets[0][0], dets[1][0]) if _is_lanes(energy, values) else dets[0]
 
 
 def require_unit(name: str, vec) -> np.ndarray:
@@ -406,29 +400,13 @@ def block_identity_check(energy: complex | float, window) -> float:
 # batched drivers (vectorized across windows, sequential across sites)
 # ---------------------------------------------------------------------------
 
-#: sites per block of the propagation kernel, and lanes per tile when a
-#: block of windows is transposed to site-major
-_BLOCK, _TILE = 64, 512
-
-#: log2 of the growth the stored rows may reach between two rescales
-_HEADROOM = 500.0
-
-
-def _rescale(pair: np.ndarray, shift: np.ndarray) -> None:
-    """Scale each lane of a ``(2, c, *lanes)`` row pair by a power of two so
-    that its largest magnitude lies in ``[1, 2)``; the exponents go into
-    ``shift``, shaped like the lanes."""
-    _, exponent = np.frexp(np.abs(pair).max(axis=(0, 1)))
-    exponent -= 1
-    pair *= np.ldexp(1.0, -exponent)
-    shift += exponent
-
-
-def _propagate(energy, windows: np.ndarray, columns: int, marks):
-    """Yield ``(top, bottom, shift)`` after each of the ascending site counts
-    ``marks``: the row pair of the product applied to the first ``columns``
-    columns of the identity (the matrix for 2, the vector ``(1, 0)`` for 1),
-    each a ``(columns, *lanes)`` array, true value ``row * 2**shift``.
+def _propagate(energy, windows: np.ndarray, columns: int, marks: list[int]):
+    """The row pair after each of the ascending site counts ``marks``: the
+    product applied to the first ``columns`` columns of the identity (the
+    matrix for 2, the vector ``(1, 0)`` for 1).  Returns ``(pairs, shifts)``:
+    ``pairs[:, :, i]`` holds the top and bottom rows at ``marks[i]``, each a
+    ``(columns, *lanes)`` array scaled by :func:`_rescale`, true value
+    ``row * 2**shifts[i]``.
 
     The lanes are ``energy`` broadcast against the leading axes of
     ``windows`` (numpy's rules; ``(E, 1)`` against ``(S, m)`` gives
@@ -436,11 +414,9 @@ def _propagate(energy, windows: np.ndarray, columns: int, marks):
 
     A site maps ``top, bottom`` to ``d * top - bottom, top`` with
     ``d = E - V``, formed once per site-major block of :data:`_BLOCK` sites;
-    each site costs two in-place ufunc calls.  A site grows the rows by at
-    most a factor ``max|d| + 1`` and, the product having unit determinant,
-    shrinks them by at most as much, so they are rescaled only when the sum
-    of ``log2(max|d| + 1)`` since the last rescale would pass
-    :data:`_HEADROOM`, and at every mark.
+    each site costs two in-place ufunc calls.  The rows follow the module's
+    rescale rule site by site (unit determinant bounds their shrinking); a
+    mark copies the rows and rescales the copy, and the block goes on.
     """
     e = np.asarray(energy)
     dtype = complex if np.iscomplexobj(e) and np.any(e.imag != 0) else float
@@ -452,29 +428,38 @@ def _propagate(energy, windows: np.ndarray, columns: int, marks):
     d = np.empty((_BLOCK, 1) + lanes, dtype=dtype)
     r, dk = list(rows), list(d)  # per-site views, built once
     shift = np.zeros(lanes, dtype=np.int64)
+    pairs = np.empty((2, columns, len(marks)) + lanes, dtype=dtype)
+    shifts = np.empty((len(marks),) + lanes, dtype=np.int64)
+    j = int(marks[0] == 0)  # next mark to record
+    pairs[:, :, 0], shifts[0] = rows[1::-1], 0  # the identity: mark 0, if marked
     grown = 1.0  # log2 bound on the stored rows
     done = 0
-    for mark in marks:
-        while done < mark:
-            size = min(_BLOCK, mark - done)
-            block, peak = d[:size, 0], np.zeros(size)
-            for a in range(0, lanes[-1], _TILE):  # transpose in cache-sized tiles
-                z = min(a + _TILE, lanes[-1])
-                np.subtract(e[..., a:z], sites[done : done + size, ..., a:z], out=block[..., a:z])
-                np.maximum(peak, np.abs(block[..., a:z]).reshape(size, -1).max(axis=1), out=peak)
-            bound = np.log2(peak + 1.0).tolist()
-            for k in range(size):
+    while done < marks[-1]:
+        size = min(_BLOCK, marks[-1] - done)
+        block, peak = d[:size, 0], np.zeros(size)
+        for a in range(0, lanes[-1], _TILE):  # transpose in cache-sized tiles
+            z = min(a + _TILE, lanes[-1])
+            np.subtract(e[..., a:z], sites[done : done + size, ..., a:z], out=block[..., a:z])
+            np.maximum(peak, np.abs(block[..., a:z]).reshape(size, -1).max(axis=1), out=peak)
+        bound = np.log2(peak + 1.0).tolist()
+        start = 0
+        while start < size:  # the sites up to the next mark or the block end
+            stop = min(size, marks[j] - done)
+            for k in range(start, stop):
                 grown += bound[k]
                 if grown > _HEADROOM:
                     _rescale(rows[k : k + 2], shift)
                     grown = 1.0 + bound[k]
                 np.multiply(dk[k], r[k + 1], out=r[k + 2])
                 np.subtract(r[k + 2], r[k], out=r[k + 2])
-            rows[:2] = rows[size : size + 2]
-            done += size
-        _rescale(rows[:2], shift)
-        grown = 1.0
-        yield rows[1], rows[0], shift
+            if done + stop == marks[j]:
+                pairs[:, :, j], shifts[j] = rows[stop + 1 : stop - 1 : -1], shift
+                _rescale(pairs[:, :, j], shifts[j])
+                j += 1
+            start = stop
+        rows[:2] = rows[size : size + 2]
+        done += size
+    return pairs, shifts
 
 
 def _checked_marks(checkpoints, length: int) -> list[int]:
@@ -504,19 +489,15 @@ def matrix_batch(
     """
     windows = np.atleast_2d(np.asarray(windows, dtype=float))
     if checkpoints is None:
-        ((top, bottom, shift),) = _propagate(energy, windows, 2, (windows.shape[-1],))
-        peak = np.maximum(np.abs(top).max(axis=0), np.abs(bottom).max(axis=0))
-        (s00, s01), (s10, s11) = top / peak, bottom / peak
+        pairs, (shift,) = _propagate(energy, windows, 2, [windows.shape[-1]])
+        peak = np.abs(pairs).max(axis=(0, 1, 2))
+        (s00, s01), (s10, s11) = pairs[:, :, 0] / peak
         return s00, s01, s10, s11, shift * math.log(2.0) + np.log(peak)
     marks = _checked_marks(checkpoints, windows.shape[-1])
-    recorded = {
-        mark: (np.stack([top, bottom]), shift * math.log(2.0))
-        for mark, (top, bottom, shift) in zip(marks, _propagate(energy, windows, 2, marks))
-    }
-    entries = np.stack([recorded[c][0] for c in checkpoints], axis=2)  # (2, 2, k, L)
-    log_scale = np.stack([recorded[c][1] for c in checkpoints])
-    (s00, s01), (s10, s11) = entries
-    return s00, s01, s10, s11, log_scale
+    pairs, shifts = _propagate(energy, windows, 2, marks)
+    at = np.searchsorted(marks, checkpoints)
+    (s00, s01), (s10, s11) = pairs[:, :, at]  # (2, 2, k, *lanes)
+    return s00, s01, s10, s11, shifts[at] * math.log(2.0)
 
 
 def centered_batch(
@@ -581,8 +562,6 @@ def vector_growth_logs(
     """
     windows = np.atleast_2d(np.asarray(windows, dtype=float))
     marks = _checked_marks(checkpoints, windows.shape[-1])
-    recorded = {
-        mark: shift * math.log(2.0) + 0.5 * np.log(np.abs(x[0]) ** 2 + np.abs(y[0]) ** 2)
-        for mark, (x, y, shift) in zip(marks, _propagate(energy, windows, 1, marks))
-    }
-    return np.array([recorded[c] for c in checkpoints])
+    ((x,), (y,)), shifts = _propagate(energy, windows, 1, marks)
+    logs = shifts * math.log(2.0) + 0.5 * np.log(np.abs(x) ** 2 + np.abs(y) ** 2)
+    return logs[np.searchsorted(marks, checkpoints)]

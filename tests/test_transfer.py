@@ -194,10 +194,14 @@ def test_empty_interval_convention():
 
 
 def _reference_recurrence(energy, values):
-    """The scalar loop: every step in plain floats, guard and rescale inline.
-    Returns the prefix determinants and the number of guarded steps whose
-    double-double value differs from the plain one."""
-    prev, prev2, log_shift, out, differs = 1.0, 0.0, 0.0, [], 0
+    """The scalar loop: every step in plain floats, guard inline, and the
+    pair scaled by an exact power of two whenever its peak leaves
+    ``[2**-16, 2**16]`` (room for one step past a site at 1e300).  Returns
+    the prefix determinants in the canonical form (log of the frexp fraction
+    plus exponent and shift times ln 2, with the kernel's log function) and
+    the number of guarded steps whose double-double value differs from the
+    plain one."""
+    prev, prev2, shift, out, differs = 1.0, 0.0, 0, [], 0
     for v in values:
         d = float(v) - energy
         t1 = d * prev
@@ -210,11 +214,16 @@ def _reference_recurrence(energy, values):
             p = q
         prev2, prev = prev, p
         peak = max(abs(prev), abs(prev2))
-        if peak > 1e150 or 0.0 < peak < 1e-150:
-            prev /= peak
-            prev2 /= peak
-            log_shift += math.log(peak)
-        out.append(transfer._signed_log(prev, log_shift))
+        if not 2.0**-16 <= peak <= 2.0**16:
+            exponent = math.frexp(peak)[1]
+            prev, prev2 = math.ldexp(prev, -exponent), math.ldexp(prev2, -exponent)
+            shift += exponent
+        if prev == 0:
+            out.append(SignedLog.zero())
+            continue
+        fraction, exponent = math.frexp(abs(prev))
+        log_mag = np.log(fraction) + (exponent + shift) * math.log(2.0)
+        out.append(SignedLog(math.copysign(1.0, prev), float(log_mag)))
     return out, differs
 
 
@@ -279,6 +288,52 @@ def test_recurrence_lanes_match_one_lane_calls(monkeypatch):
     assert np.array_equal(sign2, sign[[0, 2]]) and np.array_equal(log2, log_mag[[0, 2]])
     last = interval_det(energies, window)
     assert np.array_equal(last[0], sign[-1]) and np.array_equal(last[1], log_mag[-1])
+
+
+def test_recurrence_rejects_empty_steps():
+    with pytest.raises(ValueError, match="steps must lie"):
+        det_recurrence(0.0, np.array([1.0, 2.0]), [])
+
+
+def test_recurrence_rejects_non_finite_potentials():
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # raised before any arithmetic sees them
+        with pytest.raises(ValueError, match=r"window\[0\] is nan"):
+            det_recurrence(0.0, [math.nan, 2.0])
+        with pytest.raises(ValueError, match=r"window\[2, 1\] is -inf"):
+            det_recurrence(np.zeros(2), np.array([[1.0, 2.0], [3.0, 4.0], [0.0, -math.inf]]))
+        with pytest.raises(ValueError, match=r"window\[1\] is inf"):
+            interval_det(0.5, [1.0, math.inf])
+
+
+def test_recurrence_one_site_blocks_stay_finite_and_exact(monkeypatch):
+    # one site at 1e300 passes the headroom alone, so it is a block of its
+    # own, starting from a pair scaled into [1, 2)
+    assert math.log2(1e300 + 1.0) > transfer._HEADROOM
+    rng = np.random.default_rng(118)
+    values = rng.uniform(-2.0, 2.0, 300)
+    huge = rng.random(300) < 0.3
+    huge[100:110] = True  # a run of them
+    values[huge] = rng.choice([-1e300, 1e300], int(huge.sum()))
+    energies = [0.0, 0.5, float(rng.uniform(-3.0, 3.0))]
+    blocks = []
+    rescale = transfer._rescale
+
+    def counting_rescale(pair, shift):
+        blocks.append(1)
+        rescale(pair, shift)
+
+    monkeypatch.setattr(transfer, "_rescale", counting_rescale)
+    sign, log_mag = det_recurrence(np.array(energies), values)
+    assert len(blocks) >= huge.sum()
+    assert np.all(sign != 0) and np.all(np.isfinite(log_mag))
+    assert log_mag[-1, 0] > 300 * math.log(10.0) * huge.sum() - 300
+    for i, energy in enumerate(energies):
+        want, _ = _reference_recurrence(energy, values)
+        assert [d.sign for d in want] == list(sign[:, i])
+        assert [d.log_mag for d in want] == list(log_mag[:, i])
+        got = det_recurrence(energy, values)
+        assert [(d.sign, d.log_mag) for d in got] == [(d.sign, d.log_mag) for d in want]
 
 
 # ---------------------------------------------------------------------------
