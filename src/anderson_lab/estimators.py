@@ -31,6 +31,7 @@ from .transfer import (
     log_det_abs_batch,
     log_norm_batch,
     matrix_batch,
+    require_unit,
     vector_growth_logs,
 )
 
@@ -206,13 +207,25 @@ def _statistic_logs(
         return log_norm_batch(s00, s01, s10, s11, log_scale)
     if statistic == "log_det":
         return log_det_abs_batch(s00, s01, s10, s11, log_scale)
-    if statistic == "matrix_element":
-        if u is None or v is None:
-            raise ValueError("matrix_element statistic needs unit vectors u and v")
-        ip = u[0] * (s00 * v[0] + s01 * v[1]) + u[1] * (s10 * v[0] + s11 * v[1])
-        with np.errstate(divide="ignore"):
-            return log_scale + np.log(np.abs(ip))
-    raise ValueError(f"unknown statistic {statistic!r}; choose from {STATISTICS}")
+    ip = u[0] * (s00 * v[0] + s01 * v[1]) + u[1] * (s10 * v[0] + s11 * v[1])  # type: ignore[index]
+    with np.errstate(divide="ignore"):
+        return log_scale + np.log(np.abs(ip))
+
+
+def _checked_statistic(
+    statistic: str, u: np.ndarray | None, v: np.ndarray | None, rate_power: float
+) -> tuple[np.ndarray | None, np.ndarray | None]:
+    """Check a tail curve's statistic and fit arguments before any draw;
+    ``u`` and ``v``, needed by ``matrix_element``, come back as unit vectors."""
+    if statistic not in STATISTICS:
+        raise ValueError(f"unknown statistic {statistic!r}; choose from {STATISTICS}")
+    if statistic == "matrix_element" and (u is None or v is None):
+        raise ValueError("matrix_element statistic needs unit vectors u and v")
+    if rate_power not in (1.0, 0.5):
+        raise ValueError("rate_power must be 1.0 or 0.5")
+    u = None if u is None else require_unit("u", u)
+    v = None if v is None else require_unit("v", v)
+    return u, v
 
 
 def _tail_counts(
@@ -357,8 +370,7 @@ def lde_curve(
     """
     if epsilon <= 0:
         raise ValueError("epsilon must be positive")
-    if rate_power not in (1.0, 0.5):
-        raise ValueError("rate_power must be 1.0 or 0.5")
+    u, v = _checked_statistic(statistic, u, v, rate_power)
     grid = _checked_grid(n_grid)
     if gamma is None:
         est = lyapunov_mc(
@@ -457,6 +469,7 @@ def lift_check(
     """
     if epsilon <= 0:
         raise ValueError("epsilon must be positive")
+    u, v = _checked_statistic(statistic, u, v, rate_power)
     grid = _checked_grid(n_grid)
     law_exact = ProductLaw.exact(base)
     law_approx = ProductLaw.approximate(base, seq)

@@ -578,8 +578,7 @@ def _site_tail(scenario: Scenario, site: int, threshold: float) -> float:
         return scenario.base.tail_probability(threshold)
     beta = densities.atom_weights_at(site)
     if beta is not None and isinstance(scenario.base, FiniteAtoms):
-        locs = scenario.base.locations
-        return float(np.sum(np.asarray(beta)[np.abs(locs) > threshold]))
+        return float(np.sum(beta[np.abs(scenario.base.locations) > threshold]))
     return math.nan
 
 
@@ -605,13 +604,12 @@ def edge_bound_census(
     stream = scenario.stream()
     law = scenario.law()
     moment = scenario.base.abs_moment(alpha)
-    if not isinstance(scenario.densities, Identity):
-        sups = [
-            scenario.densities.sup_norm(s)
-            for n in scenario.n_grid
-            for s in scenario.densities.perturbed_sites(-n, n)
-        ]
-        moment *= max(sups, default=1.0)
+    sups = [
+        scenario.densities.sup_norm(s)
+        for n in scenario.n_grid
+        for s in scenario.densities.perturbed_sites(-n, n)
+    ]
+    moment *= max(sups, default=1.0)
     rows = []
     last_violation = None
     for i, n in enumerate(scenario.n_grid):

@@ -9,7 +9,9 @@ This module owns
 * the three supported single-site measures (finite atoms, uniform interval,
   symmetric/one-sided Pareto tail),
 * density sequences given by rule (identity, per-site atom reweighting,
-  bump schedules on a site set),
+  bump schedules on a site set): ``bump_at`` and ``perturbed_sites`` define
+  a sequence, and :class:`DensitySequence` answers everything else from
+  them; a product law refuses densities built on another base measure,
 * window sampling under either product law,
 * log Radon-Nikodym products over finite windows, and
 * numeric diagnostics for the three decay conditions on ``log ||g_n||_inf``
@@ -314,47 +316,68 @@ class PowersOfTwoSites(SiteSet):
 class DensitySequence:
     """The rule ``n -> g_n`` defining the approximate product law.
 
-    Densities are given by rule rather than by table, so any finite window of
-    the lattice is reachable; sites outside a schedule's declared support
-    default to ``g_n == 1``.  Every ``g_n`` is nonnegative on the support of
-    the base measure and integrates to one against it.
+    A sequence is defined by two methods, and every other answer follows
+    from them: :meth:`perturbed_sites` lists the sites of a window where
+    ``g_n`` is not identically 1, and :meth:`bump_at` gives ``g_n`` at one
+    site.  Densities are given by rule rather than by table, so any finite
+    window of the lattice is reachable.  Every ``g_n`` is nonnegative on the
+    support of the base measure and integrates to one against it.
     """
 
-    def eval(self, n: int, values: np.ndarray) -> np.ndarray:
-        """g_n evaluated at points of the support."""
-        raise NotImplementedError
-
-    def sup_norm(self, n: int) -> float:
-        raise NotImplementedError
-
-    def log_sup_norm(self, n: int) -> float:
-        s = self.sup_norm(n)
-        return 0.0 if s == 1.0 else math.log(s)
-
-    def is_identity_at(self, n: int) -> bool:
+    def bump_at(self, n: int) -> np.ndarray | tuple[Callable, float] | None:
+        """``g_n`` at site ``n``: the reweighted atom weights ``beta`` (an
+        array; ``g_n(x_m) = beta_m / w_m`` against the weights ``w`` of
+        ``self.base``), a pair of a vectorized density callable and its
+        declared sup norm, or None where ``g_n == 1``."""
         raise NotImplementedError
 
     def perturbed_sites(self, lo: int, hi: int) -> list[int]:
         """Sites in [lo, hi] where g_n is not identically 1."""
         raise NotImplementedError
 
+    def eval(self, n: int, values: np.ndarray) -> np.ndarray:
+        """g_n evaluated at points of the support."""
+        values = np.asarray(values, dtype=float)
+        bump = self.bump_at(n)
+        if bump is None:
+            return np.ones_like(values)
+        if isinstance(bump, np.ndarray):
+            idx = self.base.atom_index(values)  # type: ignore[attr-defined]
+            if np.any(idx < 0):
+                raise ValueError(f"value outside atomic support at site {n}")
+            return (bump / self.base.weights)[idx]  # type: ignore[attr-defined]
+        out = np.asarray(bump[0](values), dtype=float)
+        if np.any(out < 0):
+            raise ValueError(f"bump density negative at site {n}")
+        return out
+
+    def sup_norm(self, n: int) -> float:
+        bump = self.bump_at(n)
+        if bump is None:
+            return 1.0
+        if isinstance(bump, np.ndarray):
+            return float(np.max(self.eval(n, self.base.locations)))  # type: ignore[attr-defined]
+        return float(bump[1])
+
+    def log_sup_norm(self, n: int) -> float:
+        s = self.sup_norm(n)
+        return 0.0 if s == 1.0 else math.log(s)
+
+    def is_identity_at(self, n: int) -> bool:
+        return self.bump_at(n) is None
+
     def atom_weights_at(self, n: int) -> np.ndarray | None:
-        """Reweighted atom weights at site n, if the base is atomic."""
-        return None
+        """Reweighted atom weights at site n, if g_n reweights atoms."""
+        bump = self.bump_at(n)
+        return bump if isinstance(bump, np.ndarray) else None
 
 
 @dataclass(frozen=True)
 class Identity(DensitySequence):
     """g_n == 1 for every site: the approximate law equals the exact one."""
 
-    def eval(self, n: int, values: np.ndarray) -> np.ndarray:
-        return np.ones_like(np.asarray(values, dtype=float))
-
-    def sup_norm(self, n: int) -> float:
-        return 1.0
-
-    def is_identity_at(self, n: int) -> bool:
-        return True
+    def bump_at(self, n: int) -> None:
+        return None
 
     def perturbed_sites(self, lo: int, hi: int) -> list[int]:
         return []
@@ -390,35 +413,12 @@ class AtomReweight(DensitySequence):
         checked = {int(n): _check_atom_reweight(self.base, b) for n, b in self.schedule.items()}
         object.__setattr__(self, "schedule", checked)
 
-    def _beta(self, n: int) -> tuple[float, ...] | None:
-        return self.schedule.get(n)
-
-    def eval(self, n: int, values: np.ndarray) -> np.ndarray:
-        beta = self._beta(n)
-        values = np.asarray(values, dtype=float)
-        if beta is None:
-            return np.ones_like(values)
-        idx = self.base.atom_index(values)
-        if np.any(idx < 0):
-            raise ValueError(f"value outside atomic support at site {n}")
-        ratios = np.asarray(beta) / self.base.weights
-        return ratios[idx]
-
-    def sup_norm(self, n: int) -> float:
-        beta = self._beta(n)
-        if beta is None:
-            return 1.0
-        return float(np.max(np.asarray(beta) / self.base.weights))
-
-    def is_identity_at(self, n: int) -> bool:
-        return self._beta(n) is None
+    def bump_at(self, n: int) -> np.ndarray | None:
+        beta = self.schedule.get(n)
+        return None if beta is None else np.asarray(beta)
 
     def perturbed_sites(self, lo: int, hi: int) -> list[int]:
         return sorted(n for n in self.schedule if lo <= n <= hi)
-
-    def atom_weights_at(self, n: int) -> np.ndarray | None:
-        beta = self._beta(n)
-        return None if beta is None else np.asarray(beta)
 
 
 def _density_mass(base: BaseMeasure, fn: Callable[[np.ndarray], np.ndarray]) -> float:
@@ -470,38 +470,15 @@ class BumpSchedule(DensitySequence):
         else:
             raise ValueError("bump schedule needs either weights or a density callable")
 
-    def eval(self, n: int, values: np.ndarray) -> np.ndarray:
-        values = np.asarray(values, dtype=float)
+    def bump_at(self, n: int) -> np.ndarray | tuple[Callable, float] | None:
         if not self.sites.contains(n):
-            return np.ones_like(values)
+            return None
         if self.weights is not None:
-            idx = self.base.atom_index(values)  # type: ignore[union-attr]
-            if np.any(idx < 0):
-                raise ValueError(f"value outside atomic support at site {n}")
-            ratios = np.asarray(self.weights) / self.base.weights  # type: ignore[union-attr]
-            return ratios[idx]
-        out = np.asarray(self.density(values), dtype=float)  # type: ignore[misc]
-        if np.any(out < 0):
-            raise ValueError(f"bump density negative at site {n}")
-        return out
-
-    def sup_norm(self, n: int) -> float:
-        if not self.sites.contains(n):
-            return 1.0
-        if self.weights is not None:
-            return float(np.max(np.asarray(self.weights) / self.base.weights))  # type: ignore[union-attr]
-        return float(self.density_sup)  # type: ignore[arg-type]
-
-    def is_identity_at(self, n: int) -> bool:
-        return not self.sites.contains(n)
+            return np.asarray(self.weights)
+        return self.density, self.density_sup  # type: ignore[return-value]
 
     def perturbed_sites(self, lo: int, hi: int) -> list[int]:
         return self.sites.sites_in(lo, hi)
-
-    def atom_weights_at(self, n: int) -> np.ndarray | None:
-        if self.weights is None or not self.sites.contains(n):
-            return None
-        return np.asarray(self.weights)
 
 
 # ---------------------------------------------------------------------------
@@ -518,7 +495,7 @@ class ProductLaw:
 
     The exact law draws each site from the base measure; the approximate law
     draws site ``n`` from ``g_n * mu``.  The exact tag forces identity
-    densities.
+    densities, and densities that carry a ``base`` must carry the law's.
     """
 
     base: BaseMeasure
@@ -530,6 +507,8 @@ class ProductLaw:
             raise ValueError(f"unknown law tag {self.tag!r}")
         if self.tag == TAG_EXACT and not isinstance(self.densities, Identity):
             raise ValueError("the exact law must carry identity densities")
+        if getattr(self.densities, "base", self.base) != self.base:
+            raise ValueError("the densities are built on another base measure than the law")
 
     @classmethod
     def exact(cls, base: BaseMeasure) -> "ProductLaw":
@@ -565,11 +544,6 @@ class PotentialWindow:
 
     def __len__(self) -> int:
         return self.hi - self.lo + 1
-
-    def value_at(self, n: int) -> float:
-        if not self.lo <= n <= self.hi:
-            raise IndexError(f"site {n} outside window [{self.lo}, {self.hi}]")
-        return float(self.values[n - self.lo])
 
     def slice(self, lo: int, hi: int) -> "PotentialWindow":
         if not (self.lo <= lo <= hi <= self.hi):
@@ -619,8 +593,9 @@ def sample_windows(
     n_sites = hi - lo + 1
     base_flat = law.base.sample(rng, count * n_sites)
     values = base_flat.reshape(count, n_sites)
+    atomic = isinstance(law.base, FiniteAtoms)
     for site in law.densities.perturbed_sites(lo, hi):
-        beta = law.densities.atom_weights_at(site)
+        beta = law.densities.atom_weights_at(site) if atomic else None
         if beta is not None:
             column = _categorical(rng, law.base.locations, beta, count)  # type: ignore[union-attr]
         else:
@@ -654,25 +629,19 @@ def log_density_products(law: ProductLaw, lo: int, values: np.ndarray) -> np.nda
 def radon_nikodym_product(law: ProductLaw, window: PotentialWindow) -> float:
     """log of the restricted Radon-Nikodym derivative over the window.
 
-    Returns ``sum_n log g_n(V_n)`` (exactly 0.0 for identity densities) and
-    ``-inf`` when the window is impossible under the approximate law.  All
-    window values must lie in the support of the base measure.
+    Returns ``sum_n log g_n(V_n)``, a one-row :func:`log_density_products`
+    (exactly 0.0 for identity densities), and ``-inf`` when the window is
+    impossible under the approximate law.  All window values must lie in the
+    support of the base measure.
     """
-    if not np.all(law.base.in_support(window.values)):
-        bad = int(np.argmin(law.base.in_support(window.values)))
+    supported = law.base.in_support(window.values)
+    if not np.all(supported):
+        bad = int(np.argmin(supported))
         raise ValueError(
             f"window value {window.values[bad]} at site {window.lo + bad} "
             "is outside the support of the base measure"
         )
-    if isinstance(law.densities, Identity):
-        return 0.0
-    terms = []
-    for site in law.densities.perturbed_sites(window.lo, window.hi):
-        g = float(law.densities.eval(site, np.array([window.value_at(site)]))[0])
-        if g == 0.0:
-            return float("-inf")
-        terms.append(math.log(g))
-    return math.fsum(terms)
+    return float(log_density_products(law, window.lo, window.values)[0])
 
 
 # ---------------------------------------------------------------------------
@@ -683,10 +652,7 @@ def sup_norm_log_partials(seq: DensitySequence, N: int, centered_at: int = 0) ->
     """(1/N) * sum of log sup norms over the window [center-N, center+N]."""
     if N < 1:
         raise ValueError("N must be >= 1")
-    total = math.fsum(
-        seq.log_sup_norm(n) for n in range(centered_at - N, centered_at + N + 1)
-    )
-    return total / N
+    return math.fsum(seq.log_sup_norm(n) for n in range(centered_at - N, centered_at + N + 1)) / N
 
 
 @dataclass(frozen=True)
@@ -760,23 +726,17 @@ def condition_report(seq: DensitySequence, N_max: int, K_max: int) -> ConditionR
     logs = np.array([seq.log_sup_norm(int(n)) for n in sites])
     prefix = np.concatenate([[0.0], np.cumsum(logs)])
 
-    def window_sum(center: np.ndarray, N: int) -> np.ndarray:
+    def window_sum(center: np.ndarray | int, N: np.ndarray | int) -> np.ndarray:
         a = center - N + span
         b = center + N + span
         return prefix[b + 1] - prefix[a]
 
     n_grid = np.unique(np.geomspace(1, N_max, num=min(N_max, 96)).astype(int))
     centers = np.arange(-K_max, K_max + 1)
-    mean = np.empty(len(n_grid))
-    uniform = np.empty(len(n_grid))
-    partial = np.empty(len(n_grid))
-    tail = np.empty(len(n_grid))
-    for i, N in enumerate(n_grid):
-        mean[i] = window_sum(np.array([0]), int(N))[0] / N
-        uniform[i] = np.max(window_sum(centers, int(N))) / N
-        partial[i] = window_sum(np.array([0]), int(N))[0]
-        half = max(1, int(N) // 2)
-        tail[i] = partial[i] - window_sum(np.array([0]), half)[0]
+    partial = window_sum(0, n_grid)
+    mean = partial / n_grid
+    uniform = np.array([np.max(window_sum(centers, int(N))) / N for N in n_grid])
+    tail = partial - window_sum(0, np.maximum(1, n_grid // 2))
 
     raw = {
         CONDITION_MEAN: _raw_verdict(mean, n_grid, CONDITION_TOL),

@@ -20,7 +20,10 @@ since the last rescale would pass :data:`_HEADROOM`.  A mark (a checkpoint
 or a requested step) copies the values inside a block and canonicalises the
 copy.  Power-of-two scaling is exact, so a lane's result is independent of
 its batch.  The centered windows ``[-n, n]`` of a whole radius grid come
-from one pass over each half of the largest window.
+from one pass over each half of the largest window.  Values in ``[1, 2)``
+times ``V - E`` overflow once ``|V - E|`` reaches :data:`MAGNITUDE_LIMIT`
+(``2**1023``), so both kernels raise a ValueError naming the first site
+where a finite potential does.
 """
 from __future__ import annotations
 
@@ -42,6 +45,10 @@ _BLOCK, _TILE = 64, 512
 #: log2 of the growth the stored rows may reach between two rescales
 _HEADROOM = 500.0
 
+#: both recurrences multiply values scaled into [1, 2) by ``V - E``, so a
+#: finite potential with ``|V - E|`` at or above this raises a ValueError
+MAGNITUDE_LIMIT = 2.0**1023
+
 
 def _rescale(pair: np.ndarray, shift: np.ndarray) -> None:
     """Scale each lane of a ``(2, c, *lanes)`` row pair by a power of two so
@@ -51,6 +58,18 @@ def _rescale(pair: np.ndarray, shift: np.ndarray) -> None:
     exponent -= 1
     pair *= np.ldexp(1.0, -exponent)
     shift += exponent
+
+
+def _check_magnitude(d: np.ndarray, values: np.ndarray, first: int) -> None:
+    """Raise at the first site of a site-major block (site ``first`` on) whose
+    finite potential puts ``|V - E|`` at or above :data:`MAGNITUDE_LIMIT`."""
+    at = np.argwhere((np.abs(d) >= MAGNITUDE_LIMIT) & np.isfinite(values))
+    if len(at):
+        v = float(np.broadcast_to(values, d.shape)[tuple(at[0])])
+        raise ValueError(
+            f"|V - E| must stay below 2**1023 (MAGNITUDE_LIMIT): site {first + at[0][0]} "
+            f"of the window has V = {v!r}"
+        )
 
 
 # ---------------------------------------------------------------------------
@@ -208,9 +227,11 @@ def _two_sum(a: float, b: float) -> tuple[float, float]:
 
 
 def _split(a: float) -> tuple[float, float]:
+    scale = np.where(np.abs(a) > 2.0**996, 2.0**28, 1.0)  # keeps 134217729 * a finite
+    a = a / scale
     c = 134217729.0 * a  # 2^27 + 1, Dekker splitting
     hi = c - (c - a)
-    return hi, a - hi
+    return hi * scale, (a - hi) * scale
 
 
 def _two_prod(a: float, b: float) -> tuple[float, float]:
@@ -259,7 +280,10 @@ def _det_lanes(
     with np.errstate(all="ignore"):  # exact zeros meet log and 0 / 0 below
         while done < steps[-1]:
             d = values[done : done + min(_BLOCK, steps[-1] - done)] - e
-            bound = np.cumsum(np.log2(np.abs(d).reshape(len(d), -1).max(axis=1) + 1.0))
+            peak = np.abs(d).reshape(len(d), -1).max(axis=1)
+            if peak.max() >= MAGNITUDE_LIMIT:
+                _check_magnitude(d, values[done : done + len(d)], done)
+            bound = np.cumsum(np.log2(peak + 1.0))
             if grown + bound[0] > _HEADROOM:
                 _rescale(run[:2, None], shift)
                 grown = 1.0
@@ -441,6 +465,8 @@ def _propagate(energy, windows: np.ndarray, columns: int, marks: list[int]):
             z = min(a + _TILE, lanes[-1])
             np.subtract(e[..., a:z], sites[done : done + size, ..., a:z], out=block[..., a:z])
             np.maximum(peak, np.abs(block[..., a:z]).reshape(size, -1).max(axis=1), out=peak)
+        if peak.max() >= MAGNITUDE_LIMIT:
+            _check_magnitude(block, sites[done : done + size], done)
         bound = np.log2(peak + 1.0).tolist()
         start = 0
         while start < size:  # the sites up to the next mark or the block end

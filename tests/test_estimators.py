@@ -321,6 +321,33 @@ def test_stretched_exponential_rate_power():
         )
 
 
+@pytest.mark.parametrize(
+    "bad, match",
+    [
+        ({"statistic": "log_mean"}, "unknown statistic"),
+        ({"statistic": "matrix_element", "v": np.array([1.0, 0.0])}, "needs unit vectors"),
+        ({"statistic": "matrix_element", "u": np.array([1.0, 0.0])}, "needs unit vectors"),
+        ({"statistic": "matrix_element", "u": np.array([1.0, 1.0]), "v": np.array([0.0, 1.0])},
+         "u must be a unit vector"),
+        ({"rate_power": 0.3}, "rate_power"),
+    ],
+)
+def test_tail_curves_check_their_arguments_before_any_draw(monkeypatch, bad, match):
+    draws = []
+
+    def spy(*args):
+        draws.append(args)
+        raise AssertionError("sample_windows called before the arguments were checked")
+
+    monkeypatch.setattr(estimators, "sample_windows", spy)
+    kwargs = {"statistic": "log_norm", **bad}
+    with pytest.raises(ValueError, match=match):
+        lde_curve(BERNOULLI_LAW, 0.0, 0.1, [8, 16], 100, RngStream(40), **kwargs)
+    with pytest.raises(ValueError, match=match):
+        lift_check(Identity(), BERNOULLI, 0.0, 0.1, [8, 16], 100, RngStream(40), **kwargs)
+    assert draws == []
+
+
 # ---------------------------------------------------------------------------
 # lifting bound
 # ---------------------------------------------------------------------------

@@ -20,7 +20,9 @@ from anderson_lab.measures import (
     UniformInterval,
     VERDICT_HOLDS,
     VERDICT_VIOLATED,
+    DensitySequence,
     condition_report,
+    log_density_products,
     radon_nikodym_product,
     sample_window,
     sample_windows,
@@ -190,6 +192,80 @@ THREE_ATOMS = FiniteAtoms(atoms=((-2.0, 0.2), (0.0, 0.3), (3.0, 0.5)))
 FIVE_ATOMS = FiniteAtoms(
     atoms=((-2.0, 0.1), (-1.0, 0.2), (0.0, 0.3), (1.5, 0.15), (4.0, 0.25))
 )
+
+
+class _BumpTable(DensitySequence):
+    """A sequence defined only by ``bump_at`` and ``perturbed_sites``."""
+
+    def __init__(self, base, bumps):
+        self.base, self.bumps = base, bumps
+
+    def bump_at(self, n):
+        return self.bumps.get(n)
+
+    def perturbed_sites(self, lo, hi):
+        return sorted(s for s in self.bumps if lo <= s <= hi)
+
+
+def _doubling(x):
+    return 2.0 * np.asarray(x)
+
+
+@pytest.mark.parametrize(
+    "shipped, table",
+    [
+        (
+            AtomReweight(THREE_ATOMS, {-2: (0.5, 0.0, 0.5), 3: (0.1, 0.6, 0.3)}),
+            _BumpTable(THREE_ATOMS, {-2: np.array([0.5, 0.0, 0.5]), 3: np.array([0.1, 0.6, 0.3])}),
+        ),
+        (
+            BumpSchedule(sites=ExplicitSites(frozenset({-2, 3})), base=UniformInterval(0.0, 1.0),
+                         density=_doubling, density_sup=2.0),
+            _BumpTable(UniformInterval(0.0, 1.0), {-2: (_doubling, 2.0), 3: (_doubling, 2.0)}),
+        ),
+    ],
+)
+def test_a_sequence_defined_by_bump_at_answers_like_the_shipped_ones(shipped, table):
+    law, law_table = (ProductLaw.approximate(shipped.base, seq) for seq in (shipped, table))
+    wins = sample_windows(law, -4, 4, 3000, RngStream(61))
+    assert np.array_equal(sample_windows(law_table, -4, 4, 3000, RngStream(61)), wins)
+    assert table.perturbed_sites(-4, 4) == shipped.perturbed_sites(-4, 4) == [-2, 3]
+    for n in range(-4, 5):
+        assert table.is_identity_at(n) == shipped.is_identity_at(n) == (n not in (-2, 3))
+        assert table.sup_norm(n) == shipped.sup_norm(n)
+        assert table.log_sup_norm(n) == shipped.log_sup_norm(n)
+        assert np.array_equal(table.eval(n, wins[:, n + 4]), shipped.eval(n, wins[:, n + 4]))
+        got, want = table.atom_weights_at(n), shipped.atom_weights_at(n)
+        assert (got is None) == (want is None) and (got is None or np.array_equal(got, want))
+    assert shipped.sup_norm(3) == 2.0  # 0.6 / 0.3, or the declared density_sup
+    assert np.array_equal(
+        log_density_products(law_table, -4, wins), log_density_products(law, -4, wins)
+    )
+    win = sample_window(law, -4, 4, RngStream(62))
+    assert radon_nikodym_product(law_table, win) == radon_nikodym_product(law, win)
+
+
+def test_product_law_rejects_densities_on_another_base():
+    plus_minus_two = FiniteAtoms(atoms=((-2.0, 0.5), (2.0, 0.5)))
+    bump = BumpSchedule(sites=PowersOfTwoSites(), base=BERNOULLI, weights=(0.75, 0.25))
+    for other in (plus_minus_two, THREE_ATOMS):
+        with pytest.raises(ValueError, match="another base"):
+            ProductLaw.approximate(other, bump)
+    with pytest.raises(ValueError, match="another base"):
+        ProductLaw.approximate(BERNOULLI, AtomReweight(THREE_ATOMS, {0: (0.2, 0.3, 0.5)}))
+    # an equal base passes, and so do sequences that carry no base
+    ProductLaw.approximate(FiniteAtoms(atoms=((-1.0, 0.5), (1.0, 0.5))), bump)
+    ProductLaw.approximate(THREE_ATOMS, Identity())
+    ProductLaw.exact(THREE_ATOMS)
+
+    class NoBase(DensitySequence):
+        def bump_at(self, n):
+            return None
+
+        def perturbed_sites(self, lo, hi):
+            return []
+
+    ProductLaw.approximate(plus_minus_two, NoBase())
 
 
 @pytest.mark.parametrize("base", [ONE_ATOM, BERNOULLI, THREE_ATOMS, FIVE_ATOMS])

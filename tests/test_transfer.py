@@ -1,5 +1,6 @@
 import math
 import warnings
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -334,6 +335,57 @@ def test_recurrence_one_site_blocks_stay_finite_and_exact(monkeypatch):
         assert [d.log_mag for d in want] == list(log_mag[:, i])
         got = det_recurrence(energy, values)
         assert [(d.sign, d.log_mag) for d in got] == [(d.sign, d.log_mag) for d in want]
+
+
+def _exact_prefix_dets(energy, values):
+    """Prefix determinants of the recurrence in exact rational arithmetic."""
+    p, p_prev, out = Fraction(1), Fraction(0), []
+    for v in values:
+        p, p_prev = (Fraction(v) - Fraction(energy)) * p - p_prev, p
+        out.append(p)
+    return out
+
+
+def test_guard_splits_huge_operands_exactly():
+    # 134217729 * a overflows for |a| above about 1.34e300; the split of a
+    # pre-scaled operand keeps the product error-free
+    for a, b in ((1.5e300, 1.0 / 1.5e300), (-1.7e308, 0.75), (2.0**1000 + 3.0, -1.0 + 2.0**-40),
+                 (3.0, 1.1e305), (1.2e300, 1.0 / 1.2e300)):
+        p, err = transfer._two_prod(a, b)
+        assert Fraction(p) + Fraction(err) == Fraction(a) * Fraction(b), (a, b)
+    for big in (1.2e300, 1.5e300, 1e307):
+        values = [1.0 / big, big, 1.0]
+        got = det_recurrence(0.0, values)
+        for d, want in zip(got, _exact_prefix_dets(0.0, values)):
+            assert d.sign == (1.0 if want > 0 else -1.0)
+            assert math.isclose(d.log_mag, math.log(abs(want)), rel_tol=1e-14), big
+
+
+def test_kernels_name_the_magnitude_limit():
+    below = np.nextafter(2.0**1023, 0.0)
+    for huge in (below, -below):
+        values = np.array([huge, huge, 1.0])
+        _, log_mag = det_recurrence(np.zeros(1), values)
+        assert np.all(np.isfinite(log_mag))
+        assert np.all(np.isfinite(matrix_batch(0.0, values[None, :])[4]))
+        assert np.all(np.isfinite(vector_growth_logs(0.0, values[None, :], (1, 2, 3))))
+    for at in (2.0**1023, 1.7e308, -np.finfo(float).max):
+        values = np.array([0.5, 1.0, at, 1.0])
+        calls = (
+            lambda: det_recurrence(0.0, values),
+            lambda: det_recurrence(np.zeros(2), np.stack([np.ones(4), values], axis=1)),
+            lambda: matrix_batch(0.0, np.stack([np.ones(4), values])),
+            lambda: vector_growth_logs(0.0, values[None, :], (4,)),
+        )
+        for call in calls:
+            with pytest.raises(ValueError, match=r"below 2\*\*1023 .*site 2 of the window"):
+                call()
+    # |V - E| past the limit from a finite V and a finite energy
+    with pytest.raises(ValueError, match="site 0"), np.errstate(over="ignore"):
+        matrix_batch(-1e308, [[1e308, 1.0]])
+    # an infinite potential is not the kernel's to name: it flows on as before
+    with np.errstate(invalid="ignore"):
+        assert np.isnan(matrix_batch(0.0, [[1.0, math.inf, 1.0]])[0][0])
 
 
 # ---------------------------------------------------------------------------
