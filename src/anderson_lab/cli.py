@@ -342,19 +342,16 @@ def _run_lyapunov(sc: Scenario) -> ResultTable:
     n, energies = sc.n_grid[-1], _energies(sc)
     est = lyapunov_mc(sc.law(), np.asarray(energies), n, sc.samples, sc.stream().child(0),
                       workers=sc.workers)
-    rows = [
-        {
-            "scenario_id": sc.scenario_id, "seed": sc.seed, "law_tag": sc.law_tag,
-            "energy_re": float(np.real(e)), "energy_im": float(np.imag(e)),
-            "n": n, "samples": sc.samples, "mean": mean, "stderr": stderr,
-        }
-        for e, mean, stderr in zip(energies, est.mean.tolist(), est.stderr.tolist())
-    ]
-    summary = {"min_mean": min(r["mean"] for r in rows), "max_mean": max(r["mean"] for r in rows)}
-    if len(rows) == 1:
-        summary["mean"] = rows[0]["mean"]
-        summary["stderr"] = rows[0]["stderr"]
-    return ResultTable("lyapunov", COLUMNS["lyapunov"], tuple(rows), summary)
+    means, stderrs = est.mean.tolist(), est.stderr.tolist()
+    values = (
+        (sc.scenario_id, sc.seed, sc.law_tag, float(np.real(e)), float(np.imag(e)),
+         n, sc.samples, mean, stderr)
+        for e, mean, stderr in zip(energies, means, stderrs)
+    )
+    summary = {"min_mean": min(means), "max_mean": max(means)}
+    if len(means) == 1:
+        summary["mean"], summary["stderr"] = means[0], stderrs[0]
+    return ResultTable.from_values("lyapunov", COLUMNS["lyapunov"], values, summary)
 
 
 def _run_lde(sc: Scenario) -> ResultTable:
@@ -362,14 +359,10 @@ def _run_lde(sc: Scenario) -> ResultTable:
         sc.law(), sc.energy, sc.epsilon, sc.n_grid, sc.samples, sc.stream(),
         sc.statistic, u=sc.u, v=sc.v, rate_power=sc.rate_power, workers=sc.workers,
     )
-    rows = tuple(
-        {
-            "scenario_id": sc.scenario_id, "seed": sc.seed, "law_tag": curve.law_tag,
-            "statistic": sc.statistic, "energy": sc.energy, "epsilon": sc.epsilon,
-            "epsilon_eff": curve.epsilon_eff, "n": int(n), "count": int(c),
-            "tail_prob": float(c) / sc.samples, "fitted_eta": curve.fit.eta,
-            "eta_stderr": curve.fit.stderr, "fit_flag": curve.fit.flag,
-        }
+    values = (
+        (sc.scenario_id, sc.seed, curve.law_tag, sc.statistic, sc.energy, sc.epsilon,
+         curve.epsilon_eff, int(n), int(c), float(c) / sc.samples, curve.fit.eta,
+         curve.fit.stderr, curve.fit.flag)
         for n, c in zip(curve.n_grid, curve.counts)
     )
     summary = {
@@ -378,7 +371,7 @@ def _run_lde(sc: Scenario) -> ResultTable:
         "gamma_ref": curve.gamma_ref,
         "fit_flag": curve.fit.flag,
     }
-    return ResultTable("lde", COLUMNS["lde"], rows, summary)
+    return ResultTable.from_values("lde", COLUMNS["lde"], values, summary)
 
 
 def _run_lift(sc: Scenario) -> ResultTable:
@@ -387,18 +380,13 @@ def _run_lift(sc: Scenario) -> ResultTable:
         sc.stream(), sc.statistic, u=sc.u, v=sc.v, rate_power=sc.rate_power, workers=sc.workers,
     )
     violated = {v.n for v in report.violations}
-    rows = tuple(
-        {
-            "scenario_id": sc.scenario_id, "seed": sc.seed, "statistic": sc.statistic,
-            "energy": sc.energy, "epsilon": sc.epsilon, "n": int(n),
-            "count_exact": int(report.counts_exact[i]),
-            "count_approx": int(report.counts_approx[i]),
-            "tail_exact": float(report.counts_exact[i]) / sc.samples,
-            "tail_approx": float(report.counts_approx[i]) / sc.samples,
-            "log_bound": float(report.log_bound[i]),
-            "violation": int(n) in violated,
-        }
-        for i, n in enumerate(report.n_grid)
+    values = (
+        (sc.scenario_id, sc.seed, sc.statistic, sc.energy, sc.epsilon, int(n),
+         int(exact), int(approx), float(exact) / sc.samples, float(approx) / sc.samples,
+         float(log_bound), int(n) in violated)
+        for n, exact, approx, log_bound in zip(
+            report.n_grid, report.counts_exact, report.counts_approx, report.log_bound
+        )
     )
     summary = {
         "violations": len(report.violations),
@@ -408,7 +396,7 @@ def _run_lift(sc: Scenario) -> ResultTable:
         "fitted_eta_approx": report.fit_approx.eta,
         "lifted_rate_prediction": report.lifted_rate_prediction,
     }
-    return ResultTable("lift_check", COLUMNS["lift-check"], rows, summary)
+    return ResultTable.from_values("lift_check", COLUMNS["lift-check"], values, summary)
 
 
 def _run_conditions(sc: Scenario) -> ResultTable:
@@ -418,20 +406,15 @@ def _run_conditions(sc: Scenario) -> ResultTable:
         "uniform_mean_log_sup": report.uniform,
         "summable_log_sup": report.tail_increments,
     }
-    rows = []
-    for name, values in trajectories.items():
-        verdict = report.verdicts[name].verdict
-        for n, value in zip(report.n_grid, values):
-            rows.append(
-                {
-                    "scenario_id": sc.scenario_id, "condition": name,
-                    "N": int(n), "value": float(value), "verdict": verdict,
-                }
-            )
+    values = (
+        (sc.scenario_id, name, int(n), float(value), report.verdicts[name].verdict)
+        for name, trajectory in trajectories.items()
+        for n, value in zip(report.n_grid, trajectory)
+    )
     summary = {
         f"{name}_verdict": v.verdict for name, v in report.verdicts.items()
     } | {f"{name}_end": v.value_end for name, v in report.verdicts.items()}
-    return ResultTable("conditions", COLUMNS["conditions"], tuple(rows), summary)
+    return ResultTable.from_values("conditions", COLUMNS["conditions"], values, summary)
 
 
 def _run_craig_simon(sc: Scenario) -> ResultTable:
@@ -439,35 +422,27 @@ def _run_craig_simon(sc: Scenario) -> ResultTable:
     window = sample_window(sc.law(), -n_max, 3 * n_max + 1, sc.stream().child(0))
     gammas, _ = gamma_grid(sc, sc.stream().child(1))
     scan = craig_simon_scan(window, sc.e_grid, sc.n_grid, gammas)
-    rows = []
-    for f, family in enumerate(CS_FAMILIES):
-        for i, e in enumerate(scan.e_grid):
-            for j, n in enumerate(scan.n_grid):
-                rows.append(
-                    {
-                        "scenario_id": sc.scenario_id, "seed": sc.seed, "family": family,
-                        "energy": float(e), "n": int(n), "excess": float(scan.excess[f, i, j]),
-                    }
-                )
+    values = (
+        (sc.scenario_id, sc.seed, family, float(e), int(n), float(scan.excess[f, i, j]))
+        for f, family in enumerate(CS_FAMILIES)
+        for i, e in enumerate(scan.e_grid)
+        for j, n in enumerate(scan.n_grid)
+    )
     summary = {"max_excess": scan.max_excess} | {
         f"max_excess_{k}": v for k, v in scan.family_max().items()
     }
-    return ResultTable("craig_simon", COLUMNS["craig-simon"], tuple(rows), summary)
+    return ResultTable.from_values("craig_simon", COLUMNS["craig-simon"], values, summary)
 
 
 def _run_spectrum(sc: Scenario) -> ResultTable:
     lo, hi = sc.box  # type: ignore[misc]
     window = sample_window(sc.law(), lo, hi, sc.stream().child(0))
-    values = eigenvalues(TridiagonalBox(window))
-    rows = tuple(
-        {
-            "scenario_id": sc.scenario_id, "seed": sc.seed, "law_tag": sc.law_tag,
-            "box_lo": lo, "box_hi": hi, "j": int(j), "eigenvalue": float(v),
-        }
-        for j, v in enumerate(values)
+    eigs = eigenvalues(TridiagonalBox(window))
+    values = (
+        (sc.scenario_id, sc.seed, sc.law_tag, lo, hi, int(j), float(v)) for j, v in enumerate(eigs)
     )
-    summary = {"dim": len(values), "min": float(values[0]), "max": float(values[-1])}
-    return ResultTable("spectrum", COLUMNS["spectrum"], rows, summary)
+    summary = {"dim": len(eigs), "min": float(eigs[0]), "max": float(eigs[-1])}
+    return ResultTable.from_values("spectrum", COLUMNS["spectrum"], values, summary)
 
 
 @dataclass(frozen=True)

@@ -172,19 +172,29 @@ class ResultTable:
     rows: tuple[dict, ...]
     summary: dict = field(default_factory=dict)
 
+    def __post_init__(self) -> None:
+        for i, row in enumerate(self.rows):
+            if tuple(row) != self.columns:
+                raise ValueError(f"row {i} has keys {tuple(row)}, not the columns {self.columns}")
+
+    @classmethod
+    def from_values(cls, kind: str, columns: tuple[str, ...], values, summary=None) -> ResultTable:
+        """The table whose rows zip each value tuple of ``values`` against
+        ``columns``; a tuple of another length raises a ValueError."""
+        rows = tuple(dict(zip(columns, row, strict=True)) for row in values)
+        return cls(kind, columns, rows, {} if summary is None else summary)
+
     def csv_text(self) -> str:
         lines = [",".join(self.columns)]
         for row in self.rows:
-            lines.append(",".join(format_cell(row.get(c)) for c in self.columns))
+            lines.append(",".join(format_cell(row[c]) for c in self.columns))
         return "\n".join(lines) + "\n"
 
     def to_json_dict(self, manifest: RunManifest | None = None) -> dict:
         out = {
             "kind": self.kind,
             "columns": list(self.columns),
-            "rows": [
-                {c: _jsonable(row.get(c)) for c in self.columns} for row in self.rows
-            ],
+            "rows": [{c: _jsonable(row[c]) for c in self.columns} for row in self.rows],
             "summary": _jsonable(self.summary),
         }
         if manifest is not None:
@@ -216,14 +226,13 @@ def _jsonable(value):
     return str(value)
 
 
-def persist(report, manifest: RunManifest, path) -> list[Path]:
+def persist(table: ResultTable, manifest: RunManifest, path) -> list[Path]:
     """Write CSV, JSON, and manifest files; returns the written paths.
 
-    ``path`` is a directory (files named after the report kind) or a file
+    ``path`` is a directory (files named after the table kind) or a file
     stem.  Re-running with the same scenario and seed reproduces the CSV
     byte for byte; only the manifest timestamp differs.
     """
-    table: ResultTable = report.to_table() if hasattr(report, "to_table") else report
     p = Path(path)
     if p.is_dir():
         stem = p / table.kind
@@ -354,11 +363,9 @@ class LocalizationReport:
         return sum(r.passed for r in self.rows) / len(self.rows)
 
     def to_table(self) -> ResultTable:
-        rows = tuple(
-            dict(zip(LOCALIZATION_COLUMNS, (
-                self.scenario_id, self.seed, self.law_tag, *self.box, r.j, r.eigenvalue,
-                r.gamma_hat, r.gamma_stderr, r.decay_rate, r.center, r.passed,
-            )))
+        values = (
+            (self.scenario_id, self.seed, self.law_tag, *self.box, r.j, r.eigenvalue,
+             r.gamma_hat, r.gamma_stderr, r.decay_rate, r.center, r.passed)
             for r in self.rows
         )
         summary = {
@@ -373,7 +380,7 @@ class LocalizationReport:
             "per_eigenfunction_largest_singular_n": [r.largest_singular_n for r in self.rows],
             "resonant_skips": len(self.skips),
         }
-        return ResultTable("localization", LOCALIZATION_COLUMNS, rows, summary)
+        return ResultTable.from_values("localization", LOCALIZATION_COLUMNS, values, summary)
 
 
 def require_localization_box(scenario: Scenario) -> tuple[int, int]:
@@ -475,17 +482,14 @@ class CensusReport:
     skips: tuple[tuple[int, int, float], ...]
 
     def to_table(self) -> ResultTable:
-        rows = tuple(
-            dict(zip(CENSUS_COLUMNS, (self.scenario_id, self.seed, self.law_tag, *row)))
-            for row in self.rows
-        )
+        values = ((self.scenario_id, self.seed, self.law_tag, *row) for row in self.rows)
         summary = {
             "counts": {str(n): c for n, c in self.counts.items()},
             "zero_from": self.zero_from,
             "max_count": max(self.counts.values()) if self.counts else 0,
             "resonant_skips": len(self.skips),
         }
-        return ResultTable("census", CENSUS_COLUMNS, rows, summary)
+        return ResultTable.from_values("census", CENSUS_COLUMNS, values, summary)
 
 
 def singularity_census(scenario: Scenario) -> CensusReport:
@@ -610,7 +614,7 @@ def edge_bound_census(
         for s in scenario.densities.perturbed_sites(-n, n)
     ]
     moment *= max(sups, default=1.0)
-    rows = []
+    values = []
     last_violation = None
     for i, n in enumerate(scenario.n_grid):
         width = int(p * math.log(n)) if n > 1 else 0
@@ -639,25 +643,13 @@ def edge_bound_census(
         )
         if event_count > 0:
             last_violation = int(n)
-        rows.append(
-            {
-                "scenario_id": scenario.scenario_id,
-                "seed": scenario.seed,
-                "n": int(n),
-                "trials": scenario.samples,
-                "zone_sites": len(zone),
-                "threshold": threshold,
-                "site_violations": site_viol,
-                "site_freq": site_viol / (scenario.samples * len(zone)),
-                "site_pred": site_pred,
-                "event_count": event_count,
-                "event_freq": event_count / scenario.samples,
-                "event_pred": event_pred,
-                "chebyshev_bound": chebyshev,
-            }
-        )
-    persistent = rows[-1]["event_freq"] > 0.05
+        values.append((
+            scenario.scenario_id, scenario.seed, int(n), scenario.samples, len(zone), threshold,
+            site_viol, site_viol / (scenario.samples * len(zone)), site_pred,
+            event_count, event_count / scenario.samples, event_pred, chebyshev,
+        ))
     return EdgeCensusReport(
         scenario.scenario_id, scenario.seed, float(p), float(r), float(alpha),
-        tuple(rows), last_violation, persistent,
+        ResultTable.from_values("edge_census", EDGE_CENSUS_COLUMNS, values).rows,
+        last_violation, persistent=event_count / scenario.samples > 0.05,  # at the largest n
     )

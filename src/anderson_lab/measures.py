@@ -530,7 +530,6 @@ class PotentialWindow:
     lo: int
     hi: int
     values: np.ndarray
-    provenance: tuple = ()
 
     def __post_init__(self) -> None:
         if self.lo > self.hi:
@@ -548,7 +547,7 @@ class PotentialWindow:
     def slice(self, lo: int, hi: int) -> "PotentialWindow":
         if not (self.lo <= lo <= hi <= self.hi):
             raise IndexError(f"[{lo}, {hi}] not contained in [{self.lo}, {self.hi}]")
-        return PotentialWindow(lo, hi, self.values[lo - self.lo : hi - self.lo + 1], self.provenance)
+        return PotentialWindow(lo, hi, self.values[lo - self.lo : hi - self.lo + 1])
 
 
 def _rejection_column(
@@ -607,7 +606,7 @@ def sample_windows(
 def sample_window(law: ProductLaw, lo: int, hi: int, stream: RngStream) -> PotentialWindow:
     """Draw one potential window from the product law."""
     values = sample_windows(law, lo, hi, 1, stream)[0]
-    return PotentialWindow(lo, hi, values, provenance=(stream.seed, stream.key))
+    return PotentialWindow(lo, hi, values)
 
 
 def log_density_products(law: ProductLaw, lo: int, values: np.ndarray) -> np.ndarray:

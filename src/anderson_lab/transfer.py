@@ -162,13 +162,10 @@ class ScaledMatrix:
             raise ValueError("the zero matrix has no scaled representation")
         object.__setattr__(self, "entries", entries)
 
-    def normalized(self) -> "ScaledMatrix":
-        peak = float(np.max(np.abs(self.entries)))
-        return ScaledMatrix(self.entries / peak, self.log_scale + math.log(peak))
-
     def __matmul__(self, other: "ScaledMatrix") -> "ScaledMatrix":
         raw = ScaledMatrix(self.entries @ other.entries, self.log_scale + other.log_scale)
-        return raw.normalized()
+        peak = float(np.max(np.abs(raw.entries)))
+        return ScaledMatrix(raw.entries / peak, raw.log_scale + math.log(peak))
 
     def dense(self) -> np.ndarray:
         """The true matrix; overflows for large scales, intended for tests."""
@@ -461,10 +458,11 @@ def _propagate(energy, windows: np.ndarray, columns: int, marks: list[int]):
     while done < marks[-1]:
         size = min(_BLOCK, marks[-1] - done)
         block, peak = d[:size, 0], np.zeros(size)
-        for a in range(0, lanes[-1], _TILE):  # transpose in cache-sized tiles
-            z = min(a + _TILE, lanes[-1])
-            np.subtract(e[..., a:z], sites[done : done + size, ..., a:z], out=block[..., a:z])
-            np.maximum(peak, np.abs(block[..., a:z]).reshape(size, -1).max(axis=1), out=peak)
+        with np.errstate(over="ignore"):  # an overflowing E - V is named just below
+            for a in range(0, lanes[-1], _TILE):  # transpose in cache-sized tiles
+                z = min(a + _TILE, lanes[-1])
+                np.subtract(e[..., a:z], sites[done : done + size, ..., a:z], out=block[..., a:z])
+                np.maximum(peak, np.abs(block[..., a:z]).reshape(size, -1).max(axis=1), out=peak)
         if peak.max() >= MAGNITUDE_LIMIT:
             _check_magnitude(block, sites[done : done + size], done)
         bound = np.log2(peak + 1.0).tolist()

@@ -290,3 +290,20 @@ def test_persist_surfaces_path_errors(tmp_path):
 def test_floats_serialize_with_17_significant_digits():
     table = ResultTable("x", ("v",), ({"v": 1.0 / 3.0},), {})
     assert table.csv_text().splitlines()[1] == "0.33333333333333331"
+
+
+def test_table_refuses_a_row_that_does_not_match_its_columns():
+    for row in ({"a": 1}, {"a": 1, "b": 2, "c": 3}, {"b": 2, "a": 1}, {"a": 1, "c": 2}):
+        with pytest.raises(ValueError, match="row 1 has keys"):
+            ResultTable("x", ("a", "b"), ({"a": 0, "b": 0}, row))
+
+
+def test_rows_are_zipped_from_value_tuples_in_column_order():
+    table = ResultTable.from_values("x", ("a", "b"), [(1, 2.5), (3, None)], {"k": 1})
+    assert table.rows == ({"a": 1, "b": 2.5}, {"a": 3, "b": None})
+    assert table.csv_text() == "a,b\n1,2.5\n3,\n"
+    assert table.summary == {"k": 1}
+    assert ResultTable.from_values("x", ("a",), ()).summary == {}
+    for values in ((1,), (1, 2, 3)):
+        with pytest.raises(ValueError):
+            ResultTable.from_values("x", ("a", "b"), [values])

@@ -388,6 +388,17 @@ def test_kernels_name_the_magnitude_limit():
         assert np.isnan(matrix_batch(0.0, [[1.0, math.inf, 1.0]])[0][0])
 
 
+def test_overflowing_energy_difference_raises_before_any_warning():
+    # E - V overflows from a finite energy and potential: the kernels name the
+    # site in their ValueError, with no RuntimeWarning before it
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match="site 0"):
+            matrix_batch(-1e308, [[1e308, 1.0]])
+        with pytest.raises(ValueError, match="site 1"):
+            vector_growth_logs(-8.9e307, np.array([[0.0, 1.7e308, 1.0]]), (3,))
+
+
 # ---------------------------------------------------------------------------
 # matrix elements and the block identity
 # ---------------------------------------------------------------------------
