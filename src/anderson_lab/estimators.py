@@ -216,11 +216,14 @@ def _checked_statistic(
     statistic: str, u: np.ndarray | None, v: np.ndarray | None, rate_power: float
 ) -> tuple[np.ndarray | None, np.ndarray | None]:
     """Check a tail curve's statistic and fit arguments before any draw;
-    ``u`` and ``v``, needed by ``matrix_element``, come back as unit vectors."""
+    ``u`` and ``v``, given exactly for ``matrix_element``, come back as unit
+    vectors."""
     if statistic not in STATISTICS:
         raise ValueError(f"unknown statistic {statistic!r}; choose from {STATISTICS}")
     if statistic == "matrix_element" and (u is None or v is None):
         raise ValueError("matrix_element statistic needs unit vectors u and v")
+    if statistic != "matrix_element" and (u is not None or v is not None):
+        raise ValueError("u and v must be given exactly when statistic is 'matrix_element'")
     if rate_power not in (1.0, 0.5):
         raise ValueError("rate_power must be 1.0 or 0.5")
     u = None if u is None else require_unit("u", u)

@@ -12,22 +12,24 @@ product equal (up to the sign convention of ``det(E - H)`` versus
 
 which is what :func:`block_identity_check` verifies numerically.
 
-Both batched recurrences, the product rows and the determinant pair, hold
-each lane's values times ``2**shift`` under one rule: a site grows or
-shrinks them by at most ``max|V - E| + 1``, and they are scaled by exact
-powers of two (:func:`_rescale`) only when the sum of ``log2(max|V - E| + 1)``
-since the last rescale would pass :data:`_HEADROOM`.  A mark (a checkpoint
-or a requested step) copies the values inside a block and canonicalises the
-copy.  Power-of-two scaling is exact, so a lane's result is independent of
-its batch.  The centered windows ``[-n, n]`` of a whole radius grid come
-from one pass over each half of the largest window.  Values in ``[1, 2)``
-times ``V - E`` overflow once ``|V - E|`` reaches :data:`MAGNITUDE_LIMIT`
-(``2**1023``), so both kernels raise a ValueError naming the first site
+One batched kernel, :func:`_propagate`, serves the products, the solution
+vector and the determinants (``P[1, k]`` is ``(-1)^k`` times the top entry
+of the product applied to ``(1, 0)``; :func:`det_recurrence` adds only a
+cancellation guard).  It holds each lane's rows times ``2**shift``: a site
+grows or shrinks them by at most ``max|V - E| + 1``, and they are scaled by
+exact powers of two (:func:`_rescale`) only when the sum of
+``log2(max|V - E| + 1)`` since the last rescale would pass :data:`_HEADROOM`.
+Power-of-two scaling is exact, so a lane's result is independent of its
+batch.  The centered windows ``[-n, n]`` of a whole radius grid come from
+one pass over each half of the largest window.  Values in ``[1, 2)`` times
+``V - E`` overflow once ``|V - E|`` reaches :data:`MAGNITUDE_LIMIT`
+(``2**1023``), so the kernel raises a ValueError naming the first site
 where a finite potential does.
 """
 from __future__ import annotations
 
 import math
+from bisect import bisect_right
 from dataclasses import dataclass
 
 import numpy as np
@@ -38,15 +40,15 @@ NEG_INF = float("-inf")
 #: recomputed in compensated double-double arithmetic
 CANCELLATION_GUARD = 1e-13
 
-#: sites per block of both recurrences, and lanes per tile when a block of
-#: windows is transposed to site-major
+#: sites per block of the kernel, and lanes per tile when a block of windows
+#: is transposed to site-major
 _BLOCK, _TILE = 64, 512
 
 #: log2 of the growth the stored rows may reach between two rescales
 _HEADROOM = 500.0
 
-#: both recurrences multiply values scaled into [1, 2) by ``V - E``, so a
-#: finite potential with ``|V - E|`` at or above this raises a ValueError
+#: the kernel multiplies values scaled into [1, 2) by ``V - E``, so a finite
+#: potential with ``|V - E|`` at or above this raises a ValueError
 MAGNITUDE_LIMIT = 2.0**1023
 
 
@@ -239,80 +241,6 @@ def _two_prod(a: float, b: float) -> tuple[float, float]:
     return p, err
 
 
-def _det_lanes(
-    energy: complex | float | np.ndarray, values: np.ndarray, steps: tuple[int, ...]
-) -> tuple[np.ndarray, np.ndarray]:
-    """Signs and log magnitudes of the recurrence after each of ``steps``.
-
-    ``values`` is site-major: shape ``(m,)`` for one window shared by every
-    lane, or ``(m, L)`` with one column per lane; ``energy`` is a scalar or
-    holds one value per lane.  ``steps`` are ascending prefix lengths in
-    ``[1, m]``.  Returns two arrays of shape ``(len(steps), L)``.
-
-    The pair ``(P_k, P_{k-1})`` follows the module's rescale rule: a block
-    of at most :data:`_BLOCK` sites (and at least one) ends before the
-    headroom would run out, so the pair is rescaled only at a block start.
-    The plain three-term step runs over the block, then the guard is checked
-    on the whole block at once; at the first site where a lane's
-    double-double value differs from the plain one, that value replaces it
-    and the rest of the block is run again.  The guard test is scale-free,
-    so each lane holds its one-lane recurrence times ``2**shift``; ``log|P|``
-    is the log of the :func:`numpy.frexp` fraction plus ``(exponent + shift) ln 2``.
-    """
-    e = np.atleast_1d(np.asarray(energy))
-    is_complex = np.iscomplexobj(e) and bool(np.any(e.imag != 0))
-    dtype = complex if is_complex else float
-    e = e.astype(dtype) if is_complex else e.real.astype(float)
-    values = values.reshape(len(values), -1)
-    shape = np.broadcast_shapes(e.shape, values.shape[1:])
-    run = np.empty((_BLOCK + 2,) + shape, dtype=dtype)  # P_{k-2}, P_{k-1}, P_k, ...
-    run[0], run[1] = 0.0, 1.0  # negative length, empty interval
-    terms = np.empty((_BLOCK,) + shape, dtype=dtype)  # (V_k - E) P_{k-1}
-    shift = np.zeros(shape, dtype=np.int64)
-    marks = np.asarray(steps)
-    dets = np.empty((len(steps),) + shape, dtype=dtype)
-    shifts = np.empty((len(steps),) + shape, dtype=np.int64)
-    done = j = 0  # sites consumed, next step to record
-    grown = 1.0  # log2 bound on the pair since the last rescale
-    with np.errstate(all="ignore"):  # exact zeros meet log and 0 / 0 below
-        while done < steps[-1]:
-            d = values[done : done + min(_BLOCK, steps[-1] - done)] - e
-            peak = np.abs(d).reshape(len(d), -1).max(axis=1)
-            if peak.max() >= MAGNITUDE_LIMIT:
-                _check_magnitude(d, values[done : done + len(d)], done)
-            bound = np.cumsum(np.log2(peak + 1.0))
-            if grown + bound[0] > _HEADROOM:
-                _rescale(run[:2, None], shift)
-                grown = 1.0
-            size = max(1, int(np.searchsorted(grown + bound, _HEADROOM, side="right")))
-            for k in range(size):
-                np.multiply(d[k], run[k + 1], out=terms[k])
-                np.subtract(terms[k], run[k], out=run[k + 2])
-            kept = size
-            if not is_complex:
-                p, p2, t1 = run[2 : size + 2], run[:size], terms[:size]
-                cancel = np.abs(p) < CANCELLATION_GUARD * np.maximum(np.abs(t1), np.abs(p2))
-                if cancel.any():
-                    hi, lo = _two_prod(d[:size][cancel], run[1 : size + 1][cancel])
-                    s, err = _two_sum(hi, -p2[cancel])
-                    guarded = p.copy()
-                    guarded[cancel] = s + (err + lo)
-                    changed = np.any(cancel & (guarded != p), axis=1)
-                    if changed.any():
-                        kept = int(np.argmax(changed)) + 1
-                        p[kept - 1] = guarded[kept - 1]
-            upto = j + int(np.searchsorted(marks[j:], done + kept, side="right"))
-            dets[j:upto] = run[marks[j:upto] - done + 1]
-            shifts[j:upto] = shift
-            j = upto
-            run[:2] = run[kept : kept + 2]
-            grown += bound[kept - 1]
-            done += kept
-        fraction, exponent = np.frexp(np.abs(dets))
-        sign = np.where(dets == 0, 0.0, dets / np.abs(dets))
-        return sign, np.log(fraction) + (exponent + shifts) * math.log(2.0)
-
-
 def _is_lanes(energy, values: np.ndarray) -> bool:
     return np.ndim(energy) > 0 or values.ndim == 2
 
@@ -320,12 +248,14 @@ def _is_lanes(energy, values: np.ndarray) -> bool:
 def det_recurrence(energy: complex | float | np.ndarray, window, steps=None):
     """Prefix determinants ``det(H_[a,k] - E)`` of a window.
 
-    Evaluates the three-term recurrence ``P_k = (V_k - E) P_{k-1} - P_{k-2}``
-    (empty interval 1, negative-length interval 0) in scaled arithmetic.
-    When the two recurrence terms nearly cancel, the step is recomputed in
-    compensated double-double arithmetic.  The terms are scaled by exact
-    powers of two before they can overflow or underflow (see
-    :func:`_det_lanes`), so a ``-inf`` log only ever marks an exact zero.
+    The recurrence ``P_k = (V_k - E) P_{k-1} - P_{k-2}`` (empty interval 1,
+    negative-length interval 0) is ``(-1)^k`` times the top entry of the
+    product applied to ``(1, 0)``, read off :func:`_propagate` in scaled
+    arithmetic with the cancellation guard on: when the two terms nearly
+    cancel at a real energy, the step is recomputed in compensated
+    double-double arithmetic.  ``log|P|`` is the log of the
+    :func:`numpy.frexp` fraction plus ``(exponent + shift) ln 2``, which no
+    power-of-two rescale moves; a ``-inf`` log only ever marks an exact zero.
 
     ``steps`` lists the prefix lengths to read (default: every prefix).  With
     a scalar energy and one window the result is a list of :class:`SignedLog`.
@@ -340,10 +270,16 @@ def det_recurrence(energy: complex | float | np.ndarray, window, steps=None):
     if not np.isfinite(values).all():
         at = np.argwhere(~np.isfinite(values))[0]
         raise ValueError(f"potentials must be finite: window{at.tolist()} is {values[tuple(at)]}")
-    steps = tuple(range(1, len(values) + 1)) if steps is None else tuple(sorted(set(steps)))
-    if not steps or steps[0] < 1 or steps[-1] > len(values):
+    steps = np.arange(1, len(values) + 1) if steps is None else np.array(sorted(set(steps)))
+    if not len(steps) or steps[0] < 1 or steps[-1] > len(values):
         raise ValueError("steps must lie in [1, window length]")
-    sign, log_mag = _det_lanes(energy, values, steps)
+    lanes = values.reshape(len(values), -1).T  # one row per lane, not copied
+    ((top,), _), shifts = _propagate(np.atleast_1d(energy), lanes, 1, steps.tolist(), guard=True)
+    np.negative(top, out=top, where=(steps % 2 == 1)[:, None])  # P_k = (-1)^k top_k
+    with np.errstate(divide="ignore", invalid="ignore"):  # exact zeros meet log and 0 / 0
+        fraction, exponent = np.frexp(np.abs(top))
+        sign = np.where(top == 0, 0.0, top / np.abs(top))
+        log_mag = np.log(fraction) + (exponent + shifts) * math.log(2.0)
     if _is_lanes(energy, values):
         return sign, log_mag
     return [SignedLog(s, m) for s, m in zip(sign[:, 0].tolist(), log_mag[:, 0].tolist())]
@@ -421,13 +357,13 @@ def block_identity_check(energy: complex | float, window) -> float:
 # batched drivers (vectorized across windows, sequential across sites)
 # ---------------------------------------------------------------------------
 
-def _propagate(energy, windows: np.ndarray, columns: int, marks: list[int]):
+def _propagate(energy, windows: np.ndarray, columns: int, marks: list[int], guard: bool = False):
     """The row pair after each of the ascending site counts ``marks``: the
     product applied to the first ``columns`` columns of the identity (the
     matrix for 2, the vector ``(1, 0)`` for 1).  Returns ``(pairs, shifts)``:
     ``pairs[:, :, i]`` holds the top and bottom rows at ``marks[i]``, each a
-    ``(columns, *lanes)`` array scaled by :func:`_rescale`, true value
-    ``row * 2**shifts[i]``.
+    ``(columns, *lanes)`` array, true value ``row * 2**shifts[i]``; a caller
+    that reads more than the canonical log scales them with :func:`_rescale`.
 
     The lanes are ``energy`` broadcast against the leading axes of
     ``windows`` (numpy's rules; ``(E, 1)`` against ``(S, m)`` gives
@@ -435,25 +371,37 @@ def _propagate(energy, windows: np.ndarray, columns: int, marks: list[int]):
 
     A site maps ``top, bottom`` to ``d * top - bottom, top`` with
     ``d = E - V``, formed once per site-major block of :data:`_BLOCK` sites;
-    each site costs two in-place ufunc calls.  The rows follow the module's
-    rescale rule site by site (unit determinant bounds their shrinking); a
-    mark copies the rows and rescales the copy, and the block goes on.
+    each site costs two in-place ufunc calls.  A block runs in stretches: a
+    stretch starts with a rescale when its first site would pass the
+    headroom, the only place a rescale happens, and ends at the block end or
+    where the headroom runs out.  After a stretch, the marks it passed are
+    copied, one slice for a run of consecutive marks.  No stretch holds a
+    rescale, so the rows read after it share one scale.
+
+    ``guard`` (a real energy, one column; set by :func:`det_recurrence`)
+    checks each stretch: where the two terms of a step agree to
+    :data:`CANCELLATION_GUARD`, the step is recomputed in double-double
+    arithmetic; the first site where a lane's value changes is patched and
+    ends the stretch, so the sites after it run again.
     """
     e = np.asarray(energy)
     dtype = complex if np.iscomplexobj(e) and np.any(e.imag != 0) else float
+    guard = guard and dtype is float
     lanes = np.broadcast_shapes(e.shape, windows.shape[:-1])
     e = np.broadcast_to(e if dtype is complex else e.real, lanes)
-    sites = np.moveaxis(np.broadcast_to(windows, lanes + windows.shape[-1:]), -1, 0)
-    rows = np.zeros((_BLOCK + 2, columns) + lanes, dtype=dtype)  # bottom, top, new tops
+    sites = np.broadcast_to(windows, lanes + windows.shape[-1:])
+    sites = sites.transpose((len(lanes),) + tuple(range(len(lanes))))  # site-major
+    depth = min(_BLOCK, marks[-1])
+    rows = np.zeros((depth + 2, columns) + lanes, dtype=dtype)  # bottom, top, new tops
     rows[1, 0] = rows[0, 1:] = 1.0
-    d = np.empty((_BLOCK, 1) + lanes, dtype=dtype)
+    d = np.empty((depth, 1) + lanes, dtype=dtype)
     r, dk = list(rows), list(d)  # per-site views, built once
     shift = np.zeros(lanes, dtype=np.int64)
     pairs = np.empty((2, columns, len(marks)) + lanes, dtype=dtype)
     shifts = np.empty((len(marks),) + lanes, dtype=np.int64)
     j = int(marks[0] == 0)  # next mark to record
     pairs[:, :, 0], shifts[0] = rows[1::-1], 0  # the identity: mark 0, if marked
-    grown = 1.0  # log2 bound on the stored rows
+    room = _HEADROOM - 1.0  # log2 growth left to the stored rows
     done = 0
     while done < marks[-1]:
         size = min(_BLOCK, marks[-1] - done)
@@ -465,21 +413,38 @@ def _propagate(energy, windows: np.ndarray, columns: int, marks: list[int]):
                 np.maximum(peak, np.abs(block[..., a:z]).reshape(size, -1).max(axis=1), out=peak)
         if peak.max() >= MAGNITUDE_LIMIT:
             _check_magnitude(block, sites[done : done + size], done)
-        bound = np.log2(peak + 1.0).tolist()
+        reach = np.cumsum(np.log2(peak + 1.0)).tolist()  # growth bound from the block start
         start = 0
-        while start < size:  # the sites up to the next mark or the block end
-            stop = min(size, marks[j] - done)
+        while start < size:
+            base = reach[start - 1] if start else 0.0
+            if reach[start] - base > room:
+                _rescale(rows[start : start + 2], shift)
+                room = _HEADROOM - 1.0
+            stop = min(size, max(start + 1, bisect_right(reach, base + room, start)))
             for k in range(start, stop):
-                grown += bound[k]
-                if grown > _HEADROOM:
-                    _rescale(rows[k : k + 2], shift)
-                    grown = 1.0 + bound[k]
                 np.multiply(dk[k], r[k + 1], out=r[k + 2])
                 np.subtract(r[k + 2], r[k], out=r[k + 2])
-            if done + stop == marks[j]:
-                pairs[:, :, j], shifts[j] = rows[stop + 1 : stop - 1 : -1], shift
-                _rescale(pairs[:, :, j], shifts[j])
-                j += 1
+            if guard:
+                top, prev, prev2 = (rows[start + i : stop + i] for i in (2, 1, 0))
+                dd = d[start:stop]
+                cancel = abs(top) < CANCELLATION_GUARD * np.maximum(abs(dd * prev), abs(prev2))
+                if cancel.any():
+                    hi, lo = _two_prod(dd[cancel], prev[cancel])
+                    s, err = _two_sum(hi, -prev2[cancel])
+                    guarded = top.copy()
+                    guarded[cancel] = s + (err + lo)
+                    changed = (cancel & (guarded != top)).reshape(len(top), -1).any(axis=1)
+                    if changed.any():
+                        stop = start + int(np.argmax(changed)) + 1
+                        rows[stop + 1] = guarded[stop - start - 1]
+            room -= reach[stop - 1] - base
+            upto = bisect_right(marks, done + stop, j)
+            while j < upto:  # consecutive marks take one slice, others one each
+                end = upto if marks[upto - 1] - marks[j] == upto - 1 - j else j + 1
+                first, last = marks[j] - done, marks[end - 1] - done
+                pairs[0, :, j:end] = rows[first + 1 : last + 2].swapaxes(0, 1)
+                pairs[1, :, j:end] = rows[first : last + 1].swapaxes(0, 1)
+                shifts[j:end], j = shift, end
             start = stop
         rows[:2] = rows[size : size + 2]
         done += size
@@ -512,13 +477,14 @@ def matrix_batch(
     ``[1, 2)`` (no rounding, so products composed from them keep exact zeros).
     """
     windows = np.atleast_2d(np.asarray(windows, dtype=float))
+    length = windows.shape[-1]
+    marks = [length] if checkpoints is None else _checked_marks(checkpoints, length)
+    pairs, shifts = _propagate(energy, windows, 2, marks)
+    _rescale(pairs, shifts)
     if checkpoints is None:
-        pairs, (shift,) = _propagate(energy, windows, 2, [windows.shape[-1]])
         peak = np.abs(pairs).max(axis=(0, 1, 2))
         (s00, s01), (s10, s11) = pairs[:, :, 0] / peak
-        return s00, s01, s10, s11, shift * math.log(2.0) + np.log(peak)
-    marks = _checked_marks(checkpoints, windows.shape[-1])
-    pairs, shifts = _propagate(energy, windows, 2, marks)
+        return s00, s01, s10, s11, shifts[0] * math.log(2.0) + np.log(peak)
     at = np.searchsorted(marks, checkpoints)
     (s00, s01), (s10, s11) = pairs[:, :, at]  # (2, 2, k, *lanes)
     return s00, s01, s10, s11, shifts[at] * math.log(2.0)
@@ -586,6 +552,8 @@ def vector_growth_logs(
     """
     windows = np.atleast_2d(np.asarray(windows, dtype=float))
     marks = _checked_marks(checkpoints, windows.shape[-1])
-    ((x,), (y,)), shifts = _propagate(energy, windows, 1, marks)
+    pairs, shifts = _propagate(energy, windows, 1, marks)
+    _rescale(pairs, shifts)
+    ((x,), (y,)) = pairs
     logs = shifts * math.log(2.0) + 0.5 * np.log(np.abs(x) ** 2 + np.abs(y) ** 2)
     return logs[np.searchsorted(marks, checkpoints)]

@@ -196,9 +196,10 @@ def test_criterion_07_absolute_continuity_bound():
     e1 = np.array([1.0, 0.0])
     ok = True
     for k, statistic in enumerate(("log_norm", "log_det", "matrix_element")):
+        vectors = {"u": e1, "v": e1} if statistic == "matrix_element" else {}
         rep = lift_check(
             sc.densities, sc.base, sc.energy, sc.epsilon, list(sc.n_grid),
-            sc.samples, RngStream(sc.seed, (k,)), statistic, u=e1, v=e1, workers=2,
+            sc.samples, RngStream(sc.seed, (k,)), statistic, workers=2, **vectors,
         )
         for i in range(len(rep.n_grid)):
             p0 = rep.tails_approx[i]

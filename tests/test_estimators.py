@@ -299,9 +299,10 @@ def test_statistics_take_the_same_reference():
     gamma = lyapunov_mc(BERNOULLI_LAW, 0.0, 1000, 200, RngStream(15))
     e1 = np.array([1.0, 0.0])
     for stat in ("log_norm", "log_det", "matrix_element"):
+        vectors = {"u": e1, "v": e1} if stat == "matrix_element" else {}
         curve = lde_curve(
             BERNOULLI_LAW, 0.0, 0.15, [32, 64], 2000, RngStream(16), stat,
-            gamma=gamma.mean, gamma_stderr=gamma.stderr, u=e1, v=e1,
+            gamma=gamma.mean, gamma_stderr=gamma.stderr, **vectors,
         )
         assert np.all(curve.counts <= curve.samples)
 
@@ -330,6 +331,9 @@ def test_stretched_exponential_rate_power():
         ({"statistic": "matrix_element", "u": np.array([1.0, 1.0]), "v": np.array([0.0, 1.0])},
          "u must be a unit vector"),
         ({"rate_power": 0.3}, "rate_power"),
+        ({"u": np.array([1.0, 0.0])}, "exactly when statistic is 'matrix_element'"),
+        ({"statistic": "log_det", "u": np.array([1.0, 0.0]), "v": np.array([0.0, 1.0])},
+         "exactly when statistic is 'matrix_element'"),
     ],
 )
 def test_tail_curves_check_their_arguments_before_any_draw(monkeypatch, bad, match):

@@ -337,6 +337,41 @@ def test_recurrence_one_site_blocks_stay_finite_and_exact(monkeypatch):
         assert [(d.sign, d.log_mag) for d in got] == [(d.sign, d.log_mag) for d in want]
 
 
+def test_guard_reads_one_scale_after_a_mid_block_rescale(monkeypatch):
+    # one block holds a site at 1e200 (a rescale before it, mid-block), then a
+    # site whose plain step cancels and whose value the guard changes, then
+    # another 1e200 site right after it: the guard must read the rows of that
+    # site at one scale, so no rescale may fall inside the stretch it checks
+    rng = np.random.default_rng(120)
+    values = rng.uniform(-2.0, 2.0, 60)
+    values[20] = values[31] = 1e200
+    prev, prev2 = 1.0, 0.0
+    for v in values[:30]:  # the plain float recurrence at E = 0: P_30, P_29
+        prev, prev2 = v * prev - prev2, prev
+    values[30] = prev2 / prev  # so P_31 = V_30 P_30 - P_29 cancels
+    assert len(values) <= transfer._BLOCK
+    want, differs = _reference_recurrence(0.0, values)
+    assert differs == 1
+    events = []
+    rescale, two_prod = transfer._rescale, transfer._two_prod
+
+    def logging_rescale(pair, shift):
+        events.append("rescale")
+        rescale(pair, shift)
+
+    def logging_two_prod(a, b):
+        events.append("two_prod")
+        return two_prod(a, b)
+
+    monkeypatch.setattr(transfer, "_rescale", logging_rescale)
+    monkeypatch.setattr(transfer, "_two_prod", logging_two_prod)
+    (got,) = det_recurrence(0.0, values, (len(values),))
+    assert (got.sign, got.log_mag) == (want[-1].sign, want[-1].log_mag)
+    # both ran inside the one block, the mid-block rescale before the guard
+    assert "two_prod" in events
+    assert "rescale" in events[: events.index("two_prod")]
+
+
 def _exact_prefix_dets(energy, values):
     """Prefix determinants of the recurrence in exact rational arithmetic."""
     p, p_prev, out = Fraction(1), Fraction(0), []
@@ -344,6 +379,49 @@ def _exact_prefix_dets(energy, values):
         p, p_prev = (Fraction(v) - Fraction(energy)) * p - p_prev, p
         out.append(p)
     return out
+
+
+def _exact_product(energy, values):
+    """The interval product in exact rational arithmetic, as four entries in
+    row order: each site's factor ``[[E - V, -1], [1, 0]]`` goes on the left."""
+    top, bottom = [Fraction(1), Fraction(0)], [Fraction(0), Fraction(1)]
+    for v in values:
+        d = Fraction(energy) - Fraction(v)
+        top, bottom = [d * top[0] - bottom[0], d * top[1] - bottom[1]], top
+    return top + bottom
+
+
+def test_products_match_an_exact_rational_oracle():
+    # the product entries checked against exact arithmetic, not against the
+    # determinants, which come from the same kernel; dyadic windows this short
+    # keep every kernel step exact, so checkpoints (scaled by 2**shift) match
+    # bit for bit, and the normalized product within its final rounding
+    rng = np.random.default_rng(119)
+    cases = [(0.0, [0.0] * n) for n in (1, 2, 3, 4)]  # quarter turns: exact zeros
+    cases += [(0.0, [1.0, 1.0]), (0.5, [0.5, -0.75, 0.5]), (-1.25, [-1.25])]
+    for _ in range(60):
+        n = int(rng.integers(1, 9))
+        energy = float(rng.choice([0.0, 0.5, -1.25, 2.0]))
+        cases.append((energy, (rng.integers(-12, 13, n) / 4).tolist()))
+    zeros = 0
+    for energy, values in cases:
+        want = _exact_product(energy, values)
+        s = product(energy, values)
+        for got, exact in zip(s.entries.ravel().tolist(), want):
+            if exact == 0:
+                assert got == 0.0
+                zeros += 1
+                continue
+            assert math.copysign(1.0, got) == (1.0 if exact > 0 else -1.0)
+            log_got = math.log(abs(got)) + s.log_scale
+            assert log_got == pytest.approx(math.log(abs(exact)), abs=1e-13)
+        marks = range(len(values) + 1)
+        *entries, log_scale = matrix_batch(energy, np.array([values]), marks)
+        for k in marks:
+            shift = Fraction(2) ** round(log_scale[k, 0] / math.log(2.0))
+            got = [Fraction(float(e[k, 0])) * shift for e in entries]
+            assert got == _exact_product(energy, values[:k])
+    assert zeros >= 10
 
 
 def test_guard_splits_huge_operands_exactly():
