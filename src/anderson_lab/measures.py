@@ -46,6 +46,51 @@ class RejectionCapError(RuntimeError):
 
 #: draws per pass of :func:`_categorical` over its index buffer
 _CATEGORICAL_PASS = 1 << 14
+#: raw 64-bit words per pass of :func:`_byte_table_draws` (2**14 bytes)
+_TABLE_PASS_WORDS = 1 << 11
+
+
+def _code_bits(cdf: np.ndarray) -> int | None:
+    """The smallest ``b`` in {1, 2, 4, 8} for which every cut point
+    ``cdf[j]``, ``j < k - 1``, is an exact multiple of ``2**-b``; None if
+    there is none."""
+    for bits in (1, 2, 4, 8):
+        scaled = cdf[:-1] * (1 << bits)
+        if np.array_equal(scaled, np.floor(scaled)):
+            return bits
+    return None
+
+
+def _byte_table_draws(
+    rng: np.random.Generator, locations: np.ndarray, cdf: np.ndarray, bits: int, size: int
+) -> np.ndarray:
+    """``size`` draws that read ``bits``-bit codes from raw generator words.
+
+    The draws take ``ceil(size * bits / 64)`` words of
+    ``rng.bit_generator.random_raw`` and read their ``bits``-bit fields in
+    little-endian order, so the values do not depend on the platform.  Code
+    ``c`` picks the atom ``#{j < k - 1 : cdf[j] <= c / 2**bits}``, the
+    uniform rule at ``u = c / 2**bits``: atom ``j`` owns exactly
+    ``w_j * 2**bits`` of the ``2**bits`` codes.  A 256-row table maps each
+    raw byte to its ``8 // bits`` values, and ``np.take`` writes them
+    through a pass-sized index buffer, so the only full-size buffer is the
+    returned one (a view of whole bytes' values, cut to ``size``).
+    """
+    per_byte = 8 // bits
+    atom = np.searchsorted(cdf[:-1], np.arange(1 << bits) / (1 << bits), side="right")
+    fields = (np.arange(256)[:, None] >> (bits * np.arange(per_byte))) & ((1 << bits) - 1)
+    table = np.asarray(locations, dtype=float)[atom[fields]]
+    rows = np.empty((-(-size // per_byte), per_byte))
+    words = -(-size * bits // 64)
+    index = np.empty(8 * min(words, _TABLE_PASS_WORDS), dtype=np.intp)
+    for first in range(0, words, _TABLE_PASS_WORDS):
+        raw = rng.bit_generator.random_raw(min(_TABLE_PASS_WORDS, words - first))
+        byte = raw.astype("<u8", copy=False).view(np.uint8)
+        lo = 8 * first
+        m = min(len(byte), len(rows) - lo)
+        np.copyto(index[:m], byte[:m])
+        np.take(table, index[:m], axis=0, out=rows[lo : lo + m], mode="clip")
+    return rows.reshape(-1)[:size]
 
 
 def _categorical(
@@ -53,15 +98,21 @@ def _categorical(
 ) -> np.ndarray:
     """``size`` draws of ``locations`` with probabilities ``weights``.
 
-    Replays ``locations[rng.choice(len(weights), size, p=weights)]`` exactly:
-    the same uniforms, cut points and indices, so the values and the state
-    the generator is left in are identical.  The index of a uniform ``u`` is
-    the number of cut points ``cdf[j]``, ``j < k - 1``, with ``u >= cdf[j]``
-    (``searchsorted(side="right")``).  The values overwrite the uniforms, so
-    the only full-size buffer is the returned one.
+    The weights alone pick the sampler.  If every cut point of the CDF is a
+    multiple of ``2**-b`` for some ``b`` in {1, 2, 4, 8}, each draw reads
+    ``b`` raw bits (:func:`_byte_table_draws`), and the law is still exact.
+    Otherwise the draws replay ``locations[rng.choice(len(weights), size,
+    p=weights)]`` exactly: the same uniforms, cut points and indices, so the
+    values and the state the generator is left in are identical.  The index
+    of a uniform ``u`` is the number of cut points ``cdf[j]``, ``j < k - 1``,
+    with ``u >= cdf[j]`` (``searchsorted(side="right")``).  The values
+    overwrite the uniforms, so the only full-size buffer is the returned one.
     """
     cdf = np.cumsum(weights, dtype=float)
     cdf /= cdf[-1]
+    bits = _code_bits(cdf)
+    if bits is not None:
+        return _byte_table_draws(rng, locations, cdf, bits, size)
     u = rng.random(size)
     index = np.empty(min(size, _CATEGORICAL_PASS), dtype=np.intp)
     hit = np.empty(len(index), dtype=bool)
@@ -585,6 +636,9 @@ def sample_windows(
     law (exact categorical draw for atomic bases, accept/reject otherwise).
     The draw order is fixed (base block first, then perturbed sites in
     ascending order), so output depends only on ``(stream, lo, hi, count)``.
+    Each atomic draw, of the base block or of a redrawn column, reads ``b``
+    raw bits when its weights are multiples of ``2**-b`` for some ``b`` in
+    {1, 2, 4, 8}, and one uniform otherwise (:func:`_categorical`).
     """
     if lo > hi:
         raise ValueError("sample_windows requires lo <= hi")

@@ -150,14 +150,15 @@ def test_bump_studies_reproduce_pinned_verdicts():
     # demos/regenerate_pins.py
     census = singularity_census(_smoke_scenario("census_bumps"))
     assert census.rows == (
-        (10, 20, "singular"), (10, 21, "regular"), (10, -20, "singular"), (10, -21, "singular"),
-        (25, 50, "regular"), (25, 51, "regular"), (25, -50, "singular"), (25, -51, "singular"),
+        (10, 20, "singular"), (10, 21, "singular"), (10, -20, "singular"), (10, -21, "singular"),
+        (25, 50, "singular"), (25, 51, "singular"), (25, -50, "singular"), (25, -51, "singular"),
     )
     assert census.skips == ()
     report = run_localization(_smoke_scenario("localize_bumps"))
     assert [r.largest_singular_n for r in report.rows] == (
-        [10, 10] + [None] * 4 + [25] * 3 + [None] * 14 + [10] * 9 + [25] + [10] * 16
-        + [25] * 2 + [10] * 2 + [25] * 2 + [10] * 5 + [25] * 4 + [10] * 2
+        [None] * 2 + [25] * 7 + [10] * 6 + [None] + [25] * 2 + [None] * 4 + [25] + [None]
+        + [25] + [None] * 14 + [25] + [None] * 9 + [25] + [None] + [10] + [None] * 3
+        + [10] * 8 + [25] + [10]
     )
     assert report.skips == ()
 

@@ -1,7 +1,9 @@
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
+from scipy.stats import chisquare
 
 from anderson_lab.measures import (
     AtomReweight,
@@ -21,6 +23,7 @@ from anderson_lab.measures import (
     VERDICT_HOLDS,
     VERDICT_VIOLATED,
     DensitySequence,
+    _categorical,
     condition_report,
     log_density_products,
     radon_nikodym_product,
@@ -268,10 +271,46 @@ def test_product_law_rejects_densities_on_another_base():
     ProductLaw.approximate(plus_minus_two, NoBase())
 
 
-@pytest.mark.parametrize("base", [ONE_ATOM, BERNOULLI, THREE_ATOMS, FIVE_ATOMS])
+# weights that keep the uniform path: no b in {1, 2, 4, 8} makes every cut
+# point a multiple of 2**-b
+ONE_THIRD = FiniteAtoms(atoms=((-1.0, 1 / 3), (1.0, 2 / 3)))
+STEP_2_TO_MINUS_9 = FiniteAtoms(atoms=((-1.0, 1 / 512), (1.0, 511 / 512)))
+
+
+def _code_bits(weights):
+    """b of the byte-table path, read off the exact cut points; None on the
+    uniform path."""
+    cdf = np.cumsum(np.asarray(weights, dtype=float))
+    cdf /= cdf[-1]
+    denominators = [Fraction(float(c)).denominator for c in cdf[:-1]]
+    return next((b for b in (1, 2, 4, 8) if all(2**b % d == 0 for d in denominators)), None)
+
+
+def _reference_draws(rng, locations, weights, size):
+    """The draw of _categorical on the path its weights pick, written plainly:
+    on the table path, b-bit fields of raw words read in little-endian order,
+    code c mapped to #{j < k - 1 : cdf[j] <= c / 2**b}; on the uniform path,
+    rng.choice."""
+    bits = _code_bits(weights)
+    if bits is None:
+        return locations[rng.choice(len(locations), size=size, p=weights)]
+    cdf = np.cumsum(np.asarray(weights, dtype=float))
+    cdf /= cdf[-1]
+    words = rng.bit_generator.random_raw(-(-size * bits // 64))
+    atom_of = [sum(1 for cut in cdf[:-1] if cut <= Fraction(c, 2**bits)) for c in range(2**bits)]
+    atoms = [
+        atom_of[(int(word) >> shift) & ((1 << bits) - 1)]
+        for word in words
+        for shift in range(0, 64, bits)
+    ][:size]
+    return np.asarray(locations, dtype=float)[np.array(atoms, dtype=np.intp)]
+
+
+@pytest.mark.parametrize("base", [ONE_THIRD, STEP_2_TO_MINUS_9, THREE_ATOMS, FIVE_ATOMS])
 def test_atomic_draws_replay_generator_choice(base):
-    # same values and same generator state as locations[rng.choice(...)],
-    # across several chunks of the index buffer
+    # laws on the uniform path: same values and same generator state as
+    # locations[rng.choice(...)], across several chunks of the index buffer
+    assert _code_bits(base.weights) is None
     for seed in (1, 2):
         ours, ref = np.random.default_rng(seed), np.random.default_rng(seed)
         got = base.sample(ours, 40_007)
@@ -291,27 +330,29 @@ class _KeptGenerator:
 
 
 def _reference_windows(law, lo, hi, count, rng):
-    """The draw of sample_windows for atomic laws, written with rng.choice."""
-    k = len(law.base.atoms)
-    values = law.base.locations[rng.choice(k, size=count * (hi - lo + 1), p=law.base.weights)]
+    """The draw of sample_windows for atomic laws, each column on its own path."""
+    values = _reference_draws(rng, law.base.locations, law.base.weights, count * (hi - lo + 1))
     values = values.reshape(count, hi - lo + 1)
     for site in law.densities.perturbed_sites(lo, hi):
         beta = law.densities.atom_weights_at(site)
-        values[:, site - lo] = law.base.locations[rng.choice(k, size=count, p=beta)]
+        values[:, site - lo] = _reference_draws(rng, law.base.locations, beta, count)
     return values
 
 
 @pytest.mark.parametrize(
     "law",
     [
+        # both paths are the table: b = 1 for the base, b = 2 for the bump
         ProductLaw.approximate(
             BERNOULLI, BumpSchedule(sites=PowersOfTwoSites(), base=BERNOULLI, weights=(0.75, 0.25))
         ),
-        # a bump with a zero weight: the middle atom never appears there
+        # a uniform-path base with a table-path bump that has a zero weight:
+        # the middle atom never appears there
         ProductLaw.approximate(
             THREE_ATOMS,
             BumpSchedule(sites=PowersOfTwoSites(), base=THREE_ATOMS, weights=(0.5, 0.0, 0.5)),
         ),
+        # a uniform-path base with one table-path and one uniform-path column
         ProductLaw.approximate(
             FIVE_ATOMS, AtomReweight(FIVE_ATOMS, {-3: (0.0, 0.0, 0.0, 0.0, 1.0), 5: (0.2,) * 5})
         ),
@@ -327,6 +368,105 @@ def test_perturbed_columns_replay_generator_choice(law):
     beta = law.densities.atom_weights_at(4)
     if beta is not None:
         assert set(np.unique(column)) == set(law.base.locations[beta > 0])
+
+
+# ---------------------------------------------------------------------------
+# byte-table sampler for dyadic weights
+# ---------------------------------------------------------------------------
+
+class _RawWords:
+    """A generator stand-in whose raw words are given."""
+
+    def __init__(self, words):
+        self.bit_generator = self
+        self.words = np.asarray(words, dtype=np.uint64)
+
+    def random_raw(self, count):
+        out, self.words = self.words[:count], self.words[count:]
+        assert len(out) == count
+        return out
+
+
+def _every_code_once(bits):
+    """Raw words whose b-bit fields, read little-endian, are 0, 1, ..., 2**b - 1."""
+    packed = 0
+    for code in range(1 << bits):
+        packed |= code << (code * bits)
+    words = -(-(bits << bits) // 64)
+    return [(packed >> (64 * i)) & (2**64 - 1) for i in range(words)]
+
+
+@pytest.mark.parametrize(
+    "weights, bits",
+    [
+        ((0.5, 0.5), 1),
+        ((0.75, 0.25), 2),
+        ((0.0, 0.25, 0.75), 2),  # a zero-weight first atom
+        ((0.25, 0.0, 0.75), 2),  # a zero-weight middle atom
+        ((0.75, 0.25, 0.0), 2),  # a zero-weight last atom
+        ((0.125, 0.375, 0.25, 0.25), 4),
+        ((3 / 16, 0.0, 5 / 16, 0.5), 4),
+        ((1 / 256, 0.0, 127 / 256, 0.5), 8),
+        ((1.0,), 1),
+    ],
+)
+def test_each_atom_owns_its_weight_of_the_codes(weights, bits):
+    assert _code_bits(weights) == bits
+    locations = np.arange(len(weights), dtype=float) * 2.0 - 3.0
+    got = _categorical(_RawWords(_every_code_once(bits)), locations, np.array(weights), 1 << bits)
+    counts = [int(np.sum(got == loc)) for loc in locations]
+    assert counts == [int(w * 2**bits) for w in weights]
+    # codes are assigned in order, as the uniform rule would at u = c / 2**b
+    assert np.all(np.diff(got) >= 0)
+
+
+@pytest.mark.parametrize(
+    "weights",
+    [(0.5, 0.5), (0.75, 0.25), (0.0, 0.25, 0.75), (0.125, 0.375, 0.25, 0.25), (1 / 256, 255 / 256)],
+)
+# one pass reads 2**14 raw bytes: 2**17 draws at b = 1, 2**14 at b = 8
+@pytest.mark.parametrize("size", [0, 1, 3, 63, 65, 1001, (1 << 17) + 5, (1 << 18) + 7])
+def test_table_draws_read_little_endian_fields_of_raw_words(weights, size):
+    bits = _code_bits(weights)
+    locations = np.array([-1.5, 0.5, 1.0, 4.0][: len(weights)])
+    ours, ref = np.random.default_rng(17), np.random.default_rng(17)
+    got = _categorical(ours, locations, np.array(weights), size)
+    assert got.shape == (size,)
+    assert np.array_equal(got, _reference_draws(ref, locations, weights, size))
+    # the generator advances by exactly ceil(size * b / 64) raw words
+    advanced = np.random.default_rng(17)
+    advanced.bit_generator.random_raw(-(-size * bits // 64))
+    assert ours.bit_generator.state == ref.bit_generator.state == advanced.bit_generator.state
+
+
+def test_the_weights_alone_pick_the_path():
+    # one atom, 0.5/0.5 and steps of 1/256 take the table; steps of 2**-9
+    # keep the uniform path
+    on_table = FiniteAtoms(atoms=((-1.0, 37 / 256), (0.0, 90 / 256), (1.0, 129 / 256)))
+    on_uniform = FiniteAtoms(atoms=((-1.0, 37 / 512), (0.0, 180 / 512), (1.0, 295 / 512)))
+    assert _code_bits(on_table.weights) == 8 and _code_bits(on_uniform.weights) is None
+    size = 10_001
+    for base, bits in ((ONE_ATOM, 1), (BERNOULLI, 1), (on_table, 8)):
+        ours, advanced = np.random.default_rng(8), np.random.default_rng(8)
+        base.sample(ours, size)
+        advanced.bit_generator.random_raw(-(-size * bits // 64))
+        assert ours.bit_generator.state == advanced.bit_generator.state
+    ours, ref = np.random.default_rng(8), np.random.default_rng(8)
+    got = on_uniform.sample(ours, size)
+    assert np.array_equal(got, on_uniform.locations[ref.choice(3, size=size, p=on_uniform.weights)])
+    assert ours.bit_generator.state == ref.bit_generator.state
+
+
+@pytest.mark.parametrize(
+    "weights", [(0.5, 0.5), (0.75, 0.25), (0.125, 0.375, 0.25, 0.25)]
+)
+def test_table_draws_pass_a_chi_square_test(weights):
+    m = 1_000_000
+    locations = np.arange(len(weights), dtype=float)
+    got = _categorical(np.random.default_rng(20_240_601), locations, np.array(weights), m)
+    observed = np.array([np.sum(got == loc) for loc in locations])
+    assert observed.sum() == m
+    assert chisquare(observed, m * np.array(weights)).pvalue > 1e-3
 
 
 # ---------------------------------------------------------------------------
