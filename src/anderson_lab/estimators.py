@@ -8,7 +8,11 @@ over the largest grid radius and read every radius off one kernel pass, so
 the counts at different radii come from the same windows and are
 correlated.  Likewise one draw per batch serves every energy of a
 Lyapunov estimate, energy being one more lane axis of the kernel, so
-estimates across an energy grid are correlated too.  Statistical
+estimates across an energy grid are correlated too.  The lifting check
+draws once per batch from ``stream.child(1)`` for both product laws: the
+base block is the exact law's windows, the redrawn perturbed columns make
+the approximate law's, and one restarting kernel pass per half serves
+both, so the two laws' counts are correlated as well.  Statistical
 tolerances follow one rule throughout: three combined standard errors,
 with a Wilson-adjusted estimate substituted when a tail count is below ten.
 """
@@ -232,45 +236,41 @@ def _checked_statistic(
 
 
 def _tail_counts(
-    law: ProductLaw,
+    products: Callable[[int, int], Sequence[tuple]],
     energy: complex | float,
-    centered: bool,
+    lengths: np.ndarray,
     eps_eff: float,
     gamma_ref: float,
     n_grid: np.ndarray,
     samples: int,
-    stream: RngStream,
     statistic: str,
     u: np.ndarray | None,
     v: np.ndarray | None,
     workers: int,
 ) -> np.ndarray:
-    """Deviation counts at every grid radius over the windows ``[1, n]``, or
-    ``[-n, n]`` when ``centered``.
+    """Deviation counts, one row per law and one column per grid radius.
 
-    Batch ``b`` draws one window batch over the largest radius from
-    ``stream.child(b)`` and one kernel pass reads the statistic at every
-    radius, so the counts are correlated across radii.
+    ``products(b, size)`` draws batch ``b`` over the largest radius and
+    returns, for each law, the five arrays of one kernel pass with one row
+    per radius (window length ``lengths``), so the counts are correlated
+    across radii, and across laws that share a draw.  A NaN or ``+inf``
+    statistic under any law raises after all batches, naming the first
+    radius with one and the most such lanes of any law there.
     """
-    n_max = int(n_grid[-1])
-    lengths = (2 * n_grid + 1 if centered else n_grid)[:, None]
 
     def batch(b: int, size: int):
-        if centered:
-            wins = sample_windows(law, -n_max, n_max, size, stream.child(b))
-            products = centered_batch(energy, wins, n_grid)
-        else:
-            wins = sample_windows(law, 1, n_max, size, stream.child(b))
-            products = matrix_batch(energy, wins, n_grid)
-        stats = _statistic_logs(statistic, products, u, v)
-        # -inf marks an exact zero (log_det, matrix_element) and counts as
-        # a deviation; NaN would silently count as none
-        bad = np.count_nonzero(np.isnan(stats) | (stats == np.inf), axis=1)
-        hits = np.count_nonzero(np.abs(stats / lengths - gamma_ref) > eps_eff, axis=1)
-        return hits, bad
+        hits, bad = [], []
+        for law_products in products(b, size):
+            stats = _statistic_logs(statistic, law_products, u, v)
+            # -inf marks an exact zero (log_det, matrix_element) and counts as
+            # a deviation; NaN would silently count as none
+            bad.append(np.count_nonzero(np.isnan(stats) | (stats == np.inf), axis=1))
+            deviation = np.abs(stats / lengths[:, None] - gamma_ref) > eps_eff
+            hits.append(np.count_nonzero(deviation, axis=1))
+        return np.array(hits), np.array(bad)
 
     parts = _map_batches(batch, samples, workers)
-    bad = sum(p[1] for p in parts)
+    bad = sum(p[1] for p in parts).max(axis=0)
     if np.any(bad):
         i = int(np.argmax(bad > 0))
         raise ValueError(
@@ -386,9 +386,14 @@ def lde_curve(
             f"epsilon {epsilon:.3g} is swamped by the gamma estimate error "
             f"({gamma_stderr:.3g}); use more samples or a larger epsilon"
         )
-    counts = _tail_counts(
-        law, energy, False, eps_eff, gamma, grid, samples,
-        stream.child(1), statistic, u, v, workers,
+    stream = stream.child(1)
+
+    def products(b: int, size: int):
+        wins = sample_windows(law, 1, int(grid[-1]), size, stream.child(b))
+        return [matrix_batch(energy, wins, grid)]
+
+    (counts,) = _tail_counts(
+        products, energy, grid, eps_eff, gamma, grid, samples, statistic, u, v, workers
     )
     fit = _fit_rate(grid, counts, samples, rate_power)
     return LDECurve(
@@ -469,6 +474,16 @@ def lift_check(
     deviation of the windowed statistic from the exact-law growth rate), so
     the restricted Radon-Nikodym bound applies with constant
     ``prod_{|k|<=n} ||g_k||_inf``.
+
+    Batch ``b`` draws once from ``stream.child(1).child(b)``, and that draw
+    serves both laws: its base block is the exact-law windows, and the same
+    block with the perturbed columns redrawn after it is the
+    approximate-law windows (``sample_windows(..., coupled=True)``), so
+    both marginals are exact.  One :func:`centered_batch` call composes
+    both laws' products from one pass over each half, and both count
+    vectors come from it.  The counts are therefore positively correlated,
+    and ``se_log``, which adds the two relative variances as if they were
+    independent, overstates the error of ``log p0 - log p1``.
     """
     if epsilon <= 0:
         raise ValueError("epsilon must be positive")
@@ -484,13 +499,16 @@ def lift_check(
     eps_eff = epsilon - 2.0 * gamma_stderr
     if eps_eff <= 0:
         raise ValueError("epsilon is swamped by the gamma estimate error")
-    counts_exact = _tail_counts(
-        law_exact, energy, True, eps_eff, gamma, grid, samples,
-        stream.child(1), statistic, u, v, workers,
-    )
-    counts_approx = _tail_counts(
-        law_approx, energy, True, eps_eff, gamma, grid, samples,
-        stream.child(2), statistic, u, v, workers,
+    n_max, stream = int(grid[-1]), stream.child(1)
+
+    def products(b: int, size: int):
+        wins, sites, columns = sample_windows(
+            law_approx, -n_max, n_max, size, stream.child(b), coupled=True
+        )
+        return centered_batch(energy, wins, grid, sites, columns)
+
+    counts_exact, counts_approx = _tail_counts(
+        products, energy, 2 * grid + 1, eps_eff, gamma, grid, samples, statistic, u, v, workers
     )
     log_bound = np.array(
         [math.fsum(seq.log_sup_norm(k) for k in range(-int(n), int(n) + 1)) for n in grid]

@@ -628,8 +628,8 @@ def _rejection_column(
 
 
 def sample_windows(
-    law: ProductLaw, lo: int, hi: int, count: int, stream: RngStream
-) -> np.ndarray:
+    law: ProductLaw, lo: int, hi: int, count: int, stream: RngStream, *, coupled: bool = False
+) -> np.ndarray | tuple[np.ndarray, list[int], np.ndarray]:
     """Draw ``count`` independent windows; returns shape ``(count, hi-lo+1)``.
 
     Sites are independent; perturbed sites are redrawn from their reweighted
@@ -639,21 +639,32 @@ def sample_windows(
     Each atomic draw, of the base block or of a redrawn column, reads ``b``
     raw bits when its weights are multiples of ``2**-b`` for some ``b`` in
     {1, 2, 4, 8}, and one uniform otherwise (:func:`_categorical`).
+
+    ``coupled`` returns the same draws before the redrawn columns are
+    written: ``(values, sites, columns)``.  ``values`` is the base block,
+    bit for bit the windows of the exact law on ``law.base`` from the same
+    stream, and ``columns`` holds one column per perturbed site of ``sites``;
+    ``values`` with those columns written in is the windows of ``law``.  One
+    draw thus samples both product laws exactly.
     """
     if lo > hi:
         raise ValueError("sample_windows requires lo <= hi")
     rng = stream.generator()
     n_sites = hi - lo + 1
-    base_flat = law.base.sample(rng, count * n_sites)
-    values = base_flat.reshape(count, n_sites)
+    values = law.base.sample(rng, count * n_sites).reshape(count, n_sites)
+    sites = law.densities.perturbed_sites(lo, hi)
+    columns = np.empty((count, len(sites)))
     atomic = isinstance(law.base, FiniteAtoms)
-    for site in law.densities.perturbed_sites(lo, hi):
+    for i, site in enumerate(sites):
         beta = law.densities.atom_weights_at(site) if atomic else None
         if beta is not None:
             column = _categorical(rng, law.base.locations, beta, count)  # type: ignore[union-attr]
         else:
             column = _rejection_column(law.base, law.densities, site, count, rng)
-        values[:, site - lo] = column
+        columns[:, i] = column
+    if coupled:
+        return values, sites, columns
+    values[:, [site - lo for site in sites]] = columns
     return values
 
 

@@ -21,7 +21,12 @@ exact powers of two (:func:`_rescale`) only when the sum of
 ``log2(max|V - E| + 1)`` since the last rescale would pass :data:`_HEADROOM`.
 Power-of-two scaling is exact, so a lane's result is independent of its
 batch.  The centered windows ``[-n, n]`` of a whole radius grid come from
-one pass over each half of the largest window.  Values in ``[1, 2)`` times
+one pass over each half of the largest window.  A pass may also restart:
+after given site counts its rows go back to the identity, so its marks hold
+the segments between those sites.  Two laws that differ only there (the
+exact and the perturbed product law) share the segments, and each composes
+its products from them and its own one-step factors at the restart sites,
+one pass per half for both.  Values in ``[1, 2)`` times
 ``V - E`` overflow once ``|V - E|`` reaches :data:`MAGNITUDE_LIMIT`
 (``2**1023``), so the kernel raises a ValueError naming the first site
 where a finite potential does.
@@ -43,6 +48,10 @@ CANCELLATION_GUARD = 1e-13
 #: sites per block of the kernel, and lanes per tile when a block of windows
 #: is transposed to site-major
 _BLOCK, _TILE = 64, 512
+
+#: bytes of new rows per block: wider calls take fewer sites per block (32 for
+#: the 2x2 product at 4096 lanes), which keeps the row buffer near 2 MiB
+_BLOCK_BYTES = 1 << 21
 
 #: log2 of the growth the stored rows may reach between two rescales
 _HEADROOM = 500.0
@@ -357,7 +366,10 @@ def block_identity_check(energy: complex | float, window) -> float:
 # batched drivers (vectorized across windows, sequential across sites)
 # ---------------------------------------------------------------------------
 
-def _propagate(energy, windows: np.ndarray, columns: int, marks: list[int], guard: bool = False):
+def _propagate(
+    energy, windows: np.ndarray, columns: int, marks: list[int], guard: bool = False,
+    restarts: tuple[int, ...] | list[int] = (),
+):
     """The row pair after each of the ascending site counts ``marks``: the
     product applied to the first ``columns`` columns of the identity (the
     matrix for 2, the vector ``(1, 0)`` for 1).  Returns ``(pairs, shifts)``:
@@ -370,7 +382,8 @@ def _propagate(energy, windows: np.ndarray, columns: int, marks: list[int], guar
     ``(E, S)``), read through a site-major broadcast view, never copied.
 
     A site maps ``top, bottom`` to ``d * top - bottom, top`` with
-    ``d = E - V``, formed once per site-major block of :data:`_BLOCK` sites;
+    ``d = E - V``, formed once per site-major block of :data:`_BLOCK` sites
+    (fewer for wide lanes, see :data:`_BLOCK_BYTES`);
     each site costs two in-place ufunc calls.  A block runs in stretches: a
     stretch starts with a rescale when its first site would pass the
     headroom, the only place a rescale happens, and ends at the block end or
@@ -383,6 +396,12 @@ def _propagate(energy, windows: np.ndarray, columns: int, marks: list[int], guar
     :data:`CANCELLATION_GUARD`, the step is recomputed in double-double
     arithmetic; the first site where a lane's value changes is patched and
     ends the stretch, so the sites after it run again.
+
+    ``restarts`` (ascending site counts in ``[1, marks[-1]]``; set by
+    :func:`centered_batch`) end a stretch each: the marks before the count
+    are copied, then the rows go back to the identity with shift 0 and full
+    headroom, so a mark holds the product over the sites after the last
+    restart before it, and a mark at a restart count reads the identity.
     """
     e = np.asarray(energy)
     dtype = complex if np.iscomplexobj(e) and np.any(e.imag != 0) else float
@@ -391,7 +410,8 @@ def _propagate(energy, windows: np.ndarray, columns: int, marks: list[int], guar
     e = np.broadcast_to(e if dtype is complex else e.real, lanes)
     sites = np.broadcast_to(windows, lanes + windows.shape[-1:])
     sites = sites.transpose((len(lanes),) + tuple(range(len(lanes))))  # site-major
-    depth = min(_BLOCK, marks[-1])
+    row = columns * math.prod(lanes) * np.dtype(dtype).itemsize
+    depth = min(_BLOCK, marks[-1], max(1, _BLOCK_BYTES // max(row, 1)))
     rows = np.zeros((depth + 2, columns) + lanes, dtype=dtype)  # bottom, top, new tops
     rows[1, 0] = rows[0, 1:] = 1.0
     d = np.empty((depth, 1) + lanes, dtype=dtype)
@@ -400,11 +420,12 @@ def _propagate(energy, windows: np.ndarray, columns: int, marks: list[int], guar
     pairs = np.empty((2, columns, len(marks)) + lanes, dtype=dtype)
     shifts = np.empty((len(marks),) + lanes, dtype=np.int64)
     j = int(marks[0] == 0)  # next mark to record
-    pairs[:, :, 0], shifts[0] = rows[1::-1], 0  # the identity: mark 0, if marked
+    if j:
+        pairs[:, :, 0], shifts[0] = rows[1::-1], 0  # the identity: mark 0
     room = _HEADROOM - 1.0  # log2 growth left to the stored rows
-    done = 0
+    done = restart = 0  # sites run; index of the next restart
     while done < marks[-1]:
-        size = min(_BLOCK, marks[-1] - done)
+        size = min(depth, marks[-1] - done)
         block, peak = d[:size, 0], np.zeros(size)
         with np.errstate(over="ignore"):  # an overflowing E - V is named just below
             for a in range(0, lanes[-1], _TILE):  # transpose in cache-sized tiles
@@ -421,6 +442,8 @@ def _propagate(energy, windows: np.ndarray, columns: int, marks: list[int], guar
                 _rescale(rows[start : start + 2], shift)
                 room = _HEADROOM - 1.0
             stop = min(size, max(start + 1, bisect_right(reach, base + room, start)))
+            if restart < len(restarts) and restarts[restart] - done < stop:
+                stop = restarts[restart] - done
             for k in range(start, stop):
                 np.multiply(dk[k], r[k + 1], out=r[k + 2])
                 np.subtract(r[k + 2], r[k], out=r[k + 2])
@@ -438,16 +461,23 @@ def _propagate(energy, windows: np.ndarray, columns: int, marks: list[int], guar
                         stop = start + int(np.argmax(changed)) + 1
                         rows[stop + 1] = guarded[stop - start - 1]
             room -= reach[stop - 1] - base
-            upto = bisect_right(marks, done + stop, j)
+            ends = restart < len(restarts) and restarts[restart] == done + stop
+            upto = bisect_right(marks, done + stop - ends, j)
             while j < upto:  # consecutive marks take one slice, others one each
                 end = upto if marks[upto - 1] - marks[j] == upto - 1 - j else j + 1
                 first, last = marks[j] - done, marks[end - 1] - done
                 pairs[0, :, j:end] = rows[first + 1 : last + 2].swapaxes(0, 1)
                 pairs[1, :, j:end] = rows[first : last + 1].swapaxes(0, 1)
                 shifts[j:end], j = shift, end
+            if ends:  # the identity again; a mark here is copied with the next stretch
+                rows[stop : stop + 2] = 0.0
+                rows[stop + 1, 0] = rows[stop, 1:] = 1.0
+                shift[...], room, restart = 0, _HEADROOM - 1.0, restart + 1
             start = stop
         rows[:2] = rows[size : size + 2]
         done += size
+    if j < len(marks):  # the last count restarted: its mark reads the identity
+        pairs[:, :, j], shifts[j] = rows[1::-1], 0
     return pairs, shifts
 
 
@@ -490,11 +520,73 @@ def matrix_batch(
     return s00, s01, s10, s11, shifts[at] * math.log(2.0)
 
 
+def _restarted_products(energy, half: np.ndarray, counts: list[int], restarts: list[int], laws):
+    """Per law, the products over the first ``k`` sites of ``half`` for each
+    ``k`` of ``counts``, where a law ``(values, at)`` holds its own potential
+    ``values[:, at[i]]`` at the site counted ``restarts[i]``.
+
+    One pass restarts after each of ``restarts`` and is read just before
+    each: the segments ``S_i`` between the restart sites, shared by every
+    law.  A law composes ``C_i = T(E - V_i) S_i C_(i-1)`` from them in turn
+    (``C_0`` the identity); the product at ``k`` is the mark at ``k`` times
+    the ``C`` of the last restart up to ``k``, formed as soon as that ``C``
+    is.  Returns one ``(pairs, shifts)`` per law, entries of shape
+    ``(2, 2, len(counts), *lanes)``, true value ``pairs * 2**shifts``.
+    """
+    marks = sorted(set(counts) | {c - 1 for c in restarts})
+    pairs, shifts = _propagate(energy, half, 2, marks, restarts=restarts)
+    _rescale(pairs, shifts)
+    at = np.searchsorted(marks, counts)
+    e = np.asarray(energy) if np.iscomplexobj(pairs) else np.real(energy)
+    segments = np.searchsorted(marks, [c - 1 for c in restarts])
+    last = np.searchsorted(restarts, counts, side="right")  # the C of each count
+    out = []
+    for values, columns in laws:
+        products = np.empty(pairs.shape[:2] + (len(counts),) + pairs.shape[3:], pairs.dtype)
+        scales = np.empty((len(counts),) + shifts.shape[1:], dtype=np.int64)
+        prefix = scale = None
+        for i in range(len(restarts) + 1):
+            if i:
+                v = values[:, columns[i - 1]]
+                with np.errstate(over="ignore"):  # an overflowing E - V is named just below
+                    d = e - v
+                if np.abs(d).max() >= MAGNITUDE_LIMIT:
+                    _check_magnitude(d[None], v[None], restarts[i - 1] - 1)
+                (s00, s01), (s10, s11) = pairs[:, :, segments[i - 1]]
+                step = np.array([[d * s00 - s10, d * s01 - s11], [s00, s01]])
+                shift = shifts[segments[i - 1]].copy()
+                _rescale(step, shift)
+                if prefix is not None:
+                    step, shift = _times(step, prefix), shift + scale
+                    _rescale(step, shift)
+                prefix, scale = step, shift
+            for j in np.flatnonzero(last == i):
+                mark = pairs[:, :, at[j]]
+                products[:, :, j] = mark if prefix is None else _times(mark, prefix)
+                scales[j] = shifts[at[j]] if scale is None else shifts[at[j]] + scale
+        out.append((products, scales))
+    return out
+
+
+def _times(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """The matrix products ``a @ b`` of two ``(2, 2, *lanes)`` stacks."""
+    (a00, a01), (a10, a11) = a
+    (b00, b01), (b10, b11) = b
+    return np.array([[a00 * b00 + a01 * b10, a00 * b01 + a01 * b11],
+                     [a10 * b00 + a11 * b10, a10 * b01 + a11 * b11]])
+
+
 def centered_batch(
-    energy: complex | float | np.ndarray, windows: np.ndarray, radii
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    energy: complex | float | np.ndarray,
+    windows: np.ndarray,
+    radii,
+    sites: tuple[int, ...] | list[int] = (),
+    columns: np.ndarray | None = None,
+) -> list[tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]]:
     """Scaled products over the centered windows ``[-n, n]``, every radius
-    ``n`` of ``radii`` from one kernel pass over each half.
+    ``n`` of ``radii`` from one kernel pass over each half, for the windows
+    as given and, with ``columns``, for the windows whose ``sites`` are
+    redrawn.
 
     ``windows`` holds one window over ``[-m, m]`` per row (site 0 in the
     middle column); radii lie in ``[0, m]``.  The product over sites
@@ -503,21 +595,53 @@ def centered_batch(
     read at checkpoint ``n + 1`` of a pass over a negative-stride view of the
     left half (no copy).  Every one-step factor satisfies ``T^t = J T J``
     with ``J = diag(1, -1)``, so ``S_[-n, 0] = J P_n^t J`` and
-    ``S_[-n, n] = R_n J P_n^t J``.  Returns the five arrays of
-    :func:`matrix_batch` with checkpoints, one row per radius.
+    ``S_[-n, n] = R_n J P_n^t J``.
+
+    ``sites`` (ascending, in ``[-m, m]``) are the sites where a second law
+    differs, and ``columns`` holds its potentials there, one column per
+    site.  Each pass then restarts at those sites, so the segments between
+    them serve both laws, and each law composes its products from the
+    segments and its own factors ``T(E - V_k)`` (see
+    :func:`_restarted_products`).  Returns one five-array tuple as
+    :func:`matrix_batch` with checkpoints gives, one row per radius, for
+    each law: the windows, then the redrawn windows if ``columns`` is given.
     """
     windows = np.atleast_2d(np.asarray(windows, dtype=float))
     m = windows.shape[1] // 2
     if windows.shape[1] != 2 * m + 1:
         raise ValueError("centered windows must have odd length")
-    r00, r01, r10, r11, log_r = matrix_batch(energy, windows[:, m + 1 :], radii)
-    p00, p01, p10, p11, log_p = matrix_batch(energy, windows[:, m::-1], [n + 1 for n in radii])
-    pair = np.array([[r00 * p00 - r01 * p01, r01 * p11 - r00 * p10],
-                     [r10 * p00 - r11 * p01, r11 * p11 - r10 * p10]])
-    shift = np.zeros(log_r.shape, dtype=np.int64)
-    _rescale(pair, shift)
-    (s00, s01), (s10, s11) = pair
-    return s00, s01, s10, s11, log_r + log_p + shift * math.log(2.0)
+    radii, sites = [int(n) for n in radii], [int(k) for k in sites]
+    reach = _checked_marks(radii, m)[-1]
+    if sites and not (-m <= sites[0] and sites[-1] <= m and np.all(np.diff(sites) > 0)):
+        raise ValueError("sites must be ascending and lie in the window")
+    laws = [(windows, [m + k for k in sites])]
+    if columns is not None:
+        columns = np.asarray(columns, dtype=float)
+        if columns.shape != (len(windows), len(sites)):
+            raise ValueError("columns must hold one column per site and one row per window")
+        laws.append((columns, range(len(sites))))
+    right = [i for i, k in enumerate(sites) if 0 < k <= reach]
+    left = [i for i, k in reversed(list(enumerate(sites))) if -reach <= k <= 0]
+    rights = _restarted_products(
+        energy, windows[:, m + 1 :], radii, [sites[i] for i in right],
+        [(values, [at[i] for i in right]) for values, at in laws],
+    )
+    lefts = _restarted_products(
+        energy, windows[:, m::-1], [n + 1 for n in radii], [1 - sites[i] for i in left],
+        [(values, [at[i] for i in left]) for values, at in laws],
+    )
+    out = []
+    for (r, shift_r), (p, shift_p) in zip(rights, lefts):
+        (r00, r01), (r10, r11) = r
+        (p00, p01), (p10, p11) = p
+        pair = np.array([[r00 * p00 - r01 * p01, r01 * p11 - r00 * p10],
+                         [r10 * p00 - r11 * p01, r11 * p11 - r10 * p10]])
+        shift = np.zeros(shift_r.shape, dtype=np.int64)
+        _rescale(pair, shift)
+        (s00, s01), (s10, s11) = pair
+        log_scale = shift_r * math.log(2.0) + shift_p * math.log(2.0) + shift * math.log(2.0)
+        out.append((s00, s01, s10, s11, log_scale))
+    return out
 
 
 def log_norm_batch(

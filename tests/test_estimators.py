@@ -30,11 +30,12 @@ from anderson_lab.measures import (
     PowersOfTwoSites,
     PotentialWindow,
     ProductLaw,
+    UniformInterval,
     sample_window,
     sample_windows,
 )
 from anderson_lab.rng import RngStream
-from anderson_lab.transfer import matrix_batch
+from anderson_lab.transfer import centered_batch, matrix_batch
 
 BERNOULLI = FiniteAtoms(atoms=((-1.0, 0.5), (1.0, 0.5)))
 BERNOULLI_LAW = ProductLaw.exact(BERNOULLI)
@@ -47,8 +48,8 @@ def constant_law(c):
 # reference for gamma at E = 0 from a 1e7-step single trajectory
 # (seed 123457, burn-in 64, blocked stderr over 100 stretches of 1e5 sites;
 # regenerate with demos/regenerate_pins.py)
-GAMMA_LONG = 0.12404451388284268
-GAMMA_LONG_SE = 0.00010946760767120649
+GAMMA_LONG = 0.12404451388284725
+GAMMA_LONG_SE = 0.00010946760767159229
 
 
 # ---------------------------------------------------------------------------
@@ -219,11 +220,11 @@ def test_non_finite_statistic_names_the_largest_radius_of_a_lift_batch(monkeypat
 
     real = estimators.sample_windows
 
-    def with_inf(law, lo, hi, count, stream):
-        wins = real(law, lo, hi, count, stream)
+    def with_inf(law, lo, hi, count, stream, **kwargs):
+        draws = real(law, lo, hi, count, stream, **kwargs)
         if lo < 0:  # the tail-count draws, not the gamma estimate's
-            wins[3, 0] = math.inf
-        return wins
+            draws[0][3, 0] = math.inf  # the base block, shared by both laws
+        return draws
 
     monkeypatch.setattr(estimators, "sample_windows", with_inf)
     with pytest.raises(ValueError, match=r"energy 0\.0, radius 32: 1 of 100 lanes"):
@@ -231,28 +232,81 @@ def test_non_finite_statistic_names_the_largest_radius_of_a_lift_batch(monkeypat
             lift_check(Identity(), BERNOULLI, 0.0, 0.1, [8, 16, 32], 100, RngStream(9))
 
 
+def _direct_counts(stat, wins, grid, gamma, eps, centered, e1=None):
+    """Deviation counts per radius from one matrix_batch call on each
+    radius's own window."""
+    m = wins.shape[1] // 2
+    direct = []
+    for n in grid:
+        sub = wins[:, m - n : m + n + 1] if centered else wins[:, :n]
+        with np.errstate(divide="ignore"):
+            logs = _statistic_logs(stat, matrix_batch(0.3, sub), e1, e1)
+        direct.append(int(np.count_nonzero(np.abs(logs / sub.shape[1] - gamma) > eps)))
+    return direct
+
+
 @pytest.mark.parametrize("centered", [False, True])
 def test_nested_counts_equal_direct_counts_per_radius(centered):
     # one batch, one draw over the largest radius: the count at each radius
-    # equals the count from a matrix_batch call on that radius's own window
+    # equals the count from a matrix_batch call on that radius's own window;
+    # centered, one coupled draw serves the base law and the bump law
     law = ProductLaw.approximate(
         BERNOULLI, BumpSchedule(sites=PowersOfTwoSites(), base=BERNOULLI, weights=(0.75, 0.25))
     )
     grid = np.array([1, 5, 17, 40])
     samples, stream, e1 = 1500, RngStream(23), np.array([1.0, 0.0])
-    wins = sample_windows(law, -40 if centered else 1, 40, samples, stream.child(0))
+
+    def products(b, size):
+        if not centered:
+            return [matrix_batch(0.3, sample_windows(law, 1, 40, size, stream.child(b)), grid)]
+        wins, sites, columns = sample_windows(law, -40, 40, size, stream.child(b), coupled=True)
+        return centered_batch(0.3, wins, grid, sites, columns)
+
+    laws = [ProductLaw.exact(BERNOULLI), law] if centered else [law]
+    lengths = 2 * grid + 1 if centered else grid
     for stat, gamma, eps in (("log_norm", 0.1, 0.08), ("log_det", 0.1, 0.08),
                              ("matrix_element", 0.1, 0.15)):
-        counts = _tail_counts(law, 0.3, centered, eps, gamma, grid, samples, stream,
+        counts = _tail_counts(products, 0.3, lengths, eps, gamma, grid, samples,
                               stat, e1, e1, 1)
-        direct = []
-        for n in grid:
-            sub = wins[:, 40 - n : 40 + n + 1] if centered else wins[:, :n]
-            with np.errstate(divide="ignore"):
-                logs = _statistic_logs(stat, matrix_batch(0.3, sub), e1, e1)
-            direct.append(int(np.count_nonzero(np.abs(logs / sub.shape[1] - gamma) > eps)))
-        assert counts.tolist() == direct, stat
-        assert 0 < counts.sum() < samples * len(grid)
+        assert counts.shape == (len(laws), len(grid))
+        for each, got in zip(laws, counts):
+            wins = sample_windows(each, -40 if centered else 1, 40, samples, stream.child(0))
+            assert got.tolist() == _direct_counts(stat, wins, grid, gamma, eps, centered, e1)
+            assert 0 < got.sum() < samples * len(grid)
+
+
+UNIFORM = UniformInterval(-1.0, 1.0)
+
+LIFT_LAWS = {
+    "bump_bernoulli": (BumpSchedule(sites=PowersOfTwoSites(), base=BERNOULLI,
+                                    weights=(0.75, 0.25)), BERNOULLI),
+    "atom_reweight": (AtomReweight(BERNOULLI, {-1: (0.75, 0.25), 0: (0.25, 0.75),
+                                               2: (0.75, 0.25)}), BERNOULLI),
+    # g(x) = 1 + x/2 against the uniform law on [-1, 1], rejection-sampled
+    "callable_bump_uniform": (BumpSchedule(sites=PowersOfTwoSites(), base=UNIFORM,
+                                           density=lambda x: 1.0 + 0.5 * x,
+                                           density_sup=1.5), UNIFORM),
+}
+
+
+@pytest.mark.parametrize("name", sorted(LIFT_LAWS))
+def test_lift_counts_are_direct_counts_of_each_law_from_one_draw(name):
+    # the exact-law counts are those of direct matrix_batch calls on the
+    # exact law's windows from child(1), and the perturbed-law counts those
+    # on the perturbed law's windows from the same stream: one draw per batch
+    # serves both laws, and each marginal is exact
+    seq, base = LIFT_LAWS[name]
+    grid, samples, stream = np.array([3, 8, 20]), BATCH_SIZE + 300, RngStream(24)
+    report = lift_check(seq, base, 0.3, 0.1, grid, samples, stream)
+    for law, got in ((ProductLaw.exact(base), report.counts_exact),
+                     (ProductLaw.approximate(base, seq), report.counts_approx)):
+        want = np.zeros(len(grid), dtype=np.int64)
+        for b, size in enumerate((BATCH_SIZE, 300)):
+            wins = sample_windows(law, -20, 20, size, stream.child(1, b))
+            want += _direct_counts("log_norm", wins, grid, report.gamma_ref,
+                                   report.epsilon_eff, True)
+        assert got.tolist() == want.tolist(), law.tag
+    assert not np.array_equal(report.counts_exact, report.counts_approx)
 
 
 def test_exact_zero_log_det_counts_as_a_deviation():

@@ -370,6 +370,29 @@ def test_perturbed_columns_replay_generator_choice(law):
         assert set(np.unique(column)) == set(law.base.locations[beta > 0])
 
 
+@pytest.mark.parametrize(
+    "seq",
+    [
+        BumpSchedule(sites=PowersOfTwoSites(), base=BERNOULLI, weights=(0.75, 0.25)),
+        AtomReweight(BERNOULLI, {-1: (0.75, 0.25), 0: (0.25, 0.75), 2: (0.75, 0.25)}),
+        # rejection-sampled columns: g(x) = 1 + x/2 against the uniform law
+        BumpSchedule(sites=PowersOfTwoSites(), base=UniformInterval(-1.0, 1.0),
+                     density=lambda x: 1.0 + 0.5 * x, density_sup=1.5),
+    ],
+)
+def test_coupled_draw_holds_both_laws(seq):
+    # the base block is the exact law's windows and, with the redrawn
+    # columns written in, the perturbed law's windows, from one stream
+    law = ProductLaw.approximate(seq.base, seq)
+    for lo, hi in ((-20, 20), (3, 9)):
+        values, sites, columns = sample_windows(law, lo, hi, 257, RngStream(8, (1,)), coupled=True)
+        assert sites == seq.perturbed_sites(lo, hi) and columns.shape == (257, len(sites))
+        exact = sample_windows(ProductLaw.exact(seq.base), lo, hi, 257, RngStream(8, (1,)))
+        assert np.array_equal(values, exact)
+        values[:, [k - lo for k in sites]] = columns
+        assert np.array_equal(values, sample_windows(law, lo, hi, 257, RngStream(8, (1,))))
+
+
 # ---------------------------------------------------------------------------
 # byte-table sampler for dyadic weights
 # ---------------------------------------------------------------------------

@@ -718,6 +718,23 @@ def test_rescaled_kernel_energy_per_lane_across_tiles():
     np.testing.assert_allclose(got[0], want[0], rtol=1e-12, atol=1e-12)
 
 
+def test_wide_calls_take_shorter_blocks_and_the_same_bits():
+    # 2x2 products over more than 2048 lanes pass _BLOCK_BYTES at 64 sites
+    # per block, so the kernel takes 32: only the rescale points move, by
+    # exact powers of two, so every lane equals its narrow call bit for bit
+    rng = np.random.default_rng(117)
+    windows = _kernel_windows("pareto", rng, 2100, 150)
+    assert transfer._BLOCK_BYTES // (2 * 2100 * 8) < transfer._BLOCK
+    assert transfer._BLOCK_BYTES // (2 * 700 * 8) >= transfer._BLOCK
+    marks = (0, 1, 31, 32, 33, 64, 100, 150)
+    for energy in (0.37, 0.4 + 0.6j):
+        wide = matrix_batch(energy, windows, marks)
+        for a in range(0, 2100, 700):
+            narrow = matrix_batch(energy, windows[a : a + 700], marks)
+            for got, want in zip(wide, narrow):
+                np.testing.assert_array_equal(got[:, a : a + 700], want)
+
+
 STATS = ("log_norm", "log_det", "matrix_element")
 
 
@@ -791,11 +808,40 @@ def _split_log_condition(energy, windows, stat_logs):
     return np.max(prefix + suffix, axis=0) - stat_logs
 
 
+def _centered_agreement(energy, windows, radii, composed):
+    """Check composed centered products against one matrix_batch pass over
+    each ``[-n, n]``: within 1e-10 in the log where no split of the window
+    is ill conditioned, and within a few rounding units times the split
+    condition number everywhere.  Returns the conditioned and the total
+    lane counts."""
+    m = windows.shape[1] // 2
+    conditioned = total = 0
+    assert all(a.shape == (len(radii), len(windows)) for a in composed)
+    for j, n in enumerate(radii):
+        sub = windows[:, m - n : m + n + 1]
+        direct = matrix_batch(energy, sub)
+        for stat in STATS:
+            with np.errstate(divide="ignore"):
+                got = _statistic_logs(stat, tuple(a[j] for a in composed), UNIT_U, UNIT_V)
+                want = _statistic_logs(stat, direct, UNIT_U, UNIT_V)
+                # an exact zero stays -inf, and -inf only marks one
+                np.testing.assert_array_equal(got == -np.inf, want == -np.inf)
+                zero = want == -np.inf
+                cond = _split_log_condition(energy, sub, want)
+            assert np.all(np.isfinite(got[~zero])), (stat, n, energy)
+            diff = np.abs(got[~zero] - want[~zero])
+            tol = 1e-10 + 1e-14 * np.exp(np.minimum(cond[~zero], 700.0))
+            assert np.all(diff <= tol), (stat, n, energy, diff.max())
+            calm = cond[~zero] < math.log(1e4)
+            assert np.all(diff[calm] <= 1e-10), (stat, n, energy)
+            conditioned += int(np.count_nonzero(calm))
+            total += int(np.count_nonzero(~zero))
+    return conditioned, total
+
+
 @pytest.mark.parametrize("kind", ["bernoulli", "uniform", "pareto"])
 def test_centered_products_match_the_full_window(kind):
-    # R_n J P_n^t J against one matrix_batch pass over [-n, n]: within 1e-10
-    # in the log where no split of the window is ill conditioned, and within
-    # a few rounding units times the split condition number everywhere
+    # R_n J P_n^t J against one matrix_batch pass over [-n, n]
     rng = np.random.default_rng(114)
     conditioned = total = 0
     for m, radii in ((1, (1,)), (150, (1, 2, 7, 64, 65, 150))):
@@ -803,35 +849,66 @@ def test_centered_products_match_the_full_window(kind):
             windows = _kernel_windows(kind, rng, 48, 2 * m + 1)
             with warnings.catch_warnings():
                 warnings.simplefilter("error")
-                composed = centered_batch(energy, windows, radii)
-            assert all(a.shape == (len(radii), 48) for a in composed)
-            for j, n in enumerate(radii):
-                sub = windows[:, m - n : m + n + 1]
-                direct = matrix_batch(energy, sub)
-                for stat in STATS:
-                    with np.errstate(divide="ignore"):
-                        got = _statistic_logs(stat, tuple(a[j] for a in composed), UNIT_U, UNIT_V)
-                        want = _statistic_logs(stat, direct, UNIT_U, UNIT_V)
-                        # an exact zero stays -inf, and -inf only marks one
-                        np.testing.assert_array_equal(got == -np.inf, want == -np.inf)
-                        zero = want == -np.inf
-                        cond = _split_log_condition(energy, sub, want)
-                    assert np.all(np.isfinite(got[~zero])), (stat, n, energy)
-                    diff = np.abs(got[~zero] - want[~zero])
-                    tol = 1e-10 + 1e-14 * np.exp(np.minimum(cond[~zero], 700.0))
-                    assert np.all(diff <= tol), (stat, n, energy, diff.max())
-                    calm = cond[~zero] < math.log(1e4)
-                    assert np.all(diff[calm] <= 1e-10), (stat, n, energy)
-                    conditioned += int(np.count_nonzero(calm))
-                    total += int(np.count_nonzero(~zero))
+                (composed,) = centered_batch(energy, windows, radii)
+            c, t = _centered_agreement(energy, windows, radii, composed)
+            conditioned, total = conditioned + c, total + t
     # the loose bound must not be what carries the test
     assert conditioned >= 0.95 * total
+
+
+@pytest.mark.parametrize("kind", ["bernoulli", "uniform", "pareto"])
+def test_coupled_products_match_the_full_window_per_law(kind):
+    # both laws composed from one restarting pass per half, each against
+    # matrix_batch over [-n, n] of its own windows; the sites include both
+    # ends, adjacent pairs, site 0, and sites past the largest radius
+    rng = np.random.default_rng(115)
+    conditioned = total = 0
+    for m, radii, sites in (
+        (1, (0, 1), (-1, 0, 1)),
+        (150, (1, 2, 7, 64, 65, 120), (-150, -64, -3, -2, 0, 1, 2, 8, 64, 65, 119, 120, 140)),
+    ):
+        for energy in (0.0, 0.37, 2.9, 0.4 + 0.6j):
+            windows = _kernel_windows(kind, rng, 48, 2 * m + 1)
+            columns = _kernel_windows(kind, rng, 48, len(sites))
+            redrawn = windows.copy()
+            redrawn[:, [m + k for k in sites]] = columns
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                laws = centered_batch(energy, windows, radii, sites, columns)
+            assert len(laws) == 2
+            for wins, composed in zip((windows, redrawn), laws):
+                c, t = _centered_agreement(energy, wins, radii, composed)
+                conditioned, total = conditioned + c, total + t
+    assert conditioned >= 0.95 * total
+
+
+def test_restarted_marks_equal_the_segment_products():
+    # a mark after a restart holds the product over the sites since that
+    # restart, bit for bit the one-pass product of that segment; a mark at
+    # a restart count, the last one included, reads the identity
+    rng = np.random.default_rng(116)
+    windows = rng.uniform(-3.0, 3.0, (7, 300))
+    restarts = [1, 2, 64, 65, 200, 300]
+    marks = [0, 1, 2, 3, 63, 64, 100, 128, 199, 200, 250, 299, 300]
+    pairs, shifts = transfer._propagate(0.3, windows, 2, marks, restarts=restarts)
+    transfer._rescale(pairs, shifts)
+    for i, k in enumerate(marks):
+        since = max([0] + [c for c in restarts if c <= k])
+        if since == k:
+            np.testing.assert_array_equal(pairs[:, :, i], np.eye(2)[:, :, None] * np.ones(7))
+            assert np.all(shifts[i] == 0)
+            continue
+        want = matrix_batch(0.3, windows[:, since:k], (k - since,))
+        (s00, s01), (s10, s11) = pairs[:, :, i]
+        for got, w in zip((s00, s01, s10, s11), want):
+            np.testing.assert_array_equal(got, w[0])
+        np.testing.assert_array_equal(shifts[i] * math.log(2.0), want[4][0])
 
 
 def test_centered_exact_zero_stays_minus_inf():
     # V == 0 at E = 0: every odd-length window has determinant exactly 0
     windows = np.zeros((3, 2 * 40 + 1))
-    composed = centered_batch(0.0, windows, (1, 2, 7, 40))
+    (composed,) = centered_batch(0.0, windows, (1, 2, 7, 40))
     with np.errstate(divide="ignore"):
         logs = _statistic_logs("log_det", composed, UNIT_U, UNIT_V)
     assert np.all(logs == -np.inf)
@@ -839,3 +916,23 @@ def test_centered_exact_zero_stays_minus_inf():
     np.testing.assert_allclose(log_norm_batch(*composed), 0.0, atol=1e-15)
     with pytest.raises(ValueError, match="odd length"):
         centered_batch(0.0, np.zeros((2, 4)), (1,))
+
+
+def test_coupled_exact_zero_stays_minus_inf():
+    # as above, with sites at 0, +-1 and +-2: both passes restart at their
+    # first site and at adjacent sites, and each law composes its products
+    # from the empty segments between them
+    windows = np.zeros((3, 2 * 40 + 1))
+    sites = (-2, -1, 0, 1, 2)
+    laws = centered_batch(0.0, windows, (1, 2, 7, 40), sites, np.zeros((3, len(sites))))
+    assert len(laws) == 2
+    for composed in laws:
+        with np.errstate(divide="ignore"):
+            logs = _statistic_logs("log_det", composed, UNIT_U, UNIT_V)
+        assert np.all(logs == -np.inf)
+        np.testing.assert_allclose(log_norm_batch(*composed), 0.0, atol=1e-15)
+    with pytest.raises(ValueError, match="sites"):
+        centered_batch(0.0, np.zeros((2, 5)), (1,), (0, 3), np.zeros((2, 2)))
+    # a redrawn potential never meets the pass, so the composition checks it
+    with pytest.raises(ValueError, match="MAGNITUDE_LIMIT"):
+        centered_batch(0.0, np.zeros((2, 5)), (2,), (1,), np.full((2, 1), 1.7e308))
