@@ -12,7 +12,8 @@ estimates across an energy grid are correlated too.  The lifting check
 draws once per batch from ``stream.child(1)`` for both product laws: the
 base block is the exact law's windows, the redrawn perturbed columns make
 the approximate law's, and one restarting kernel pass per half serves
-both, so the two laws' counts are correlated as well.  Statistical
+both, so the two laws' counts are correlated as well; both tail curves run
+one pipeline, counting every law off a leading law axis.  Statistical
 tolerances follow one rule throughout: three combined standard errors,
 with a Wilson-adjusted estimate substituted when a tail count is below ten.
 """
@@ -216,68 +217,58 @@ def _statistic_logs(
         return log_scale + np.log(np.abs(ip))
 
 
-def _checked_statistic(
+def checked_statistic(
     statistic: str, u: np.ndarray | None, v: np.ndarray | None, rate_power: float
 ) -> tuple[np.ndarray | None, np.ndarray | None]:
     """Check a tail curve's statistic and fit arguments before any draw;
     ``u`` and ``v``, given exactly for ``matrix_element``, come back as unit
-    vectors."""
+    vectors.  Each message leads with the argument it rejects."""
     if statistic not in STATISTICS:
-        raise ValueError(f"unknown statistic {statistic!r}; choose from {STATISTICS}")
-    if statistic == "matrix_element" and (u is None or v is None):
-        raise ValueError("matrix_element statistic needs unit vectors u and v")
-    if statistic != "matrix_element" and (u is not None or v is not None):
-        raise ValueError("u and v must be given exactly when statistic is 'matrix_element'")
+        raise ValueError(f"statistic must be one of {STATISTICS}, got {statistic!r}")
     if rate_power not in (1.0, 0.5):
         raise ValueError("rate_power must be 1.0 or 0.5")
-    u = None if u is None else require_unit("u", u)
-    v = None if v is None else require_unit("v", v)
-    return u, v
+    vectors = (("u", u), ("v", v))
+    for name, vec in vectors:
+        if (vec is None) == (statistic == "matrix_element"):
+            raise ValueError(f"{name} must be given exactly when statistic is 'matrix_element'")
+    return tuple(None if vec is None else require_unit(name, vec) for name, vec in vectors)
 
 
 def _tail_counts(
-    products: Callable[[int, int], Sequence[tuple]],
-    energy: complex | float,
-    lengths: np.ndarray,
-    eps_eff: float,
-    gamma_ref: float,
-    n_grid: np.ndarray,
-    samples: int,
-    statistic: str,
-    u: np.ndarray | None,
-    v: np.ndarray | None,
-    workers: int,
+    products: Callable[[int, int], tuple], energy: complex | float, lengths: np.ndarray,
+    eps_eff: float, gamma_ref: float, n_grid: np.ndarray, samples: int, statistic: str,
+    u: np.ndarray | None, v: np.ndarray | None, workers: int,
 ) -> np.ndarray:
     """Deviation counts, one row per law and one column per grid radius.
 
     ``products(b, size)`` draws batch ``b`` over the largest radius and
-    returns, for each law, the five arrays of one kernel pass with one row
-    per radius (window length ``lengths``), so the counts are correlated
-    across radii, and across laws that share a draw.  A NaN or ``+inf``
-    statistic under any law raises after all batches, naming the first
-    radius with one and the most such lanes of any law there.
+    returns the five arrays of one kernel pass, each led by a law axis and
+    then one row per radius (window length ``lengths``), so the counts are
+    correlated across radii, and across laws that share a draw; one
+    statistic call serves every law.  A NaN or ``+inf`` statistic under any
+    law raises after all batches, naming the first radius with one and the
+    most such lanes of any law there.
     """
 
     def batch(b: int, size: int):
-        hits, bad = [], []
-        for law_products in products(b, size):
-            stats = _statistic_logs(statistic, law_products, u, v)
-            # -inf marks an exact zero (log_det, matrix_element) and counts as
-            # a deviation; NaN would silently count as none
-            bad.append(np.count_nonzero(np.isnan(stats) | (stats == np.inf), axis=1))
-            deviation = np.abs(stats / lengths[:, None] - gamma_ref) > eps_eff
-            hits.append(np.count_nonzero(deviation, axis=1))
-        return np.array(hits), np.array(bad)
+        stats = _statistic_logs(statistic, products(b, size), u, v)
+        # -inf marks an exact zero (log_det, matrix_element) and counts as
+        # a deviation; NaN would silently count as none
+        bad = np.count_nonzero(np.isnan(stats) | (stats == np.inf), axis=-1)
+        deviation = np.abs(stats / lengths[:, None] - gamma_ref) > eps_eff
+        # plain ints: a numpy buffer kept until the last batch would split the
+        # heap block that every batch's windows reuse, and add a block of memory
+        return np.count_nonzero(deviation, axis=-1).tolist(), bad.tolist()
 
     parts = _map_batches(batch, samples, workers)
-    bad = sum(p[1] for p in parts).max(axis=0)
+    bad = np.sum([p[1] for p in parts], axis=0).max(axis=0)
     if np.any(bad):
         i = int(np.argmax(bad > 0))
         raise ValueError(
             f"non-finite statistic at energy {energy!r}, radius {int(n_grid[i])}: "
             f"{int(bad[i])} of {samples} lanes"
         )
-    return sum(p[0] for p in parts).astype(np.int64)
+    return np.sum([p[0] for p in parts], axis=0, dtype=np.int64)
 
 
 @dataclass(frozen=True)
@@ -341,11 +332,42 @@ class LDECurve:
             raise ValueError("tail counts cannot exceed the sample count")
 
 
-def _checked_grid(n_grid: Sequence[int]) -> np.ndarray:
+def _tail_curve(
+    law: ProductLaw, draw: Callable, energy: complex | float, epsilon: float,
+    n_grid: Sequence[int], samples: int, stream: RngStream, statistic: str,
+    u: np.ndarray | None, v: np.ndarray | None, rate_power: float, workers: int, *,
+    centered: bool = False, gamma: float | None = None, gamma_stderr: float = 0.0,
+):
+    """The one pipeline of :func:`lde_curve` and :func:`lift_check`: check
+    the arguments, take the reference rate (``gamma``, else a
+    :func:`lyapunov_mc` estimate under ``law`` from ``stream.child(0)`` at
+    the largest window length, ``n`` or ``2n + 1`` when ``centered``), fold
+    its error into ``eps_eff = epsilon - 2 stderr``, then count every law of
+    ``draw(grid, stream.child(1, b), size)`` for each batch ``b``.
+    Returns ``(grid, counts, gamma, gamma_stderr, eps_eff)``.
+    """
+    if epsilon <= 0:
+        raise ValueError("epsilon must be positive")
+    u, v = checked_statistic(statistic, u, v, rate_power)
     grid = np.asarray(list(n_grid), dtype=np.int64)
     if grid.size == 0 or np.any(grid < 1) or np.any(np.diff(grid) <= 0):
         raise ValueError("n_grid must be non-empty, positive, strictly ascending")
-    return grid
+    lengths = 2 * grid + 1 if centered else grid
+    if gamma is None:
+        n, batch = int(lengths[-1]), min(samples, BATCH_SIZE)
+        est = lyapunov_mc(law, energy, n, batch, stream.child(0), workers=workers)
+        gamma, gamma_stderr = est.mean, est.stderr
+    eps_eff = epsilon - 2.0 * gamma_stderr
+    if eps_eff <= 0:
+        raise ValueError(
+            f"epsilon {epsilon:.3g} is swamped by the gamma estimate error "
+            f"({gamma_stderr:.3g}); use more samples or a larger epsilon"
+        )
+    counts = _tail_counts(
+        lambda b, size: draw(grid, stream.child(1, b), size), energy, lengths, eps_eff, gamma,
+        grid, samples, statistic, u, v, workers,
+    )
+    return grid, counts, gamma, gamma_stderr, eps_eff
 
 
 def lde_curve(
@@ -368,32 +390,17 @@ def lde_curve(
 
     When no reference ``gamma`` is supplied, one is estimated first at the
     largest grid point; its standard error is folded into the threshold as
-    ``eps_eff = epsilon - 2 stderr``.  ``rate_power`` of 1 fits a plain
+    ``eps_eff = epsilon - 2 stderr``.  The counts are the one-law case of
+    :func:`lift_check`'s pipeline.  ``rate_power`` of 1 fits a plain
     exponential rate; 1/2 fits a stretched-exponential ``exp(-eta sqrt(n))``.
     """
-    if epsilon <= 0:
-        raise ValueError("epsilon must be positive")
-    u, v = _checked_statistic(statistic, u, v, rate_power)
-    grid = _checked_grid(n_grid)
-    if gamma is None:
-        est = lyapunov_mc(
-            law, energy, int(grid[-1]), min(samples, BATCH_SIZE), stream.child(0), workers=workers
-        )
-        gamma, gamma_stderr = est.mean, est.stderr
-    eps_eff = epsilon - 2.0 * gamma_stderr
-    if eps_eff <= 0:
-        raise ValueError(
-            f"epsilon {epsilon:.3g} is swamped by the gamma estimate error "
-            f"({gamma_stderr:.3g}); use more samples or a larger epsilon"
-        )
-    stream = stream.child(1)
+    def draw(grid: np.ndarray, batch: RngStream, size: int):  # one law, on a law axis
+        wins = sample_windows(law, 1, int(grid[-1]), size, batch)
+        return tuple(a[None] for a in matrix_batch(energy, wins, grid))
 
-    def products(b: int, size: int):
-        wins = sample_windows(law, 1, int(grid[-1]), size, stream.child(b))
-        return [matrix_batch(energy, wins, grid)]
-
-    (counts,) = _tail_counts(
-        products, energy, grid, eps_eff, gamma, grid, samples, statistic, u, v, workers
+    grid, (counts,), gamma, gamma_stderr, eps_eff = _tail_curve(
+        law, draw, energy, epsilon, n_grid, samples, stream, statistic, u, v, rate_power,
+        workers, gamma=gamma, gamma_stderr=gamma_stderr,
     )
     fit = _fit_rate(grid, counts, samples, rate_power)
     return LDECurve(
@@ -475,40 +482,29 @@ def lift_check(
     the restricted Radon-Nikodym bound applies with constant
     ``prod_{|k|<=n} ||g_k||_inf``.
 
-    Batch ``b`` draws once from ``stream.child(1).child(b)``, and that draw
-    serves both laws: its base block is the exact-law windows, and the same
-    block with the perturbed columns redrawn after it is the
-    approximate-law windows (``sample_windows(..., coupled=True)``), so
-    both marginals are exact.  One :func:`centered_batch` call composes
-    both laws' products from one pass over each half, and both count
-    vectors come from it.  The counts are therefore positively correlated,
-    and ``se_log``, which adds the two relative variances as if they were
+    :func:`lde_curve`'s pipeline estimates the reference rate under the exact
+    law at ``2 n_max + 1`` sites, then batch ``b`` draws once from
+    ``stream.child(1).child(b)`` for both laws: the base block is the
+    exact-law windows, and the same block with the perturbed columns redrawn
+    after it is the approximate-law windows (``sample_windows(...,
+    coupled=True)``), so both marginals are exact.  One :func:`centered_batch`
+    call composes both laws' products (law 0 exact, law 1 approximate, on a
+    leading law axis) from one pass over each half, and one statistic call
+    counts both.  The counts are therefore positively correlated, and
+    ``se_log``, which adds the two relative variances as if they were
     independent, overstates the error of ``log p0 - log p1``.
     """
-    if epsilon <= 0:
-        raise ValueError("epsilon must be positive")
-    u, v = _checked_statistic(statistic, u, v, rate_power)
-    grid = _checked_grid(n_grid)
     law_exact = ProductLaw.exact(base)
     law_approx = ProductLaw.approximate(base, seq)
-    n_gamma = 2 * int(grid[-1]) + 1
-    est = lyapunov_mc(
-        law_exact, energy, n_gamma, min(samples, BATCH_SIZE), stream.child(0), workers=workers
-    )
-    gamma, gamma_stderr = est.mean, est.stderr
-    eps_eff = epsilon - 2.0 * gamma_stderr
-    if eps_eff <= 0:
-        raise ValueError("epsilon is swamped by the gamma estimate error")
-    n_max, stream = int(grid[-1]), stream.child(1)
 
-    def products(b: int, size: int):
-        wins, sites, columns = sample_windows(
-            law_approx, -n_max, n_max, size, stream.child(b), coupled=True
-        )
+    def draw(grid: np.ndarray, batch: RngStream, size: int):  # both laws, from one draw
+        n_max = int(grid[-1])
+        wins, sites, columns = sample_windows(law_approx, -n_max, n_max, size, batch, coupled=True)
         return centered_batch(energy, wins, grid, sites, columns)
 
-    counts_exact, counts_approx = _tail_counts(
-        products, energy, 2 * grid + 1, eps_eff, gamma, grid, samples, statistic, u, v, workers
+    grid, (counts_exact, counts_approx), gamma, gamma_stderr, eps_eff = _tail_curve(
+        law_exact, draw, energy, epsilon, n_grid, samples, stream, statistic, u, v, rate_power,
+        workers, centered=True,
     )
     log_bound = np.array(
         [math.fsum(seq.log_sup_norm(k) for k in range(-int(n), int(n) + 1)) for n in grid]

@@ -19,7 +19,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .estimators import lyapunov_mc
+from .estimators import checked_statistic, lyapunov_mc
 from .measures import (
     BaseMeasure,
     DensitySequence,
@@ -32,7 +32,6 @@ from .measures import (
 )
 from .rng import RngStream
 from .spectral import TridiagonalBox, classify_regularity, eigenpairs
-from .transfer import require_unit
 
 #: minimum decay rate / regularity rate used in pass tests, so that the
 #: free-operator negative control cannot pass on noise around zero
@@ -96,12 +95,7 @@ class Scenario:
             raise ValueError("box requires lo <= hi")
         if self.n_grid and any(n < 1 for n in self.n_grid):
             raise ValueError("n_grid entries must be >= 1")
-        for name in ("u", "v"):
-            vec = getattr(self, name)
-            if (vec is None) == (self.statistic == "matrix_element"):
-                raise ValueError(f"{name} must be given exactly when statistic is 'matrix_element'")
-            if vec is not None:
-                require_unit(name, vec)
+        checked_statistic(self.statistic, self.u, self.v, self.rate_power)
 
     @property
     def law_tag(self) -> str:
@@ -602,6 +596,8 @@ def edge_bound_census(
         raise ValueError("r must exceed 1")
     if p <= 0:
         raise ValueError("p must be positive")
+    if alpha is not None and not alpha > 0:
+        raise ValueError("alpha must be positive")
     if not scenario.n_grid:
         raise ValueError("edge census needs a radius grid")
     alpha = scenario.base.alpha_moment if alpha is None else float(alpha)

@@ -24,12 +24,12 @@ batch.  The centered windows ``[-n, n]`` of a whole radius grid come from
 one pass over each half of the largest window.  A pass may also restart:
 after given site counts its rows go back to the identity, so its marks hold
 the segments between those sites.  Two laws that differ only there (the
-exact and the perturbed product law) share the segments, and each composes
-its products from them and its own one-step factors at the restart sites,
-one pass per half for both.  Values in ``[1, 2)`` times
-``V - E`` overflow once ``|V - E|`` reaches :data:`MAGNITUDE_LIMIT`
-(``2**1023``), so the kernel raises a ValueError naming the first site
-where a finite potential does.
+exact and the perturbed product law) share the segments, and compose their
+products from them and their own one-step factors at the restart sites in
+one set of numpy calls, the law being a leading lane axis.  Values in
+``[1, 2)`` times ``V - E`` overflow once ``|V - E|`` reaches
+:data:`MAGNITUDE_LIMIT` (``2**1023``), so the kernel raises a ValueError
+naming the first site where a finite potential does.
 """
 from __future__ import annotations
 
@@ -520,18 +520,20 @@ def matrix_batch(
     return s00, s01, s10, s11, shifts[at] * math.log(2.0)
 
 
-def _restarted_products(energy, half: np.ndarray, counts: list[int], restarts: list[int], laws):
-    """Per law, the products over the first ``k`` sites of ``half`` for each
-    ``k`` of ``counts``, where a law ``(values, at)`` holds its own potential
-    ``values[:, at[i]]`` at the site counted ``restarts[i]``.
+def _restarted_products(energy, half: np.ndarray, counts: list[int], restarts: list[int],
+                        potentials, laws: int):
+    """The products over the first ``k`` sites of ``half`` for each ``k`` of
+    ``counts``, under ``laws`` laws that differ only at the sites counted by
+    ``restarts``: ``potentials`` yields, restart by restart, each law's
+    potential at that site, one row per law.
 
     One pass restarts after each of ``restarts`` and is read just before
     each: the segments ``S_i`` between the restart sites, shared by every
-    law.  A law composes ``C_i = T(E - V_i) S_i C_(i-1)`` from them in turn
-    (``C_0`` the identity); the product at ``k`` is the mark at ``k`` times
-    the ``C`` of the last restart up to ``k``, formed as soon as that ``C``
-    is.  Returns one ``(pairs, shifts)`` per law, entries of shape
-    ``(2, 2, len(counts), *lanes)``, true value ``pairs * 2**shifts``.
+    law.  Every law composes ``C_i = T(E - V_i) S_i C_(i-1)`` (``C_0`` the
+    identity) in the same numpy calls, the law a leading lane axis; the
+    product at ``k`` is the mark at ``k`` times the ``C`` of the last restart
+    up to ``k``, formed as soon as that ``C`` is.  Returns ``(pairs,
+    shifts)``, entries of shape ``(2, 2, laws, len(counts), *lanes)``.
     """
     marks = sorted(set(counts) | {c - 1 for c in restarts})
     pairs, shifts = _propagate(energy, half, 2, marks, restarts=restarts)
@@ -540,32 +542,33 @@ def _restarted_products(energy, half: np.ndarray, counts: list[int], restarts: l
     e = np.asarray(energy) if np.iscomplexobj(pairs) else np.real(energy)
     segments = np.searchsorted(marks, [c - 1 for c in restarts])
     last = np.searchsorted(restarts, counts, side="right")  # the C of each count
-    out = []
-    for values, columns in laws:
-        products = np.empty(pairs.shape[:2] + (len(counts),) + pairs.shape[3:], pairs.dtype)
-        scales = np.empty((len(counts),) + shifts.shape[1:], dtype=np.int64)
-        prefix = scale = None
-        for i in range(len(restarts) + 1):
-            if i:
-                v = values[:, columns[i - 1]]
-                with np.errstate(over="ignore"):  # an overflowing E - V is named just below
-                    d = e - v
-                if np.abs(d).max() >= MAGNITUDE_LIMIT:
-                    _check_magnitude(d[None], v[None], restarts[i - 1] - 1)
-                (s00, s01), (s10, s11) = pairs[:, :, segments[i - 1]]
-                step = np.array([[d * s00 - s10, d * s01 - s11], [s00, s01]])
-                shift = shifts[segments[i - 1]].copy()
+    lanes = shifts.shape[1:]
+    products = np.empty((2, 2, laws, len(counts)) + lanes, pairs.dtype)
+    scales = np.empty((laws, len(counts)) + lanes, dtype=np.int64)
+    prefix = scale = None
+    potentials = iter(potentials)  # one restart's potentials at a time, never stacked
+    for i in range(len(restarts) + 1):
+        if i:
+            v = next(potentials).reshape((laws,) + (1,) * (len(lanes) - 1) + (-1,))  # law, lanes
+            with np.errstate(over="ignore"):  # an overflowing E - V is named just below
+                d = e - v
+            if np.abs(d).max() >= MAGNITUDE_LIMIT:
+                _check_magnitude(d[None], v[None], restarts[i - 1] - 1)
+            top, bottom = pairs[:, :, segments[i - 1], None]
+            step = np.empty((2, 2) + d.shape, pairs.dtype)
+            np.subtract(d * top, bottom, out=step[0])
+            step[1] = top
+            shift = np.broadcast_to(shifts[segments[i - 1]], d.shape).copy()
+            _rescale(step, shift)
+            if prefix is not None:
+                step, shift = _times(step, prefix), shift + scale
                 _rescale(step, shift)
-                if prefix is not None:
-                    step, shift = _times(step, prefix), shift + scale
-                    _rescale(step, shift)
-                prefix, scale = step, shift
-            for j in np.flatnonzero(last == i):
-                mark = pairs[:, :, at[j]]
-                products[:, :, j] = mark if prefix is None else _times(mark, prefix)
-                scales[j] = shifts[at[j]] if scale is None else shifts[at[j]] + scale
-        out.append((products, scales))
-    return out
+            prefix, scale = step, shift
+        for j in np.flatnonzero(last == i):
+            mark = pairs[:, :, at[j], None]
+            products[:, :, :, j] = mark if prefix is None else _times(mark, prefix)
+            scales[:, j] = shifts[at[j]] if scale is None else shifts[at[j]] + scale
+    return products, scales
 
 
 def _times(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -582,7 +585,7 @@ def centered_batch(
     radii,
     sites: tuple[int, ...] | list[int] = (),
     columns: np.ndarray | None = None,
-) -> list[tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]]:
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """Scaled products over the centered windows ``[-n, n]``, every radius
     ``n`` of ``radii`` from one kernel pass over each half, for the windows
     as given and, with ``columns``, for the windows whose ``sites`` are
@@ -600,11 +603,11 @@ def centered_batch(
     ``sites`` (ascending, in ``[-m, m]``) are the sites where a second law
     differs, and ``columns`` holds its potentials there, one column per
     site.  Each pass then restarts at those sites, so the segments between
-    them serve both laws, and each law composes its products from the
-    segments and its own factors ``T(E - V_k)`` (see
-    :func:`_restarted_products`).  Returns one five-array tuple as
-    :func:`matrix_batch` with checkpoints gives, one row per radius, for
-    each law: the windows, then the redrawn windows if ``columns`` is given.
+    them serve both laws, and the laws, one more lane axis, compose their
+    products from the segments and their own factors ``T(E - V_k)`` (see
+    :func:`_restarted_products`).  Returns the five arrays of
+    :func:`matrix_batch` with checkpoints, one row per radius, led by a law
+    axis: law 0 the windows, law 1 the redrawn windows if ``columns`` is given.
     """
     windows = np.atleast_2d(np.asarray(windows, dtype=float))
     m = windows.shape[1] // 2
@@ -614,34 +617,35 @@ def centered_batch(
     reach = _checked_marks(radii, m)[-1]
     if sites and not (-m <= sites[0] and sites[-1] <= m and np.all(np.diff(sites) > 0)):
         raise ValueError("sites must be ascending and lie in the window")
-    laws = [(windows, [m + k for k in sites])]
     if columns is not None:
         columns = np.asarray(columns, dtype=float)
         if columns.shape != (len(windows), len(sites)):
             raise ValueError("columns must hold one column per site and one row per window")
-        laws.append((columns, range(len(sites))))
+
+    def potentials(indices):  # each law's potential at one site at a time
+        for i in indices:
+            v = windows[:, m + sites[i]]
+            yield v[None] if columns is None else np.stack([v, columns[:, i]])
+
+    laws = 1 if columns is None else 2
     right = [i for i, k in enumerate(sites) if 0 < k <= reach]
     left = [i for i, k in reversed(list(enumerate(sites))) if -reach <= k <= 0]
-    rights = _restarted_products(
-        energy, windows[:, m + 1 :], radii, [sites[i] for i in right],
-        [(values, [at[i] for i in right]) for values, at in laws],
+    r, shift_r = _restarted_products(
+        energy, windows[:, m + 1 :], radii, [sites[i] for i in right], potentials(right), laws
     )
-    lefts = _restarted_products(
+    p, shift_p = _restarted_products(
         energy, windows[:, m::-1], [n + 1 for n in radii], [1 - sites[i] for i in left],
-        [(values, [at[i] for i in left]) for values, at in laws],
+        potentials(left), laws,
     )
-    out = []
-    for (r, shift_r), (p, shift_p) in zip(rights, lefts):
-        (r00, r01), (r10, r11) = r
-        (p00, p01), (p10, p11) = p
-        pair = np.array([[r00 * p00 - r01 * p01, r01 * p11 - r00 * p10],
-                         [r10 * p00 - r11 * p01, r11 * p11 - r10 * p10]])
-        shift = np.zeros(shift_r.shape, dtype=np.int64)
-        _rescale(pair, shift)
-        (s00, s01), (s10, s11) = pair
-        log_scale = shift_r * math.log(2.0) + shift_p * math.log(2.0) + shift * math.log(2.0)
-        out.append((s00, s01, s10, s11, log_scale))
-    return out
+    (r00, r01), (r10, r11) = r
+    (p00, p01), (p10, p11) = p
+    pair = np.array([[r00 * p00 - r01 * p01, r01 * p11 - r00 * p10],
+                     [r10 * p00 - r11 * p01, r11 * p11 - r10 * p10]])
+    shift = np.zeros(shift_r.shape, dtype=np.int64)
+    _rescale(pair, shift)
+    (s00, s01), (s10, s11) = pair
+    log_scale = shift_r * math.log(2.0) + shift_p * math.log(2.0) + shift * math.log(2.0)
+    return s00, s01, s10, s11, log_scale
 
 
 def log_norm_batch(

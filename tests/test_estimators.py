@@ -257,8 +257,9 @@ def test_nested_counts_equal_direct_counts_per_radius(centered):
     samples, stream, e1 = 1500, RngStream(23), np.array([1.0, 0.0])
 
     def products(b, size):
-        if not centered:
-            return [matrix_batch(0.3, sample_windows(law, 1, 40, size, stream.child(b)), grid)]
+        if not centered:  # one law: a law axis of length 1
+            wins = sample_windows(law, 1, 40, size, stream.child(b))
+            return tuple(a[None] for a in matrix_batch(0.3, wins, grid))
         wins, sites, columns = sample_windows(law, -40, 40, size, stream.child(b), coupled=True)
         return centered_batch(0.3, wins, grid, sites, columns)
 
@@ -341,12 +342,19 @@ def test_bernoulli_rate_is_positive_with_confident_fit():
     assert np.all(np.diff(curve.counts) < 0)
 
 
-def test_swamped_epsilon_is_rejected():
-    with pytest.raises(ValueError, match="swamped"):
-        lde_curve(
-            BERNOULLI_LAW, 0.0, 0.001, [16], 100, RngStream(14),
-            gamma=0.12, gamma_stderr=0.01,
-        )
+@pytest.mark.parametrize("curve", ["lde_curve", "lift_check"])
+def test_swamped_epsilon_is_rejected(curve):
+    # both tail curves share one front end and one message; lift_check
+    # always estimates its reference, here from 64 samples at 2 * 16 + 1 sites
+    match = r"epsilon 0\.001 is swamped by the gamma estimate error \(.+\); use more samples"
+    with pytest.raises(ValueError, match=match):
+        if curve == "lde_curve":
+            lde_curve(
+                BERNOULLI_LAW, 0.0, 0.001, [16], 100, RngStream(14),
+                gamma=0.12, gamma_stderr=0.01,
+            )
+        else:
+            lift_check(Identity(), BERNOULLI, 0.0, 0.001, [16], 64, RngStream(14))
 
 
 def test_statistics_take_the_same_reference():
@@ -379,16 +387,23 @@ def test_stretched_exponential_rate_power():
 @pytest.mark.parametrize(
     "bad, match",
     [
-        ({"statistic": "log_mean"}, "unknown statistic"),
-        ({"statistic": "matrix_element", "v": np.array([1.0, 0.0])}, "needs unit vectors"),
-        ({"statistic": "matrix_element", "u": np.array([1.0, 0.0])}, "needs unit vectors"),
+        ({"statistic": "log_mean"}, "statistic must be one of"),
+        ({"statistic": "matrix_element", "v": np.array([1.0, 0.0])},
+         "u must be given exactly when statistic is 'matrix_element'"),
+        ({"statistic": "matrix_element", "u": np.array([1.0, 0.0])},
+         "v must be given exactly when statistic is 'matrix_element'"),
         ({"statistic": "matrix_element", "u": np.array([1.0, 1.0]), "v": np.array([0.0, 1.0])},
          "u must be a unit vector"),
-        ({"rate_power": 0.3}, "rate_power"),
-        ({"u": np.array([1.0, 0.0])}, "exactly when statistic is 'matrix_element'"),
+        ({"rate_power": 0.3}, "rate_power must be"),
+        ({"u": np.array([1.0, 0.0])}, "u must be given exactly when statistic is 'matrix_element'"),
         ({"statistic": "log_det", "u": np.array([1.0, 0.0]), "v": np.array([0.0, 1.0])},
-         "exactly when statistic is 'matrix_element'"),
+         "u must be given exactly when statistic is 'matrix_element'"),
     ],
+    # each id names the fault; the message names the argument it rejects
+    ids=["bad0-unknown statistic", "bad1-needs unit vectors", "bad2-needs unit vectors",
+         "bad3-u must be a unit vector", "bad4-rate_power",
+         "bad5-exactly when statistic is 'matrix_element'",
+         "bad6-exactly when statistic is 'matrix_element'"],
 )
 def test_tail_curves_check_their_arguments_before_any_draw(monkeypatch, bad, match):
     draws = []

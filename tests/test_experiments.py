@@ -59,6 +59,17 @@ def test_seed_and_samples_are_validated():
         scenario(samples=0)
 
 
+@pytest.mark.parametrize("bad, match", [
+    ({"statistic": "log_mean"}, "statistic must be one of"),
+    ({"rate_power": 0.3}, "rate_power must be"),
+    ({"statistic": "matrix_element", "u": (1.0, 0.0)}, "v must be given exactly"),
+    ({"statistic": "matrix_element", "u": (1.0, 1.0), "v": (0.0, 1.0)}, "u must be a unit"),
+])
+def test_scenario_takes_the_tail_curves_statistic_rule(bad, match):
+    with pytest.raises(ValueError, match=match):
+        scenario(kind="lde", **bad)
+
+
 def test_law_tag_follows_the_densities():
     assert scenario().law_tag == "exact"
     bumps = BumpSchedule(sites=PowersOfTwoSites(), base=BERNOULLI, weights=(0.75, 0.25))
@@ -214,6 +225,21 @@ def test_parameter_validation():
         edge_bound_census(sc, p=1.0, r=1.0)
     with pytest.raises(ValueError, match="p must be"):
         edge_bound_census(sc, p=0.0, r=2.0)
+
+
+@pytest.mark.parametrize("alpha", [-1.0, 0.0])
+def test_edge_census_rejects_a_nonpositive_alpha_before_any_draw(monkeypatch, alpha):
+    # -1 used to run with threshold n^(-r) and 0 to divide by zero
+    import anderson_lab.experiments as experiments
+
+    def spy(*args, **kwargs):
+        raise AssertionError("sample_windows called before alpha was checked")
+
+    monkeypatch.setattr(experiments, "sample_windows", spy)
+    par = ParetoTail(scale=1.0, exponent=1.2, symmetric=True, alpha_moment=1.0)
+    sc = scenario(kind="edge_census", base=par, samples=10, n_grid=(8, 16))
+    with pytest.raises(ValueError, match="alpha must be positive"):
+        edge_bound_census(sc, p=2.0, r=2.0, alpha=alpha)
 
 
 # ---------------------------------------------------------------------------

@@ -849,7 +849,9 @@ def test_centered_products_match_the_full_window(kind):
             windows = _kernel_windows(kind, rng, 48, 2 * m + 1)
             with warnings.catch_warnings():
                 warnings.simplefilter("error")
-                (composed,) = centered_batch(energy, windows, radii)
+                laws = centered_batch(energy, windows, radii)
+            assert all(len(a) == 1 for a in laws)  # one law: the windows as given
+            composed = tuple(a[0] for a in laws)
             c, t = _centered_agreement(energy, windows, radii, composed)
             conditioned, total = conditioned + c, total + t
     # the loose bound must not be what carries the test
@@ -875,11 +877,31 @@ def test_coupled_products_match_the_full_window_per_law(kind):
             with warnings.catch_warnings():
                 warnings.simplefilter("error")
                 laws = centered_batch(energy, windows, radii, sites, columns)
-            assert len(laws) == 2
-            for wins, composed in zip((windows, redrawn), laws):
+            assert all(len(a) == 2 for a in laws)
+            for law, wins in enumerate((windows, redrawn)):
+                composed = tuple(a[law] for a in laws)
                 c, t = _centered_agreement(energy, wins, radii, composed)
                 conditioned, total = conditioned + c, total + t
     assert conditioned >= 0.95 * total
+
+
+@pytest.mark.parametrize("kind", ["bernoulli", "uniform", "pareto"])
+def test_law_zero_of_a_coupled_call_is_the_call_without_columns(kind):
+    # the laws are one lane axis of the composition: the redrawn law's
+    # columns change nothing of law 0, bit for bit, with sites at 0, +-1,
+    # adjacent, past the largest radius, or none, and radius 0 in the grid
+    rng = np.random.default_rng(117)
+    m = 40
+    for radii in ((0, 1, 5), (3, 17, 30)):
+        for sites in ((), (0,), (-1, 1), (-2, -1, 0, 1, 2), (-40, 6, 7, 35, 40)):
+            for energy in (0.0, 0.37, 0.4 + 0.6j):
+                windows = _kernel_windows(kind, rng, 24, 2 * m + 1)
+                columns = _kernel_windows(kind, rng, 24, len(sites))
+                alone = centered_batch(energy, windows, radii, sites)
+                coupled = centered_batch(energy, windows, radii, sites, columns)
+                for one, two in zip(alone, coupled):
+                    assert one.shape == (1, len(radii), 24) and two.shape == (2, len(radii), 24)
+                    assert one[0].tobytes() == two[0].tobytes(), (radii, sites, energy)
 
 
 def test_restarted_marks_equal_the_segment_products():
@@ -908,7 +930,7 @@ def test_restarted_marks_equal_the_segment_products():
 def test_centered_exact_zero_stays_minus_inf():
     # V == 0 at E = 0: every odd-length window has determinant exactly 0
     windows = np.zeros((3, 2 * 40 + 1))
-    (composed,) = centered_batch(0.0, windows, (1, 2, 7, 40))
+    composed = tuple(a[0] for a in centered_batch(0.0, windows, (1, 2, 7, 40)))
     with np.errstate(divide="ignore"):
         logs = _statistic_logs("log_det", composed, UNIT_U, UNIT_V)
     assert np.all(logs == -np.inf)
@@ -925,8 +947,8 @@ def test_coupled_exact_zero_stays_minus_inf():
     windows = np.zeros((3, 2 * 40 + 1))
     sites = (-2, -1, 0, 1, 2)
     laws = centered_batch(0.0, windows, (1, 2, 7, 40), sites, np.zeros((3, len(sites))))
-    assert len(laws) == 2
-    for composed in laws:
+    assert all(len(a) == 2 for a in laws)
+    for composed in zip(*laws):
         with np.errstate(divide="ignore"):
             logs = _statistic_logs("log_det", composed, UNIT_U, UNIT_V)
         assert np.all(logs == -np.inf)
