@@ -174,7 +174,7 @@ def _listof(item: Callable, *, size: int | None = None, ascending=False, empty=F
 
 def _mapping(item: Callable, *, sites=False) -> Callable:
     """A JSON object with free keys, each value checked by ``item``; with
-    ``sites`` the keys are lattice sites (integers) and there is at least one."""
+    ``sites`` the keys are distinct integer sites and there is at least one."""
 
     def check(x, path, out):
         if not isinstance(x, dict) or (sites and not x):
@@ -185,6 +185,9 @@ def _mapping(item: Callable, *, sites=False) -> Callable:
                 name = int(key) if sites else key
             except ValueError:
                 _fail(out, f"{path}.{key}", "site must be an integer")
+                continue
+            if name in got:
+                _fail(out, f"{path}.{key}", f"site {name} is given more than once")
                 continue
             got[name] = item(value, f"{path}.{key}", out)
         return got if len(out) == start else _BAD
@@ -620,7 +623,8 @@ def scenario_from_config(
 # ---------------------------------------------------------------------------
 
 def check_expected(metrics: dict, expected: dict | None) -> list[str]:
-    """Compare summary metrics against a pinned-expectation block."""
+    """Compare summary metrics against a pinned-expectation block; an absent
+    metric is reported missing, and a null one fails every bound."""
     if not expected:
         return []
     failures = []
@@ -629,13 +633,14 @@ def check_expected(metrics: dict, expected: dict | None) -> list[str]:
             failures.append(f"expected metric {name!r} missing from results")
             continue
         got = metrics[name]
+        x = math.nan if got is None else got  # NaN fails every comparison
         if "value" in spec:
             tol = spec.get("abs_tol", abs(spec["value"]) * spec.get("rel_tol", 0.0))
-            if not (abs(got - spec["value"]) <= tol):
+            if not (abs(x - spec["value"]) <= tol):
                 failures.append(f"{name}: got {got!r}, expected {spec['value']!r} +- {tol!r}")
-        if "min" in spec and not got >= spec["min"]:
+        if "min" in spec and not x >= spec["min"]:
             failures.append(f"{name}: got {got!r}, expected >= {spec['min']!r}")
-        if "max" in spec and not got <= spec["max"]:
+        if "max" in spec and not x <= spec["max"]:
             failures.append(f"{name}: got {got!r}, expected <= {spec['max']!r}")
     return failures
 

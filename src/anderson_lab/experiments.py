@@ -196,11 +196,11 @@ class ResultTable:
         return out
 
     def metrics(self) -> dict:
-        """Flat numeric view of the summary, for pinned-expectation checks."""
+        """Numeric and null summary metrics, for pinned-expectation checks."""
         return {
             k: v
             for k, v in _jsonable(self.summary).items()
-            if isinstance(v, (int, float, bool)) and not isinstance(v, str)
+            if v is None or isinstance(v, (int, float, bool))
         }
 
 
@@ -221,18 +221,14 @@ def _jsonable(value):
 
 
 def persist(table: ResultTable, manifest: RunManifest, path) -> list[Path]:
-    """Write CSV, JSON, and manifest files; returns the written paths.
+    """Write ``<stem>.csv``, ``<stem>.json`` and ``<stem>.manifest.json``,
+    ``stem`` being ``path`` as given; returns the written paths.
 
-    ``path`` is a directory (files named after the table kind) or a file
-    stem.  Re-running with the same scenario and seed reproduces the CSV
-    byte for byte; only the manifest timestamp differs.
+    Re-running with the same scenario and seed reproduces the CSV byte for
+    byte; only the manifest timestamp differs.
     """
-    p = Path(path)
-    if p.is_dir():
-        stem = p / table.kind
-    else:
-        stem = p.with_suffix("") if p.suffix in (".csv", ".json") else p
-    paths = [stem.with_suffix(".csv"), stem.with_suffix(".json"), Path(f"{stem}.manifest.json")]
+    stem = Path(path)
+    paths = [Path(f"{stem}{ext}") for ext in (".csv", ".json", ".manifest.json")]
     try:
         stem.parent.mkdir(parents=True, exist_ok=True)
         paths[0].write_text(table.csv_text())
@@ -244,10 +240,10 @@ def persist(table: ResultTable, manifest: RunManifest, path) -> list[Path]:
 
 
 def load_report(path) -> dict:
-    """Read back a persisted report (the JSON file of a stem)."""
+    """Read back a persisted report (the JSON file, or its stem)."""
     p = Path(path)
     if p.suffix != ".json":
-        p = p.with_suffix(".json")
+        p = Path(f"{p}.json")
     try:
         return json.loads(p.read_text())
     except OSError as err:
@@ -413,23 +409,21 @@ def run_localization(scenario: Scenario) -> LocalizationReport:
     values, vectors = eigenpairs(box)
     s, t = scenario.interval  # type: ignore[misc]
     in_interval = [int(j) for j in np.nonzero((values >= s) & (values <= t))[0]]
-    lams = [float(values[j]) for j in in_interval]
-    g_hats = [float(np.interp(lam, scenario.e_grid, gammas)) for lam in lams]
-    c_rates = [max(g_hat - 8.0 * eps0, RATE_FLOOR) for g_hat in g_hats]
+    lams = values[in_interval]
+    g_hats = np.interp(lams, scenario.e_grid, gammas)
+    g_errs = np.interp(lams, scenario.e_grid, errs)
+    c_rates = np.maximum(g_hats - 8.0 * eps0, RATE_FLOOR)
     # one regularity pass per radius over (eigenvalue, site) lanes; shape (J, 2)
     tested = {}
     for n in scenario.n_grid if in_interval else ():
         lanes = classify_regularity(
-            window, np.tile([2 * n, 2 * n + 1], len(lams)), n,
-            np.repeat(c_rates, 2), np.repeat(lams, 2),
+            window, (2 * n, 2 * n + 1), n, c_rates[:, None], lams[:, None]
         )
-        tested[n] = (lanes.regular.reshape(-1, 2), lanes.resonant.reshape(-1, 2))
+        tested[n] = (lanes.regular, lanes.resonant)
     rows = []
     skips = []
     for i, j in enumerate(in_interval):
-        lam = lams[i]
-        g_hat = g_hats[i]
-        g_err = float(np.interp(lam, scenario.e_grid, errs))
+        lam, g_hat, g_err = float(lams[i]), float(g_hats[i]), float(g_errs[i])
         vec = vectors[:, j]
         center_idx = int(np.argmax(np.abs(vec)))
         rate = _decay_fit(vec, center_idx)
@@ -506,17 +500,13 @@ def singularity_census(scenario: Scenario) -> CensusReport:
     rows = []
     counts: dict[int, int] = {}
     skips = []
-    rates = [max(g_hat - 8.0 * eps0, RATE_FLOOR) for g_hat in gammas]
-    n_energies = len(scenario.e_grid)
+    rates = np.maximum(gammas - 8.0 * eps0, RATE_FLOOR)[:, None]
+    energies = np.asarray(scenario.e_grid, dtype=float)[:, None]
     for n in scenario.n_grid:
         sites = (2 * n, 2 * n + 1, -2 * n, -(2 * n + 1))
-        # one regularity pass per radius over (site, energy) lanes
-        lanes = classify_regularity(
-            window, np.repeat(sites, n_energies), n,
-            np.tile(rates, len(sites)), np.tile(scenario.e_grid, len(sites)),
-        )
-        regular = lanes.regular.reshape(len(sites), n_energies)
-        resonant = lanes.resonant.reshape(len(sites), n_energies)
+        # one regularity pass per radius over (energy, site) lanes
+        lanes = classify_regularity(window, sites, n, rates, energies)
+        regular, resonant = lanes.regular.T, lanes.resonant.T
         count = 0
         for i, site in enumerate(sites):
             # the scan ends at the first singular energy; resonant energies

@@ -11,14 +11,15 @@ same LU.  The module also provides the regularity classification of a site,
 interior reconstruction from boundary data, and the eigenfunction-correlator
 bound used as a dynamical-localization proxy.
 
-Regularity is lane-batched.  A lane is one (site, energy, rate) triple; all
-lanes of one radius share the box coordinates ``[-radius, radius]`` and are
-stored site-major, one potential column per lane.  One call runs, for every
-lane at once, a prefix determinant recurrence over the box (read after
-``radius`` sites and at the end), one recurrence over the sites above the
-center, and one 2-shift Sturm count for the resonance test; resonant lanes
-are flagged instead of raising.  Each lane does exactly the arithmetic of a
-scalar call, which is the same computation on one lane.
+Regularity is lane-batched by broadcasting, as the transfer kernel is: each
+site's box is gathered once, as one potential column in the shared
+coordinates ``[-radius, radius]``, and energies and rates broadcast against
+the site axis (``(E, 1)`` against ``(S,)`` sites gives ``(E, S)`` lanes).
+One call runs, for every lane at once, a prefix determinant recurrence over
+the box (read after ``radius`` sites and at the end), one recurrence over
+the sites above the center, and one 2-shift Sturm count for the resonance
+test; resonant lanes are flagged instead of raising.  Each lane does exactly
+the arithmetic of a scalar call, which is the same computation on one lane.
 """
 from __future__ import annotations
 
@@ -281,10 +282,9 @@ RESONANCE_DISTANCE_FACTOR = 1e-12
 
 @dataclass(frozen=True)
 class GreenLanes:
-    """Green's values of many lanes, as signs and log magnitudes.
-
-    A lane whose energy is resonant for its box is flagged in ``resonant``
-    instead of raising; its values are meaningless.
+    """Green's values of shape ``(targets, *lanes)`` (or ``lanes``), as signs
+    and log magnitudes.  A lane whose energy is resonant for its box is
+    flagged in ``resonant`` instead of raising; its values are meaningless.
     """
 
     sign: np.ndarray
@@ -300,11 +300,11 @@ def green(box: TridiagonalBox, energy, x: int, y, method: str = "det_ratio"):
     linear system through the pivoted tridiagonal LU of :func:`eigenpairs`.
     Energies within round-off of the spectrum raise :class:`ResonantEnergyError`.
 
-    Lanes: a box holding one potential column per lane, an array of energies,
-    or a tuple of targets ``y`` return :class:`GreenLanes` with values of
-    shape ``(len(y), L)`` (or ``(L,)`` for one target).  All targets share one
-    prefix run over the box; each distinct ``max(x, y) < hi`` adds one run
-    over the sites above it.  A single lane is the same computation.
+    Lanes (potential columns in the box, an array of energies broadcast
+    against them, or a tuple of targets ``y``) return :class:`GreenLanes` of
+    shape ``(len(y), *lanes)`` (no target axis for one target).  All targets
+    share one prefix run over the box; each distinct ``max(x, y) < hi`` adds
+    one run over the sites above it.  A single lane is the same computation.
     """
     targets = tuple(int(t) for t in np.atleast_1d(y))
     if not all(box.lo <= t <= box.hi for t in (x,) + targets):
@@ -360,8 +360,8 @@ def green(box: TridiagonalBox, energy, x: int, y, method: str = "det_ratio"):
 @dataclass(frozen=True)
 class RegularityLanes:
     """The two-sided Green's-decay test of many (site, energy, rate) lanes at
-    one radius.  ``green`` holds the values from each site to the left and
-    the right box edge (shape ``(2, L)``); resonant lanes are not regular."""
+    one radius.  ``green`` holds the values from each site to both box edges
+    (shape ``(2, *lanes)``); resonant lanes are not regular."""
 
     green: GreenLanes
     regular: np.ndarray
@@ -378,26 +378,28 @@ def classify_regularity(window: PotentialWindow, site, radius: int, rate, energy
     from the site to both edges via determinant ratios and compares the log
     magnitudes against ``-rate * radius``.
 
-    ``site``, ``rate`` and ``energy`` broadcast to lanes: with any of them an
-    array, every lane is tested in one pass and a :class:`RegularityLanes` is
-    returned, flagging resonant lanes instead of raising.  Scalars give a
-    :class:`RegularityReport` from the same computation on one lane.
+    ``site`` is a scalar or one axis of sites, each box gathered once, and
+    ``rate`` and ``energy`` broadcast against it: ``(E, 1)`` against ``(S,)``
+    gives ``(E, S)`` lanes, equal 1-D shapes pair up.  Lanes are tested in one
+    pass and give a :class:`RegularityLanes`, resonant lanes flagged instead
+    of raising; scalars give a :class:`RegularityReport` of one lane.
     """
     if radius < 1:
         raise ValueError("radius must be >= 1")
-    lanes = np.ndim(site) > 0 or np.ndim(rate) > 0 or np.ndim(energy) > 0
-    sites, rates, energies = (np.atleast_1d(a) for a in np.broadcast_arrays(site, rate, energy))
-    sites = sites.astype(np.int64)
+    if np.ndim(site) > 1:
+        raise ValueError("site must be a scalar or one axis of sites")
+    shape = np.broadcast_shapes(np.shape(site), np.shape(rate), np.shape(energy))
+    sites = np.atleast_1d(np.asarray(site, dtype=np.int64))
     lo, hi = int(np.min(sites)) - radius, int(np.max(sites)) + radius
     if not (window.lo <= lo and hi <= window.hi):
         raise IndexError(f"[{lo}, {hi}] not contained in [{window.lo}, {window.hi}]")
-    # every lane's box in the shared coordinates [-radius, radius], site at 0
+    # one box per site in the shared coordinates [-radius, radius], site at 0
     offsets = np.arange(-radius, radius + 1)[:, None] + (sites - window.lo)
     box = TridiagonalBox(PotentialWindow(-radius, radius, window.values[offsets]))
-    g = green(box, energies.astype(float), 0, (-radius, radius))
-    threshold = -rates * radius
+    g = green(box, np.broadcast_to(np.asarray(energy, float), shape or (1,)), 0, (-radius, radius))
+    threshold = -np.asarray(rate) * radius
     regular = ~g.resonant & (g.log_mag[0] <= threshold) & (g.log_mag[1] <= threshold)
-    if lanes:
+    if shape:
         return RegularityLanes(g, regular)
     if g.resonant[0]:
         raise ResonantEnergyError(

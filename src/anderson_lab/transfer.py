@@ -268,9 +268,10 @@ def det_recurrence(energy: complex | float | np.ndarray, window, steps=None):
 
     ``steps`` lists the prefix lengths to read (default: every prefix).  With
     a scalar energy and one window the result is a list of :class:`SignedLog`.
-    Lanes (an array of energies, or a site-major ``(m, L)`` window with one
-    column per lane) give a ``(sign, log_mag)`` pair of arrays of shape
-    ``(len(steps), L)``, each lane equal bit for bit to its one-lane call.
+    Lanes (an array of energies broadcast against the ``S`` columns of a
+    site-major ``(m, S)`` window: ``(E, 1)`` gives ``(E, S)``) give a
+    ``(sign, log_mag)`` pair of arrays of shape ``(len(steps), *lanes)``,
+    each lane equal bit for bit to its one-lane call.
     Non-finite potentials raise a ValueError naming the first one.
     """
     values = np.asarray(window.values if hasattr(window, "values") else window, dtype=float)
@@ -284,7 +285,7 @@ def det_recurrence(energy: complex | float | np.ndarray, window, steps=None):
         raise ValueError("steps must lie in [1, window length]")
     lanes = values.reshape(len(values), -1).T  # one row per lane, not copied
     ((top,), _), shifts = _propagate(np.atleast_1d(energy), lanes, 1, steps.tolist(), guard=True)
-    np.negative(top, out=top, where=(steps % 2 == 1)[:, None])  # P_k = (-1)^k top_k
+    np.negative(top.T, out=top.T, where=steps % 2 == 1)  # P_k = (-1)^k top_k, k last in .T
     with np.errstate(divide="ignore", invalid="ignore"):  # exact zeros meet log and 0 / 0
         fraction, exponent = np.frexp(np.abs(top))
         sign = np.where(top == 0, 0.0, top / np.abs(top))
@@ -319,13 +320,10 @@ def require_unit(name: str, vec) -> np.ndarray:
 
 
 def matrix_element(u: np.ndarray, s: ScaledMatrix, v: np.ndarray) -> SignedLog:
-    """Signed log of the bilinear form <u, S v> for unit vectors u, v."""
+    """Signed log of the bilinear form <u, S v> = sum_i u_i (S v)_i for unit
+    vectors u, v; ``u`` is not conjugated, as in the tail curves' statistic."""
     u, v = require_unit("u", u), require_unit("v", v)
-    ip = np.vdot(u, s.entries @ v)
-    ip = complex(ip) if np.iscomplexobj(s.entries) else float(ip.real)
-    if ip == 0:
-        return SignedLog.zero()
-    return _signed_log(ip, s.log_scale)
+    return _signed_log(complex(u @ (s.entries @ v)), s.log_scale)
 
 
 def block_identity_check(energy: complex | float, window) -> float:

@@ -16,6 +16,7 @@ from anderson_lab.cli import (
     scenario_from_config,
     validate,
 )
+from anderson_lab.experiments import ResultTable
 
 CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
 
@@ -243,6 +244,20 @@ def test_out_directory_gets_csv_json_manifest(tmp_path, capsys):
     assert capsys.readouterr().out == ""  # data went to files, not stdout
 
 
+@pytest.mark.parametrize("scenario_id", ["constant_lyapunov", "run.v2"])
+def test_out_names_every_file_after_the_scenario(tmp_path, scenario_id):
+    # a directory DIR/<id>/ does not turn DIR/<id>.csv into DIR/<id>/<kind>.csv,
+    # and a dot in the id is not taken for a suffix
+    cfg = json.loads((CONFIG_DIR / "constant_lyapunov.json").read_text())
+    cfg["scenario_id"] = scenario_id
+    out = tmp_path / "out"
+    (out / scenario_id).mkdir(parents=True)
+    assert dispatch(["lyapunov", "--config", write_config(tmp_path, cfg), "--out", str(out)]) == 0
+    names = {p.name for p in out.iterdir() if p.is_file()}
+    assert names == {f"{scenario_id}{ext}" for ext in (".csv", ".json", ".manifest.json")}
+    assert not any((out / scenario_id).iterdir())
+
+
 def test_workers_do_not_change_csv_bytes(tmp_path):
     cfg = base_config()
     cfg["experiment"] = {"kind": "lyapunov", "n": 128, "energy": 0.5}
@@ -296,6 +311,21 @@ def test_check_expected_rules():
     bad = {"metrics": {"count": {"max": 6}, "missing": {"min": 0}}}
     failures = check_expected(metrics, bad)
     assert len(failures) == 2
+
+
+def test_a_null_pinned_metric_is_reported_as_null():
+    # a census with no clear radius reports zero_from as null, not missing
+    table = ResultTable("census", (), (), {"zero_from": None, "max_count": 4})
+    assert table.metrics() == {"zero_from": None, "max_count": 4}
+    spec = {"metrics": {
+        "zero_from": {"max": 40}, "max_count": {"max": 4}, "absent": {"min": 0},
+    }}
+    assert check_expected(table.metrics(), spec) == [
+        "zero_from: got None, expected <= 40",
+        "expected metric 'absent' missing from results",
+    ]
+    pinned = {"metrics": {"zero_from": {"value": 40, "abs_tol": 0}}}
+    assert check_expected(table.metrics(), pinned) == ["zero_from: got None, expected 40 +- 0"]
 
 
 def test_scenario_from_config_wiring():

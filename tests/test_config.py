@@ -316,6 +316,13 @@ def test_craig_simon_radius_one_is_a_validation_error(tmp_path):
     assert_rejected(tmp_path, "craig-simon", cfg, "grids.n[0]")
 
 
+def test_a_schedule_site_given_twice_is_rejected(tmp_path):
+    schedule = {"5": [0.5, 0.5], "05": [0.25, 0.75]}  # both keys parse to site 5
+    cfg = mutated(SMOKE["conditions"], ("densities", "schedule"), schedule)
+    messages = assert_rejected(tmp_path, "conditions", cfg, "densities.schedule.05")
+    assert messages == ["densities.schedule.05: site 5 is given more than once"]
+
+
 def test_constructor_errors_name_the_argument():
     cfg = copy.deepcopy(SMOKE["lyapunov"])
     cfg["measure"]["alpha_moment"] = 0.0

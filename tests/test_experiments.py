@@ -290,8 +290,9 @@ def test_persist_round_trip_is_structurally_equal(tmp_path):
     report = singularity_census(scenario(kind="census", n_grid=(10, 20)))
     table = report.to_table()
     manifest = RunManifest.create({"seed": 11}, seed=11, workers=1)
-    persist(table, manifest, tmp_path / "census")
-    loaded = load_report(tmp_path / "census")
+    persist(table, manifest, tmp_path / "census.v2")
+    loaded = load_report(tmp_path / "census.v2")
+    assert loaded == load_report(tmp_path / "census.v2.json")
     assert loaded["rows"] == table.to_json_dict()["rows"]
     assert loaded["summary"] == table.to_json_dict()["summary"]
     assert loaded["manifest"]["config_digest"] == manifest.config_digest

@@ -351,6 +351,33 @@ def test_lane_batch_matches_one_lane_calls_and_dense_inverse():
         assert one.is_regular == want
 
 
+def test_energy_column_against_sites_equals_the_paired_call():
+    # (E, 1) energies and rates against (S,) sites give (E, S) lanes, one box
+    # per site; each lane equals the paired 1-D call over the same triples
+    rng = np.random.default_rng(215)
+    values = rng.uniform(-2.0, 2.0, 100)
+    values[5:16] = 0.0  # site 10: free box, 0 is an exact eigenvalue
+    values[25:27] = 1.0  # site 30: [1, 1] at E = 0 trips the cancellation guard
+    values[45:56] = 1e80 * np.where(rng.random(11) < 0.5, -1.0, 1.0)
+    window = PotentialWindow(0, 99, values)
+    sites = np.array([10, 30, 50, 85])
+    energies = np.array([[0.0], [0.3], [1.0 + 1e-13], [-1.7]])
+    rates = np.array([[0.1], [0.05], [0.1], [2.0]])
+    grid = classify_regularity(window, sites, 5, rates, energies)
+    assert grid.regular.shape == grid.resonant.shape == (4, 4)
+    assert grid.green.sign.shape == grid.green.log_mag.shape == (2, 4, 4)
+    paired = classify_regularity(
+        window, np.tile(sites, 4), 5, np.repeat(rates, 4), np.repeat(energies, 4)
+    )
+    assert grid.resonant[0, 0] and grid.resonant[2, 0] and not grid.resonant[1].any()
+    assert np.array_equal(grid.regular.ravel(), paired.regular)
+    assert np.array_equal(grid.resonant.ravel(), paired.resonant)
+    assert np.array_equal(grid.green.sign.reshape(2, -1), paired.green.sign)
+    assert np.array_equal(grid.green.log_mag.reshape(2, -1), paired.green.log_mag, equal_nan=True)
+    with pytest.raises(ValueError, match="one axis of sites"):
+        classify_regularity(window, sites[None, :], 5, rates, energies)
+
+
 def test_sturm_count_lanes_match_one_lane_calls():
     rng = np.random.default_rng(214)
     diagonals = rng.uniform(-2.0, 2.0, (30, 4))

@@ -291,6 +291,28 @@ def test_recurrence_lanes_match_one_lane_calls(monkeypatch):
     assert np.array_equal(last[0], sign[-1]) and np.array_equal(last[1], log_mag[-1])
 
 
+def test_energy_column_against_window_columns_equals_one_lane_calls():
+    # (E, 1) energies against an (m, S) window give (k, E, S) prefix arrays
+    window = np.array([
+        [5.0, 1.0, 1e100, 0.3],
+        [2.0, 1.0, 1e100, -1.2],
+        [-1.0, 0.5, 1e100, 2.2],
+    ])
+    energies = np.array([[5.0], [0.0], [0.7]])
+    sign, log_mag = det_recurrence(energies, window)
+    assert sign.shape == log_mag.shape == (3, 3, 4)
+    assert sign[0, 0, 0] == 0.0  # E = V at the single site
+    for e, energy in enumerate(energies[:, 0]):
+        for s in range(4):
+            one_lane = det_recurrence(float(energy), window[:, s])
+            assert list(sign[:, e, s]) == [d.sign for d in one_lane]
+            assert list(log_mag[:, e, s]) == [d.log_mag for d in one_lane]
+    last = interval_det(energies, window)
+    assert np.array_equal(last[0], sign[-1]) and np.array_equal(last[1], log_mag[-1])
+    empty = interval_det(energies, window[:0])
+    assert np.array_equal(empty[0], np.ones((3, 4))) and np.array_equal(empty[1], np.zeros((3, 4)))
+
+
 def test_recurrence_rejects_empty_steps():
     with pytest.raises(ValueError, match="steps must lie"):
         det_recurrence(0.0, np.array([1.0, 2.0]), [])
@@ -488,6 +510,29 @@ def test_matrix_element_zero_and_value():
     elem = matrix_element(E1, s, E1)
     assert elem.sign == -1.0
     assert elem.log_mag == pytest.approx(math.log(5.0))
+
+
+def test_matrix_element_is_the_bilinear_form_of_the_tail_statistic():
+    # <u, S v> does not conjugate u: a complex u gives log|s00|, not a zero
+    rng = np.random.default_rng(106)
+    windows = rng.uniform(-2.0, 2.0, (3, 40))
+    vectors = [
+        (np.array([1j, 0.0]), E1),
+        (np.array([0.6, 0.8j]), np.array([0.8, -0.6])),
+        (np.array([0.6, 0.8]), np.array([1.0, 0.0])),
+    ]
+    for energy in (0.3, 0.3 + 0.2j):
+        batch = matrix_batch(energy, windows)
+        for u, v in vectors:
+            want = _statistic_logs("matrix_element", batch, u, v)
+            for i in range(len(windows)):
+                entries = np.array([[batch[0][i], batch[1][i]], [batch[2][i], batch[3][i]]])
+                got = matrix_element(u, ScaledMatrix(entries, float(batch[4][i])), v)
+                assert got.log_mag == pytest.approx(want[i], rel=1e-13)
+    s = product(0.3, windows[0])
+    elem = matrix_element(np.array([1j, 0.0]), s, E1)
+    assert elem.sign == pytest.approx(1j * np.sign(s.entries[0, 0]))
+    assert elem.log_mag == pytest.approx(s.log_scale + math.log(abs(s.entries[0, 0])), rel=1e-15)
 
 
 def test_matrix_element_requires_unit_vectors():
