@@ -152,6 +152,11 @@ _NUMBER = _check(_is_number, "must be a number", float)
 _INTEGER = _check(_is_integer, "must be an integer")
 _TEXT = _check(lambda x: isinstance(x, str), "must be a string")
 _FLAG = _check(lambda x: isinstance(x, bool), "must be true or false")
+#: a name that ``--out DIR`` joins to ``DIR`` without leaving it
+_STEM = _check(
+    lambda x: isinstance(x, str) and not {"/", "\\"} & set(x) and x != "..",
+    "must be a string with no '/', '\\' or '..' part",
+)
 
 
 def _listof(item: Callable, *, size: int | None = None, ascending=False, empty=False) -> Callable:
@@ -522,7 +527,7 @@ EXPERIMENT = Section(kinds={kind: (None, c.experiment) for kind, c in COMMANDS.i
 
 #: the top level; sections are named by their key alone ("measure.atoms")
 CONFIG = {
-    "scenario_id": (_TEXT, OPTIONAL),
+    "scenario_id": (_STEM, OPTIONAL),
     "measure": (MEASURE, REQUIRED),
     "densities": (DENSITIES, {"kind": "identity"}),
     "experiment": (EXPERIMENT, REQUIRED),
@@ -549,7 +554,7 @@ def _build(config, command_kind=None, *, seed=None, workers=None, default_id="sc
     def read(key, spec=None, **context):
         return _read(config, key, spec or CONFIG[key], key, out, **context)
 
-    scenario_id = read("scenario_id", (_TEXT, default_id))
+    scenario_id = read("scenario_id", (_STEM, default_id))
     base = read("measure")
     densities = read("densities", base=base)
     experiment = read("experiment")

@@ -19,9 +19,25 @@ cancellation guard).  It holds each lane's rows times ``2**shift``: a site
 grows or shrinks them by at most ``max|V - E| + 1``, and they are scaled by
 exact powers of two (:func:`_rescale`) only when the sum of
 ``log2(max|V - E| + 1)`` since the last rescale would pass :data:`_HEADROOM`.
-Power-of-two scaling is exact, so a lane's result is independent of its
-batch.  The centered windows ``[-n, n]`` of a whole radius grid come from
-one pass over each half of the largest window.  A pass may also restart:
+Power-of-two scaling is exact, so a lane's result is independent of the
+other lanes of its step.
+
+The kernel has two steps, and the windows pick one for the whole call.  The
+one-site step costs two ufunc calls per site.  When the sites of a batch hold
+at most two distinct finite values, as for every two-atom law, eight sites
+have only ``2**8`` products at a given energy: the table step builds them
+once per energy and advances every lane eight sites with one
+:func:`numpy.take` of its code's product and three row ufuncs.  Its steps
+are aligned at multiples of eight sites from the start of the pass or the
+last restart, and a read between two steps finishes with one-site steps into
+scratch rows, so a read at site count ``k`` equals, bit for bit, a pass that
+ends at ``k``.  A guarded determinant pass, a batch with a third or a
+non-finite value, and a step that could grow the rows past the headroom keep
+the one-site step.  The two steps associate the products differently, so
+they agree to round-off, not bit for bit.
+
+The centered windows ``[-n, n]`` of a whole radius grid come from one pass
+over each half of the largest window.  A pass may also restart:
 after given site counts its rows go back to the identity, so its marks hold
 the segments between those sites.  Two laws that differ only there (the
 exact and the perturbed product law) share the segments, and compose their
@@ -55,6 +71,13 @@ _BLOCK_BYTES = 1 << 21
 
 #: log2 of the growth the stored rows may reach between two rescales
 _HEADROOM = 500.0
+
+#: sites per table step of a two-valued batch (a table of ``2**8`` products,
+#: one byte of code per step), and window rows compared and packed at a time
+_TABLE_SITES, _PACK_ROWS = 8, 256
+
+#: moves byte ``s`` of a little-endian uint64 holding 0 or 1 to bit ``56 + s``
+_GATHER = np.uint64(sum(1 << (56 - 7 * s) for s in range(_TABLE_SITES)))
 
 #: the kernel multiplies values scaled into [1, 2) by ``V - E``, so a finite
 #: potential with ``|V - E|`` at or above this raises a ValueError
@@ -389,6 +412,14 @@ def _propagate(
     copied, one slice for a run of consecutive marks.  No stretch holds a
     rescale, so the rows read after it share one scale.
 
+    A batch whose sites up to ``marks[-1]`` hold at most two distinct finite
+    values takes the table step instead (see :func:`_table_pass`): eight
+    sites per step, one gather from the table of their ``2**8`` products at
+    each energy.  The windows pick the step; it is not taken by a guarded
+    call, by a pass shorter than one table step, or when one step could grow
+    the rows past the room a rescale leaves (``8 log2(max|E - V| + 1)`` above
+    ``_HEADROOM - 1``), so a site past :data:`MAGNITUDE_LIMIT` is still named.
+
     ``guard`` (a real energy, one column; set by :func:`det_recurrence`)
     checks each stretch: where the two terms of a step agree to
     :data:`CANCELLATION_GUARD`, the step is recomputed in double-double
@@ -403,11 +434,25 @@ def _propagate(
     """
     e = np.asarray(energy)
     dtype = complex if np.iscomplexobj(e) and np.any(e.imag != 0) else float
-    guard = guard and dtype is float
+    e = e if dtype is complex else e.real
     lanes = np.broadcast_shapes(e.shape, windows.shape[:-1])
-    e = np.broadcast_to(e if dtype is complex else e.real, lanes)
     sites = np.broadcast_to(windows, lanes + windows.shape[-1:])
     sites = sites.transpose((len(lanes),) + tuple(range(len(lanes))))  # site-major
+    pairs = np.empty((2, columns, len(marks)) + lanes, dtype=dtype)
+    shifts = np.empty((len(marks),) + lanes, dtype=np.int64)
+    if not guard and marks[-1] >= _TABLE_SITES:
+        bounds = sorted({0, *restarts, marks[-1]})
+        found = _pair_codes(windows, bounds)
+        if found is not None:
+            values, codes = found
+            with np.errstate(over="ignore", invalid="ignore"):
+                growth = _TABLE_SITES * float(np.log2(np.abs(np.subtract.outer(e, values)).max() + 1))
+            if growth <= _HEADROOM - 1.0:
+                _table_pass(e, sites, _block_table(e, values), growth, codes, bounds,
+                            marks, restarts, pairs, shifts)
+                return pairs, shifts
+    guard = guard and dtype is float
+    e = np.broadcast_to(e, lanes)
     row = columns * math.prod(lanes) * np.dtype(dtype).itemsize
     depth = min(_BLOCK, marks[-1], max(1, _BLOCK_BYTES // max(row, 1)))
     rows = np.zeros((depth + 2, columns) + lanes, dtype=dtype)  # bottom, top, new tops
@@ -415,8 +460,6 @@ def _propagate(
     d = np.empty((depth, 1) + lanes, dtype=dtype)
     r, dk = list(rows), list(d)  # per-site views, built once
     shift = np.zeros(lanes, dtype=np.int64)
-    pairs = np.empty((2, columns, len(marks)) + lanes, dtype=dtype)
-    shifts = np.empty((len(marks),) + lanes, dtype=np.int64)
     j = int(marks[0] == 0)  # next mark to record
     if j:
         pairs[:, :, 0], shifts[0] = rows[1::-1], 0  # the identity: mark 0
@@ -477,6 +520,133 @@ def _propagate(
     if j < len(marks):  # the last count restarted: its mark reads the identity
         pairs[:, :, j], shifts[j] = rows[1::-1], 0
     return pairs, shifts
+
+
+def _pair_codes(windows: np.ndarray, bounds: list[int]):
+    """The two values of a window batch whose first ``bounds[-1]`` sites hold
+    at most two distinct finite values (one value given twice), and the codes
+    of its table steps; None for any other batch.
+
+    Steps run from the start of each segment ``[bounds[i], bounds[i + 1])``,
+    :data:`_TABLE_SITES` sites each: a segment's codes have shape
+    ``(steps, *rows)``, bit ``s`` of a code set where the step's site ``s``
+    holds the second value.  The rows are compared and packed
+    :data:`_PACK_ROWS` at a time, so no mask of the whole batch is made.
+    """
+    rows = windows.reshape(-1, windows.shape[-1])
+    if not (len(rows) and np.isfinite(rows[0, 0])):
+        return None
+    values = [rows[0, 0], rows[0, 0]]
+    codes = [np.zeros(((b - a) // _TABLE_SITES, len(rows)), np.uint8)
+             for a, b in zip(bounds, bounds[1:])]
+    for i in range(0, len(rows), _PACK_ROWS):
+        chunk = rows[i : i + _PACK_ROWS, : bounds[-1]]
+        bits = chunk != values[0]  # the sites holding the second value
+        count = np.count_nonzero(bits)
+        if not count:
+            continue
+        if values[0] == values[1]:
+            values[1] = chunk.flat[int(np.argmax(bits))]
+        if not (np.isfinite(values[1]) and np.count_nonzero(chunk == values[1]) == count):
+            return None
+        for code, a in zip(codes, bounds):
+            if not len(code):
+                continue
+            # a step's eight 0/1 bytes, read as one little-endian integer,
+            # are moved by this product to bits 0-7 of its top byte
+            gathered = bits[:, a : a + len(code) * 8].view("<u8") * _GATHER
+            code[:, i : i + len(chunk)] = gathered.astype("<u8", copy=False).view(np.uint8)[:, 7::8].T
+    return values, [code.reshape(code.shape[:1] + windows.shape[:-1]) for code in codes]
+
+
+def _block_table(e: np.ndarray, values) -> np.ndarray:
+    """The products of :data:`_TABLE_SITES` one-step factors at each energy
+    of ``e``, for every code of the sites' values (bit ``s`` picks site
+    ``s``'s value from ``values``): a ``(4, e.size * 2**8)`` array of the
+    entries ``P00, P10, P01, P11``, column ``2**8 i + code`` for energy ``i``.
+
+    Halves are paired three times (one site, two, four), the later sites'
+    product on the left, so an entry depends only on its energy and on its
+    sites' values, never on the other value or the other energies.
+    """
+    d = e.reshape(-1, 1) - np.asarray(values)
+    one = np.ones_like(d)
+    t = (d, -one, one, np.zeros_like(d))  # the one-step factors, by their site's bit
+    for _ in range(3):
+        h00, h01, h10, h11 = (x[:, :, None] for x in t)  # later sites: high bits
+        l00, l01, l10, l11 = (x[:, None, :] for x in t)
+        t = tuple(x.reshape(len(d), -1) for x in (
+            h00 * l00 + h01 * l10, h00 * l01 + h01 * l11,
+            h10 * l00 + h11 * l10, h10 * l01 + h11 * l11,
+        ))
+    p00, p01, p10, p11 = t
+    return np.stack([p00, p10, p01, p11]).reshape(4, -1)
+
+
+def _table_pass(e, sites, table, growth, codes, bounds, marks, restarts, pairs, shifts):
+    """The table step of :func:`_propagate`: fill ``pairs`` and ``shifts``
+    for a batch with the codes and the table of :func:`_pair_codes` and
+    :func:`_block_table`.
+
+    Each segment between restarts starts from the identity and advances its
+    running rows one table step of :data:`_TABLE_SITES` sites at a time: one
+    :func:`numpy.take` of the four product entries of each lane's code, and
+    three row ufuncs.  A step may grow the rows by ``2**growth``, so a
+    rescale comes before any step that would pass the headroom.  A mark at a
+    step boundary reads the running rows; the marks inside a step are read
+    by one-site steps from the step's start into scratch rows, so the
+    running rows never depend on where the marks fall, and a mark's bits
+    equal those of a pass that ends there.
+    """
+    columns, lanes = pairs.shape[1], shifts.shape[1:]
+    cur, new, term = (np.empty((2, columns) + lanes, pairs.dtype) for _ in range(3))
+    identity = np.zeros((2, columns) + lanes, pairs.dtype)
+    identity[0, 0] = identity[1, 1:] = 1.0  # top, bottom
+    scratch = list(np.empty((_TABLE_SITES - 1, columns) + lanes, pairs.dtype))
+    d = np.empty((1,) + lanes, pairs.dtype)
+    entries = np.empty((4,) + lanes, pairs.dtype)  # (P00, P10), (P01, P11) of each lane
+    index = np.empty(lanes, np.intp)
+    offset = np.arange(e.size).reshape(e.shape) << _TABLE_SITES  # each energy's table
+    shift = np.zeros(lanes, dtype=np.int64)
+    j = 0
+    for code, a, b in zip(codes, bounds, bounds[1:]):
+        cur[...], shift[...], room, at = identity, 0, _HEADROOM - 1.0, a
+        while j < len(marks) and marks[j] == a:  # 0 or a restart count
+            pairs[:, :, j], shifts[j], j = identity, 0, j + 1
+        last = b - (b in restarts)  # a mark at a restart count reads the identity
+        while j < len(marks) and marks[j] <= last:
+            while at + _TABLE_SITES <= marks[j]:
+                if room < growth:
+                    _rescale(cur, shift)
+                    room = _HEADROOM - 1.0
+                step = code[(at - a) // _TABLE_SITES]
+                if step.shape == lanes and e.size == 1:
+                    np.take(table, step, axis=1, out=entries, mode="clip")
+                else:
+                    np.take(table, np.add(offset, step, out=index), axis=1, out=entries, mode="clip")
+                np.multiply(entries[:2, None], cur[0], out=new)
+                np.multiply(entries[2:, None], cur[1], out=term)
+                np.add(new, term, out=new)
+                cur, new = new, cur
+                at, room = at + _TABLE_SITES, room - growth
+            if marks[j] == at:
+                pairs[:, :, j], shifts[j], j = cur, shift, j + 1
+                continue
+            if room < growth:
+                _rescale(cur, shift)
+                room = _HEADROOM - 1.0
+            upto = bisect_right(marks, min(last, at + _TABLE_SITES - 1), j)
+            r = [cur[1], cur[0], *scratch]  # bottom, top, new tops
+            for k in range(marks[upto - 1] - at):
+                np.subtract(e, sites[at + k], out=d[0])
+                np.multiply(d, r[k + 1], out=r[k + 2])
+                np.subtract(r[k + 2], r[k], out=r[k + 2])
+            for i in range(j, upto):
+                pairs[0, :, i], pairs[1, :, i] = r[marks[i] - at + 1], r[marks[i] - at]
+                shifts[i] = shift
+            j = upto
+    if j < len(marks):  # the last count restarted: its mark reads the identity
+        pairs[:, :, j], shifts[j] = identity, 0
 
 
 def _checked_marks(checkpoints, length: int) -> list[int]:

@@ -258,6 +258,32 @@ def test_out_names_every_file_after_the_scenario(tmp_path, scenario_id):
     assert not any((out / scenario_id).iterdir())
 
 
+@pytest.mark.parametrize("scenario_id", ["../escaped", "sub/escaped", "sub\\escaped", ".."])
+def test_a_scenario_id_that_leaves_out_is_rejected(tmp_path, capsys, monkeypatch, scenario_id):
+    # --out DIR joins the id to DIR, so an id with a separator or a '..'
+    # part would write outside DIR: exit 1 at scenario_id, no draw, no file
+    draws = []
+    original = anderson_lab.rng.RngStream.generator
+
+    def counting(self):
+        draws.append(self)
+        return original(self)
+
+    monkeypatch.setattr(anderson_lab.rng.RngStream, "generator", counting)
+    cfg = json.loads((CONFIG_DIR / "constant_lyapunov.json").read_text())
+    cfg["scenario_id"] = scenario_id
+    (tmp_path / "in").mkdir()
+    config = write_config(tmp_path / "in", cfg)
+    out = tmp_path / "run" / "out"
+    code = dispatch(["lyapunov", "--config", config, "--out", str(out)])
+    assert code == ExitStatus.VALIDATION
+    assert "scenario_id: must be a string with no '/'" in capsys.readouterr().err
+    assert draws == []
+    assert sorted(p.relative_to(tmp_path).as_posix() for p in tmp_path.rglob("*")) == [
+        "in", "in/cfg.json",
+    ]
+
+
 def test_workers_do_not_change_csv_bytes(tmp_path):
     cfg = base_config()
     cfg["experiment"] = {"kind": "lyapunov", "n": 128, "energy": 0.5}

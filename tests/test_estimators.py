@@ -48,8 +48,8 @@ def constant_law(c):
 # reference for gamma at E = 0 from a 1e7-step single trajectory
 # (seed 123457, burn-in 64, blocked stderr over 100 stretches of 1e5 sites;
 # regenerate with demos/regenerate_pins.py)
-GAMMA_LONG = 0.12404451388284725
-GAMMA_LONG_SE = 0.00010946760767159229
+GAMMA_LONG = 0.12404451388284736
+GAMMA_LONG_SE = 0.00010946760767158699
 
 
 # ---------------------------------------------------------------------------

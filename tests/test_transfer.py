@@ -1003,3 +1003,142 @@ def test_coupled_exact_zero_stays_minus_inf():
     # a redrawn potential never meets the pass, so the composition checks it
     with pytest.raises(ValueError, match="MAGNITUDE_LIMIT"):
         centered_batch(0.0, np.zeros((2, 5)), (2,), (1,), np.full((2, 1), 1.7e308))
+
+
+# ---------------------------------------------------------------------------
+# the table step of two-valued batches against the one-site step
+# ---------------------------------------------------------------------------
+
+TABLE_ENERGIES = (0.0, 0.37, 2.9, 0.4 + 0.6j)
+
+
+def _one_site(call, energy, windows, *args, **kwargs):
+    """``call`` on ``windows`` plus one row holding two more values, which
+    sends the whole batch down the one-site step; that row's lane dropped."""
+    third = np.concatenate([windows, np.resize([0.123, 0.456], (1, windows.shape[1]))])
+    out = call(energy, third, *args, **kwargs)
+    return tuple(a[..., :-1] for a in out) if isinstance(out, tuple) else out[..., :-1]
+
+
+def _counting_tables(monkeypatch):
+    built = []
+    block_table = transfer._block_table
+
+    def counting(e, values):
+        built.append(tuple(values))
+        return block_table(e, values)
+
+    monkeypatch.setattr(transfer, "_block_table", counting)
+    return built
+
+
+def test_table_step_matches_the_one_site_step(monkeypatch):
+    # two-valued and one-valued batches, marks off the 8-site grid
+    rng = np.random.default_rng(118)
+    built = _counting_tables(monkeypatch)
+    marks = (0, 1, 5, 8, 13, 64, 77, 150, 300, 301)
+    for windows in (bernoulli_window(rng, (30, 301)), np.full((5, 301), 0.5)):
+        for energy in TABLE_ENERGIES:
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                built.clear()
+                got = matrix_batch(energy, windows, marks)
+                logs = vector_growth_logs(energy, windows, marks)
+                assert len(built) == 2 and len(set(built[0])) == len(np.unique(windows))
+                want = _one_site(matrix_batch, energy, windows, marks)
+                ref = _one_site(vector_growth_logs, energy, windows, marks)
+                assert len(built) == 2  # the third value took the one-site step
+            for stat in STATS:
+                with np.errstate(divide="ignore"):
+                    g = _statistic_logs(stat, got, UNIT_U, UNIT_V)
+                    w = _statistic_logs(stat, want, UNIT_U, UNIT_V)
+                np.testing.assert_array_equal(g == -np.inf, w == -np.inf)
+                np.testing.assert_allclose(g, w, rtol=1e-12, atol=1e-12)
+            np.testing.assert_allclose(logs, ref, rtol=1e-12, atol=1e-12)
+
+
+def test_table_step_reads_marks_and_restarts_off_the_block_grid(monkeypatch):
+    # steps start again at each restart, so a mark after one holds the
+    # segment product bit for bit, and agrees with the one-site step
+    rng = np.random.default_rng(119)
+    built = _counting_tables(monkeypatch)
+    windows = bernoulli_window(rng, (9, 300))
+    restarts = [3, 21, 22, 100, 205, 300]
+    marks = [0, 2, 3, 10, 11, 21, 22, 29, 30, 37, 99, 100, 150, 204, 205, 213, 299, 300]
+    for energy in TABLE_ENERGIES:
+        built.clear()
+        pairs, shifts = transfer._propagate(energy, windows, 2, marks, restarts=restarts)
+        assert len(built) == 1
+        ref = _one_site(transfer._propagate, energy, windows, 2, marks, restarts=restarts)
+        for p, s in ((pairs, shifts), ref):
+            transfer._rescale(p, s)
+        np.testing.assert_allclose(pairs * np.exp2(shifts - ref[1]), ref[0], rtol=0, atol=1e-12)
+        for i, k in enumerate(marks):
+            since = max([0] + [c for c in restarts if c <= k])
+            if since == k:
+                np.testing.assert_array_equal(pairs[:, :, i], np.eye(2)[:, :, None] * np.ones(9))
+                continue
+            want = matrix_batch(energy, windows[:, since:k], (k - since,))
+            (s00, s01), (s10, s11) = pairs[:, :, i]
+            for got, w in zip((s00, s01, s10, s11), want):
+                np.testing.assert_array_equal(got, w[0])
+            np.testing.assert_array_equal(shifts[i] * math.log(2.0), want[4][0])
+
+
+def test_table_step_energy_lanes_equal_per_energy_calls():
+    rng = np.random.default_rng(120)
+    windows = bernoulli_window(rng, (11, 203))
+    energies = np.array(TABLE_ENERGIES)
+    marks = (0, 8, 13, 100, 203)
+    lanes = matrix_batch(energies[:, None], windows, marks)
+    logs = vector_growth_logs(energies[:, None], windows, marks)
+    for i, energy in enumerate(energies):
+        for got, want in zip(lanes, matrix_batch(energy, windows, marks)):
+            np.testing.assert_array_equal(got[:, i], want)
+        np.testing.assert_array_equal(logs[:, i], vector_growth_logs(energy, windows, marks))
+
+
+def test_checkpoint_reads_equal_direct_calls_on_two_valued_windows():
+    # the running rows never depend on where the marks fall, so the read at
+    # k is the pass that ends at k, bit for bit
+    rng = np.random.default_rng(121)
+    windows = bernoulli_window(rng, (13, 150))
+    marks = (1, 7, 8, 9, 64, 65, 77, 150)
+    for energy in TABLE_ENERGIES:
+        batch = matrix_batch(energy, windows, marks)
+        logs = vector_growth_logs(energy, windows, marks)
+        for j, k in enumerate(marks):
+            direct = matrix_batch(energy, windows[:, :k], (k,))
+            for got, want in zip(batch, direct):
+                np.testing.assert_array_equal(got[j], want[0])
+            np.testing.assert_array_equal(logs[j], vector_growth_logs(energy, windows[:, :k], (k,))[0])
+
+
+def test_table_step_leaves_steps_past_the_headroom_to_the_one_site_step(monkeypatch):
+    # 8 log2(1e20 + 1) > _HEADROOM - 1: one table step could overflow the
+    # rows, so the batch takes the one-site step; at 1e18 it fits, and the
+    # rows rescale before almost every step
+    rng = np.random.default_rng(122)
+    built = _counting_tables(monkeypatch)
+    for atom, steps in ((1e20, 0), (1e18, 1)):
+        windows = atom * bernoulli_window(rng, (6, 120))
+        built.clear()
+        got = matrix_batch(0.37, windows, (5, 64, 120))
+        assert len(built) == steps
+        want = _one_site(matrix_batch, 0.37, windows, (5, 64, 120))
+        for g, w in zip(got, want):
+            if steps:
+                np.testing.assert_allclose(g, w, rtol=1e-12, atol=1e-12)
+            else:
+                np.testing.assert_array_equal(g, w)
+    # a site past MAGNITUDE_LIMIT is still named
+    windows = np.ones((3, 40))
+    windows[1, 13] = 2.0**1023
+    with pytest.raises(ValueError, match=r"MAGNITUDE_LIMIT\): site 13 of the window"):
+        matrix_batch(0.0, windows)
+    # an infinite potential is not a value of the table
+    windows[1, 13] = math.inf
+    built.clear()
+    with np.errstate(invalid="ignore"):
+        matrix_batch(0.0, windows)
+    assert built == []
