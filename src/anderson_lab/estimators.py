@@ -28,9 +28,12 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .measures import BaseMeasure, DensitySequence, ProductLaw, PotentialWindow, sample_windows
+from .measures import (
+    BaseMeasure, DensitySequence, FiniteAtoms, ProductLaw, PotentialWindow, sample_windows,
+)
 from .rng import RngStream
 from .transfer import (
+    AtomWindows,
     centered_batch,
     interval_det,
     log_det_abs_batch,
@@ -105,6 +108,22 @@ def _merge_moments(parts) -> tuple[int, np.ndarray, np.ndarray]:
     return count, mean, m2
 
 
+def _kernel_windows(law: ProductLaw, lo: int, hi: int, count: int, stream: RngStream, *,
+                    coupled: bool = False):
+    """The windows of :func:`sample_windows` in the form the transfer kernels
+    read: for a base of at most two atoms, the draw's atom indices with the
+    atoms (:class:`AtomWindows`, also for the redrawn columns of a coupled
+    draw), so no block of values is formed; the values for any other law."""
+    base = law.base
+    if not (isinstance(base, FiniteAtoms) and len(base.atoms) <= 2):
+        return sample_windows(law, lo, hi, count, stream, coupled=coupled)
+    drawn = sample_windows(law, lo, hi, count, stream, coupled=coupled, codes=True)
+    if not coupled:
+        return AtomWindows(drawn, base.locations)
+    codes, sites, columns = drawn
+    return AtomWindows(codes, base.locations), sites, AtomWindows(columns, base.locations)
+
+
 # ---------------------------------------------------------------------------
 # Lyapunov exponent
 # ---------------------------------------------------------------------------
@@ -154,7 +173,7 @@ def lyapunov_mc(
     shape, energies = np.shape(energy), np.reshape(energy, -1)
 
     def batch(i: int, size: int):
-        wins = sample_windows(law, 1, n + BURN_IN, size, stream.child(i))
+        wins = _kernel_windows(law, 1, n + BURN_IN, size, stream.child(i))
         group = max(1, BATCH_SIZE // size)
         g = np.concatenate([
             np.diff(vector_growth_logs(part[:, None], wins, (BURN_IN, BURN_IN + n)), axis=0)[0] / n
@@ -395,7 +414,7 @@ def lde_curve(
     exponential rate; 1/2 fits a stretched-exponential ``exp(-eta sqrt(n))``.
     """
     def draw(grid: np.ndarray, batch: RngStream, size: int):  # one law, on a law axis
-        wins = sample_windows(law, 1, int(grid[-1]), size, batch)
+        wins = _kernel_windows(law, 1, int(grid[-1]), size, batch)
         return tuple(a[None] for a in matrix_batch(energy, wins, grid))
 
     grid, (counts,), gamma, gamma_stderr, eps_eff = _tail_curve(
@@ -499,7 +518,7 @@ def lift_check(
 
     def draw(grid: np.ndarray, batch: RngStream, size: int):  # both laws, from one draw
         n_max = int(grid[-1])
-        wins, sites, columns = sample_windows(law_approx, -n_max, n_max, size, batch, coupled=True)
+        wins, sites, columns = _kernel_windows(law_approx, -n_max, n_max, size, batch, coupled=True)
         return centered_batch(energy, wins, grid, sites, columns)
 
     grid, (counts_exact, counts_approx), gamma, gamma_stderr, eps_eff = _tail_curve(

@@ -52,7 +52,8 @@ class RejectionCapError(RuntimeError):
     """Raised when the accept/reject sampler for a perturbed site stalls."""
 
 
-#: draws per pass of :func:`_categorical` over its index buffer
+#: draws per pass of the uniform replay of :func:`_atom_codes`, and atom
+#: indices per pass of :func:`_widen`
 _CATEGORICAL_PASS = 1 << 14
 #: raw 64-bit words per pass of :func:`_byte_table_draws` (2**14 bytes)
 _TABLE_PASS_WORDS = 1 << 11
@@ -91,6 +92,11 @@ def _draw_buffer(size: int) -> np.ndarray:
     buffer is kept while fewer than :data:`_KEPT_BUFFERS` are.  After the
     largest batch of a process its draws allocate no memory and fault in no
     pages, and the process holds its largest batches until it exits.
+
+    The draws that take it are the values of an atomic law widened from its
+    atom indices (:func:`_widen`: the base block of :func:`sample_windows`
+    and :meth:`FiniteAtoms.sample`) and the uniforms of the non-dyadic
+    replay; the atom indices themselves are one byte per site.
     """
     if size * 8 < _KEPT_BYTES:
         return np.empty(size)
@@ -107,27 +113,40 @@ def _draw_buffer(size: int) -> np.ndarray:
         return buffer[:size]
 
 
+def _widen(locations: np.ndarray, codes: np.ndarray) -> np.ndarray:
+    """``locations[codes]`` in a buffer from :func:`_draw_buffer`; the
+    indices pass through a pass-sized index buffer, so no full-size index
+    array is made."""
+    flat = codes.reshape(-1)
+    out = _draw_buffer(flat.size)
+    index = np.empty(min(flat.size, _CATEGORICAL_PASS), dtype=np.intp)
+    for start in range(0, flat.size, _CATEGORICAL_PASS):
+        part = flat[start : start + _CATEGORICAL_PASS]
+        np.copyto(index[: len(part)], part)
+        np.take(locations, index[: len(part)], out=out[start : start + len(part)], mode="clip")
+    return out.reshape(codes.shape)
+
+
 def _byte_table_draws(
-    rng: np.random.Generator, locations: np.ndarray, cdf: np.ndarray, bits: int, size: int
+    rng: np.random.Generator, cdf: np.ndarray, bits: int, size: int
 ) -> np.ndarray:
-    """``size`` draws that read ``bits``-bit codes from raw generator words.
+    """``size`` atom indices that read ``bits``-bit codes from raw generator
+    words.
 
     The draws take ``ceil(size * bits / 64)`` words of
     ``rng.bit_generator.random_raw`` and read their ``bits``-bit fields in
-    little-endian order, so the values do not depend on the platform.  Code
+    little-endian order, so the draws do not depend on the platform.  Code
     ``c`` picks the atom ``#{j < k - 1 : cdf[j] <= c / 2**bits}``, the
     uniform rule at ``u = c / 2**bits``: atom ``j`` owns exactly
     ``w_j * 2**bits`` of the ``2**bits`` codes.  A 256-row table maps each
-    raw byte to its ``8 // bits`` values, and ``np.take`` writes them
-    through a pass-sized index buffer, so the only full-size buffer is the
-    returned one (a view of whole bytes' values, cut to ``size``, from
-    :func:`_draw_buffer`).
+    raw byte to its ``8 // bits`` atom indices, and ``np.take`` writes them,
+    one byte per site, through a pass-sized index buffer.
     """
     per_byte = 8 // bits
     atom = np.searchsorted(cdf[:-1], np.arange(1 << bits) / (1 << bits), side="right")
     fields = (np.arange(256)[:, None] >> (bits * np.arange(per_byte))) & ((1 << bits) - 1)
-    table = np.asarray(locations, dtype=float)[atom[fields]]
-    rows = _draw_buffer(-(-size // per_byte) * per_byte).reshape(-1, per_byte)
+    table = atom[fields].astype(np.uint8)  # at most 2**bits atoms own a code
+    rows = np.empty((-(-size // per_byte), per_byte), np.uint8)
     words = -(-size * bits // 64)
     index = np.empty(8 * min(words, _TABLE_PASS_WORDS), dtype=np.intp)
     for first in range(0, words, _TABLE_PASS_WORDS):
@@ -140,39 +159,44 @@ def _byte_table_draws(
     return rows.reshape(-1)[:size]
 
 
-def _categorical(
-    rng: np.random.Generator, locations: np.ndarray, weights: np.ndarray, size: int
-) -> np.ndarray:
-    """``size`` draws of ``locations`` with probabilities ``weights``.
+def _atom_codes(rng: np.random.Generator, weights: np.ndarray, size: int) -> np.ndarray:
+    """``size`` draws of atom indices with probabilities ``weights``: bytes,
+    or ``intp`` for a law of more than 256 atoms.
 
     The weights alone pick the sampler.  If every cut point of the CDF is a
     multiple of ``2**-b`` for some ``b`` in {1, 2, 4, 8}, each draw reads
     ``b`` raw bits (:func:`_byte_table_draws`), and the law is still exact.
-    Otherwise the draws replay ``locations[rng.choice(len(weights), size,
-    p=weights)]`` exactly: the same uniforms, cut points and indices, so the
-    values and the state the generator is left in are identical.  The index
-    of a uniform ``u`` is the number of cut points ``cdf[j]``, ``j < k - 1``,
-    with ``u >= cdf[j]`` (``searchsorted(side="right")``).  The values
-    overwrite the uniforms, so the only full-size buffer is the returned one
-    (from :func:`_draw_buffer`).
+    Otherwise the draws replay ``rng.choice(len(weights), size, p=weights)``
+    exactly: the same uniforms, cut points and indices, so the indices and
+    the state the generator is left in are identical.  The index of a
+    uniform ``u`` is the number of cut points ``cdf[j]``, ``j < k - 1``, with
+    ``u >= cdf[j]`` (``searchsorted(side="right")``); the uniforms take a
+    buffer from :func:`_draw_buffer`.
     """
     cdf = np.cumsum(weights, dtype=float)
     cdf /= cdf[-1]
     bits = _code_bits(cdf)
     if bits is not None:
-        return _byte_table_draws(rng, locations, cdf, bits, size)
+        return _byte_table_draws(rng, cdf, bits, size)
     u = rng.random(size, out=_draw_buffer(size))
-    index = np.empty(min(size, _CATEGORICAL_PASS), dtype=np.intp)
-    hit = np.empty(len(index), dtype=bool)
+    codes = np.empty(size, np.uint8 if len(cdf) <= 256 else np.intp)
+    hit = np.empty(min(size, _CATEGORICAL_PASS), dtype=bool)
     for start in range(0, size, _CATEGORICAL_PASS):
         part = u[start : start + _CATEGORICAL_PASS]
-        idx, h = index[: len(part)], hit[: len(part)]
+        idx, h = codes[start : start + len(part)], hit[: len(part)]
         np.greater_equal(part, cdf[0], out=idx)  # never true for one atom: cdf[0] == 1
         for cut in cdf[1:-1]:
             np.greater_equal(part, cut, out=h)
             idx += h
-        np.take(locations, idx, out=part)
-    return u
+    return codes
+
+
+def _categorical(
+    rng: np.random.Generator, locations: np.ndarray, weights: np.ndarray, size: int
+) -> np.ndarray:
+    """``size`` draws of ``locations`` with probabilities ``weights``: the
+    atom indices of :func:`_atom_codes`, widened by :func:`_widen`."""
+    return _widen(np.asarray(locations, dtype=float), _atom_codes(rng, weights, size))
 
 
 # ---------------------------------------------------------------------------
@@ -676,7 +700,8 @@ def _rejection_column(
 
 
 def sample_windows(
-    law: ProductLaw, lo: int, hi: int, count: int, stream: RngStream, *, coupled: bool = False
+    law: ProductLaw, lo: int, hi: int, count: int, stream: RngStream, *, coupled: bool = False,
+    codes: bool = False,
 ) -> np.ndarray | tuple[np.ndarray, list[int], np.ndarray]:
     """Draw ``count`` independent windows; returns shape ``(count, hi-lo+1)``.
 
@@ -684,9 +709,11 @@ def sample_windows(
     law (exact categorical draw for atomic bases, accept/reject otherwise).
     The draw order is fixed (base block first, then perturbed sites in
     ascending order), so output depends only on ``(stream, lo, hi, count)``.
-    Each atomic draw, of the base block or of a redrawn column, reads ``b``
-    raw bits when its weights are multiples of ``2**-b`` for some ``b`` in
-    {1, 2, 4, 8}, and one uniform otherwise (:func:`_categorical`).
+    An atomic base is drawn as atom indices (:func:`_atom_codes`): each
+    draw, of the base block or of a redrawn column, reads ``b`` raw bits when
+    its weights are multiples of ``2**-b`` for some ``b`` in {1, 2, 4, 8},
+    and one uniform otherwise.  The values are ``law.base.locations`` at
+    those indices, widened once (:func:`_widen`).
 
     ``coupled`` returns the same draws before the redrawn columns are
     written: ``(values, sites, columns)``.  ``values`` is the base block,
@@ -694,26 +721,36 @@ def sample_windows(
     stream, and ``columns`` holds one column per perturbed site of ``sites``;
     ``values`` with those columns written in is the windows of ``law``.  One
     draw thus samples both product laws exactly.
+
+    ``codes`` (an atomic base only) returns the atom indices in place of the
+    values, the same draws without the widening: the transfer kernels read
+    a two-atom law's windows that way (``transfer.AtomWindows``).
     """
     if lo > hi:
         raise ValueError("sample_windows requires lo <= hi")
-    rng = stream.generator()
-    n_sites = hi - lo + 1
-    values = law.base.sample(rng, count * n_sites).reshape(count, n_sites)
-    sites = law.densities.perturbed_sites(lo, hi)
-    columns = np.empty((count, len(sites)))
     atomic = isinstance(law.base, FiniteAtoms)
+    if codes and not atomic:
+        raise ValueError("codes are drawn for an atomic base only")
+    rng = stream.generator()
+    size = count * (hi - lo + 1)
+    block = _atom_codes(rng, law.base.weights, size) if atomic else law.base.sample(rng, size)
+    block = block.reshape(count, -1)
+    sites = law.densities.perturbed_sites(lo, hi)
+    columns = np.empty((count, len(sites)), block.dtype)
     for i, site in enumerate(sites):
         beta = law.densities.atom_weights_at(site) if atomic else None
         if beta is not None:
-            column = _categorical(rng, law.base.locations, beta, count)  # type: ignore[union-attr]
+            columns[:, i] = _atom_codes(rng, beta, count)
         else:
             column = _rejection_column(law.base, law.densities, site, count, rng)
-        columns[:, i] = column
+            columns[:, i] = law.base.atom_index(column) if atomic else column  # type: ignore[attr-defined]
+    if atomic and not codes:
+        locations = law.base.locations  # type: ignore[attr-defined]
+        block, columns = _widen(locations, block), locations[columns]
     if coupled:
-        return values, sites, columns
-    values[:, [site - lo for site in sites]] = columns
-    return values
+        return block, sites, columns
+    block[:, [site - lo for site in sites]] = columns
+    return block
 
 
 def sample_window(law: ProductLaw, lo: int, hi: int, stream: RngStream) -> PotentialWindow:

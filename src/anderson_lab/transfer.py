@@ -27,7 +27,13 @@ one-site step costs two ufunc calls per site.  When the sites of a batch hold
 at most two distinct finite values, as for every two-atom law, eight sites
 have only ``2**8`` products at a given energy: the table step builds them
 once per energy and advances every lane eight sites with one
-:func:`numpy.take` of its code's product and three row ufuncs.  Its steps
+:func:`numpy.take` of its code's product and three row ufuncs.  A step's
+code is a byte, one bit per site.  The Monte Carlo estimators hand a law of
+at most two atoms to the kernel as its sampler drew it, atom indices with
+the atoms (:class:`AtomWindows`), and the codes are packed from the indices
+with :func:`numpy.packbits`; float windows (a hand-built batch, craig-simon's
+:class:`~anderson_lab.measures.PotentialWindow`) have their two values found
+and packed by float compares (:func:`_pair_codes`).  The table steps
 are aligned at multiples of eight sites from the start of the pass or the
 last restart, and a read between two steps finishes with one-site steps into
 scratch rows, so a read at site count ``k`` equals, bit for bit, a pass that
@@ -82,6 +88,57 @@ _GATHER = np.uint64(sum(1 << (56 - 7 * s) for s in range(_TABLE_SITES)))
 #: the kernel multiplies values scaled into [1, 2) by ``V - E``, so a finite
 #: potential with ``|V - E|`` at or above this raises a ValueError
 MAGNITUDE_LIMIT = 2.0**1023
+
+
+@dataclass(frozen=True)
+class AtomWindows:
+    """A batch of windows of a law with at most two atoms, as atom indices:
+    site ``k`` of window ``r`` holds ``atoms[codes[r, k]]``.
+
+    :func:`matrix_batch`, :func:`vector_growth_logs` and
+    :func:`centered_batch` take it where they take values: the table step
+    packs its codes from the indices, and the one-site steps read ``E - V``
+    off the atoms, so no block of values is formed.  Indexing slices the
+    codes; ``values`` forms the values.
+    """
+
+    codes: np.ndarray
+    atoms: np.ndarray
+
+    def __post_init__(self) -> None:
+        atoms = np.asarray(self.atoms, dtype=float)
+        if not (atoms.ndim == 1 and 1 <= len(atoms) <= 2):
+            raise ValueError("atom windows hold one or two atoms")  # the table step's two values
+        object.__setattr__(self, "atoms", atoms)
+
+    @property
+    def shape(self) -> tuple[int, ...]:
+        return self.codes.shape
+
+    def __len__(self) -> int:
+        return len(self.codes)
+
+    def __getitem__(self, key) -> "AtomWindows":
+        return AtomWindows(self.codes[key], self.atoms)
+
+    @property
+    def values(self) -> np.ndarray:
+        return self.atoms[self.codes]
+
+
+def _batch(windows):
+    """A batch of windows, one per row: :class:`AtomWindows` as given,
+    anything else as a float array."""
+    if isinstance(windows, AtomWindows):
+        return windows if windows.codes.ndim > 1 else windows[None]
+    return np.atleast_2d(np.asarray(windows, dtype=float))
+
+
+def _column(windows, k: int) -> np.ndarray:
+    """The potentials at site ``k`` of every window of a batch."""
+    if isinstance(windows, AtomWindows):
+        return windows.atoms.take(windows.codes[..., k])
+    return windows[..., k]
 
 
 def _rescale(pair: np.ndarray, shift: np.ndarray) -> None:
@@ -419,6 +476,12 @@ def _propagate(
     call, by a pass shorter than one table step, or when one step could grow
     the rows past the room a rescale leaves (``8 log2(max|E - V| + 1)`` above
     ``_HEADROOM - 1``), so a site past :data:`MAGNITUDE_LIMIT` is still named.
+    :class:`AtomWindows` always hold at most two values: their codes are
+    packed from the atom indices (:func:`_packed_codes`), the one-site steps
+    that finish a read between two table steps gather ``E - V`` from the
+    atoms, and a pass that keeps the one-site step reads their values.
+    Other windows are compared as floats (:func:`_pair_codes`).  Either way
+    a batch gives the same bits.
 
     ``guard`` (a real energy, one column; set by :func:`det_recurrence`)
     checks each stretch: where the two terms of a step agree to
@@ -436,21 +499,24 @@ def _propagate(
     dtype = complex if np.iscomplexobj(e) and np.any(e.imag != 0) else float
     e = e if dtype is complex else e.real
     lanes = np.broadcast_shapes(e.shape, windows.shape[:-1])
-    sites = np.broadcast_to(windows, lanes + windows.shape[-1:])
-    sites = sites.transpose((len(lanes),) + tuple(range(len(lanes))))  # site-major
     pairs = np.empty((2, columns, len(marks)) + lanes, dtype=dtype)
     shifts = np.empty((len(marks),) + lanes, dtype=np.int64)
+    coded = isinstance(windows, AtomWindows)
     if not guard and marks[-1] >= _TABLE_SITES:
         bounds = sorted({0, *restarts, marks[-1]})
-        found = _pair_codes(windows, bounds)
+        found = _packed_codes(windows, bounds) if coded else _pair_codes(windows, bounds)
         if found is not None:
             values, codes = found
             with np.errstate(over="ignore", invalid="ignore"):
                 growth = _TABLE_SITES * float(np.log2(np.abs(np.subtract.outer(e, values)).max() + 1))
             if growth <= _HEADROOM - 1.0:
-                _table_pass(e, sites, _block_table(e, values), growth, codes, bounds,
+                _table_pass(e, windows, _block_table(e, values), growth, codes, bounds,
                             marks, restarts, pairs, shifts)
                 return pairs, shifts
+    if coded:  # the one-site step reads values
+        windows = windows.values
+    sites = np.broadcast_to(windows, lanes + windows.shape[-1:])
+    sites = sites.transpose((len(lanes),) + tuple(range(len(lanes))))  # site-major
     guard = guard and dtype is float
     e = np.broadcast_to(e, lanes)
     row = columns * math.prod(lanes) * np.dtype(dtype).itemsize
@@ -559,6 +625,33 @@ def _pair_codes(windows: np.ndarray, bounds: list[int]):
     return values, [code.reshape(code.shape[:1] + windows.shape[:-1]) for code in codes]
 
 
+def _packed_codes(windows: AtomWindows, bounds: list[int]):
+    """The two values of :class:`AtomWindows` (one atom given twice) and the
+    codes of their table steps, laid out as :func:`_pair_codes` lays them:
+    bit ``s`` of a code is the atom index at the step's site ``s``.
+
+    :func:`numpy.packbits` packs each segment's steps along the site axis:
+    little-endian bit order from the segment start for forward windows; for
+    windows read backwards (a negative-stride view, the left half of
+    :func:`centered_batch`), the same sites of the forward array in
+    big-endian order, with the byte order then reversed, so no packing reads
+    against the memory order.
+    """
+    rows = windows.codes.reshape(-1, windows.shape[-1])
+    backward = rows.strides[-1] < 0
+    forward, n = (rows[:, ::-1] if backward else rows), rows.shape[-1]
+    codes = []
+    for a, b in zip(bounds, bounds[1:]):
+        steps = (b - a) // _TABLE_SITES
+        if backward:  # sites a .. a + 8 steps - 1 are forward columns n - a - 8 steps .. n - a - 1
+            span = forward[:, n - a - steps * _TABLE_SITES : n - a]
+            packed = np.packbits(span, axis=-1, bitorder="big")[:, ::-1]
+        else:
+            packed = np.packbits(rows[:, a : a + steps * _TABLE_SITES], axis=-1, bitorder="little")
+        codes.append(np.ascontiguousarray(packed.T).reshape((steps,) + windows.shape[:-1]))
+    return [windows.atoms[0], windows.atoms[-1]], codes
+
+
 def _block_table(e: np.ndarray, values) -> np.ndarray:
     """The products of :data:`_TABLE_SITES` one-step factors at each energy
     of ``e``, for every code of the sites' values (bit ``s`` picks site
@@ -583,10 +676,10 @@ def _block_table(e: np.ndarray, values) -> np.ndarray:
     return np.stack([p00, p10, p01, p11]).reshape(4, -1)
 
 
-def _table_pass(e, sites, table, growth, codes, bounds, marks, restarts, pairs, shifts):
+def _table_pass(e, windows, table, growth, codes, bounds, marks, restarts, pairs, shifts):
     """The table step of :func:`_propagate`: fill ``pairs`` and ``shifts``
-    for a batch with the codes and the table of :func:`_pair_codes` and
-    :func:`_block_table`.
+    for a batch of ``windows`` with the codes of :func:`_packed_codes` or
+    :func:`_pair_codes` and the table of :func:`_block_table`.
 
     Each segment between restarts starts from the identity and advances its
     running rows one table step of :data:`_TABLE_SITES` sites at a time: one
@@ -638,7 +731,7 @@ def _table_pass(e, sites, table, growth, codes, bounds, marks, restarts, pairs, 
             upto = bisect_right(marks, min(last, at + _TABLE_SITES - 1), j)
             r = [cur[1], cur[0], *scratch]  # bottom, top, new tops
             for k in range(marks[upto - 1] - at):
-                np.subtract(e, sites[at + k], out=d[0])
+                np.subtract(e, _column(windows, at + k), out=d[0])
                 np.multiply(d, r[k + 1], out=r[k + 2])
                 np.subtract(r[k + 2], r[k], out=r[k + 2])
             for i in range(j, upto):
@@ -661,11 +754,11 @@ def matrix_batch(
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """Scaled interval products for a batch of windows.
 
-    ``windows`` has one window per row; ``energy`` broadcasts against its
-    leading axes: a scalar or one value per row, or ``(E, 1)`` for ``(E, S)``
-    lanes over ``S`` rows.  Returns the four entry arrays, normalized once at
-    the end so that each product's largest entry magnitude is 1, and the log
-    scales, one value per lane.
+    ``windows`` has one window per row (values, or :class:`AtomWindows`);
+    ``energy`` broadcasts against its leading axes: a scalar or one value per
+    row, or ``(E, 1)`` for ``(E, S)`` lanes over ``S`` rows.  Returns the four
+    entry arrays, normalized once at the end so that each product's largest
+    entry magnitude is 1, and the log scales, one value per lane.
 
     With ``checkpoints`` (site counts in ``[0, window length]``) the product
     over the first ``k`` sites of each window is read off the kernel at each
@@ -674,7 +767,7 @@ def matrix_batch(
     power of two so that each product's largest entry magnitude lies in
     ``[1, 2)`` (no rounding, so products composed from them keep exact zeros).
     """
-    windows = np.atleast_2d(np.asarray(windows, dtype=float))
+    windows = _batch(windows)
     length = windows.shape[-1]
     marks = [length] if checkpoints is None else _checked_marks(checkpoints, length)
     pairs, shifts = _propagate(energy, windows, 2, marks)
@@ -776,8 +869,10 @@ def centered_batch(
     :func:`_restarted_products`).  Returns the five arrays of
     :func:`matrix_batch` with checkpoints, one row per radius, led by a law
     axis: law 0 the windows, law 1 the redrawn windows if ``columns`` is given.
+    ``windows`` and ``columns`` may be :class:`AtomWindows`; the restart-site
+    potentials are then read as ``atoms[codes[:, k]]``.
     """
-    windows = np.atleast_2d(np.asarray(windows, dtype=float))
+    windows = _batch(windows)
     m = windows.shape[1] // 2
     if windows.shape[1] != 2 * m + 1:
         raise ValueError("centered windows must have odd length")
@@ -786,14 +881,14 @@ def centered_batch(
     if sites and not (-m <= sites[0] and sites[-1] <= m and np.all(np.diff(sites) > 0)):
         raise ValueError("sites must be ascending and lie in the window")
     if columns is not None:
-        columns = np.asarray(columns, dtype=float)
+        columns = columns if isinstance(columns, AtomWindows) else np.asarray(columns, dtype=float)
         if columns.shape != (len(windows), len(sites)):
             raise ValueError("columns must hold one column per site and one row per window")
 
     def potentials(indices):  # each law's potential at one site at a time
         for i in indices:
-            v = windows[:, m + sites[i]]
-            yield v[None] if columns is None else np.stack([v, columns[:, i]])
+            v = _column(windows, m + sites[i])
+            yield v[None] if columns is None else np.stack([v, _column(columns, i)])
 
     laws = 1 if columns is None else 2
     right = [i for i, k in enumerate(sites) if 0 < k <= reach]
@@ -841,12 +936,13 @@ def vector_growth_logs(
     """log norms of the propagated solution vector at given site counts.
 
     Starts from ``(1, 0)`` and applies the one-step recurrence across each
-    row of ``windows``, read off the kernel at each checkpoint; ``energy``
-    broadcasts as in :func:`matrix_batch`.  Returns an array of shape
+    row of ``windows`` (values, or :class:`AtomWindows`), read off the kernel
+    at each checkpoint; ``energy`` broadcasts as in :func:`matrix_batch`.
+    Returns an array of shape
     ``(len(checkpoints), *lanes)`` holding ``log || S_[1,k] (1,0) ||`` for
     each checkpoint ``k``; checkpoint 0 is the initial vector.
     """
-    windows = np.atleast_2d(np.asarray(windows, dtype=float))
+    windows = _batch(windows)
     marks = _checked_marks(checkpoints, windows.shape[-1])
     pairs, shifts = _propagate(energy, windows, 1, marks)
     _rescale(pairs, shifts)

@@ -1,4 +1,5 @@
 import cmath
+import dataclasses
 import math
 
 import numpy as np
@@ -205,7 +206,9 @@ def test_non_finite_statistic_is_an_error(monkeypatch):
         wins[3, 0] = math.inf
         return wins
 
-    monkeypatch.setattr(estimators, "sample_windows", with_inf)
+    # the kernels' windows come from _kernel_windows: values with an inf in
+    # place of the atom indices a two-atom law is drawn as
+    monkeypatch.setattr(estimators, "_kernel_windows", with_inf)
     with pytest.raises(ValueError, match=r"energy 0\.0, radius 16: 1 of 100 lanes"):
         with np.errstate(invalid="ignore"):
             lde_curve(
@@ -226,7 +229,7 @@ def test_non_finite_statistic_names_the_largest_radius_of_a_lift_batch(monkeypat
             draws[0][3, 0] = math.inf  # the base block, shared by both laws
         return draws
 
-    monkeypatch.setattr(estimators, "sample_windows", with_inf)
+    monkeypatch.setattr(estimators, "_kernel_windows", with_inf)
     with pytest.raises(ValueError, match=r"energy 0\.0, radius 32: 1 of 100 lanes"):
         with np.errstate(invalid="ignore"):
             lift_check(Identity(), BERNOULLI, 0.0, 0.1, [8, 16, 32], 100, RngStream(9))
@@ -581,3 +584,41 @@ def test_tail_estimate_normal_and_wilson_regimes():
     assert se0 > 0.0
     p1, _ = tail_estimate(3, 10_000)
     assert p1 > 3 / 10_000
+
+
+def test_two_atom_draws_reach_the_kernels_as_atom_indices(monkeypatch):
+    # the same results as from the values, with no float compares in the
+    # kernel; the law picks the form, so a three-atom law still draws values
+    import anderson_lab.transfer as transfer
+
+    bump = BumpSchedule(sites=PowersOfTwoSites(), base=BERNOULLI, weights=(0.75, 0.25))
+    three = FiniteAtoms(atoms=((-1.0, 0.25), (0.0, 0.25), (1.0, 0.5)))
+
+    def runs():
+        return (
+            lyapunov_mc(BERNOULLI_LAW, np.array([0.0, 0.37, 0.4 + 0.6j]), 100, 300, RngStream(3)),
+            lde_curve(BERNOULLI_LAW, 0.37, 0.05, [9, 20, 41], 300, RngStream(4)),
+            lift_check(bump, BERNOULLI, 0.0, 0.05, [5, 16, 33], 300, RngStream(5)),
+        )
+
+    drawn = []
+    real = estimators._kernel_windows
+
+    def spy(*args, **kwargs):
+        drawn.append(real(*args, **kwargs))
+        return drawn[-1]
+
+    def refused(windows, bounds):
+        raise AssertionError("_pair_codes read a two-atom law's windows")
+
+    with monkeypatch.context() as patch:
+        patch.setattr(estimators, "_kernel_windows", spy)
+        patch.setattr(transfer, "_pair_codes", refused)
+        coded = runs()
+    assert drawn and all(
+        isinstance(d[0] if isinstance(d, tuple) else d, transfer.AtomWindows) for d in drawn
+    )
+    monkeypatch.setattr(estimators, "_kernel_windows", sample_windows)
+    for got, want in zip(coded, runs()):
+        np.testing.assert_equal(dataclasses.astuple(got), dataclasses.astuple(want))
+    assert isinstance(real(ProductLaw.exact(three), 1, 9, 4, RngStream(6)), np.ndarray)

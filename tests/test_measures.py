@@ -1,3 +1,4 @@
+import hashlib
 import math
 from fractions import Fraction
 
@@ -392,6 +393,80 @@ def test_coupled_draw_holds_both_laws(seq):
         assert np.array_equal(values, exact)
         values[:, [k - lo for k in sites]] = columns
         assert np.array_equal(values, sample_windows(law, lo, hi, 257, RngStream(8, (1,))))
+
+
+def _sha256(*arrays):
+    digest = hashlib.sha256()
+    for a in arrays:
+        digest.update(np.ascontiguousarray(a, dtype="<f8").tobytes())
+    return digest.hexdigest()
+
+
+@pytest.mark.parametrize(
+    "law, lo, hi, count, coupled, seed, values_sha, next_word_sha",
+    [
+        # the byte table at b = 1
+        (ProductLaw.exact(BERNOULLI), 1, 865, 301, False, 11,
+         "7b0a4a08e34a603f600bf1e2f693d4f2edc124e7667f83c1498c55e4c2a719b7",
+         "ec78d95cb3f072b0a6a1f209d1be40b133bba7fe17b00b0badc9a090a5a51258"),
+        # the coupled draw, its redrawn columns on the byte table at b = 2
+        (ProductLaw.approximate(
+            BERNOULLI, BumpSchedule(sites=PowersOfTwoSites(), base=BERNOULLI, weights=(0.75, 0.25))
+        ), -400, 400, 257, True, 12,
+         "8e763c6990574b5752c8068a922c552ec9772b193ba9c40d2b5d2407c7532868",
+         "5e69289063d8c2e0cbcd266454ff279be8a6bb30253fe92acfdb8c51294c0914"),
+        # the uniform replay, for the base block and both redrawn columns
+        (ProductLaw.approximate(ONE_THIRD, AtomReweight(ONE_THIRD, {-3: (0.25, 0.75), 4: (0.3, 0.7)})),
+         -50, 50, 1001, False, 13,
+         "3a8900ce0b25e17730ef64b27cb5cd0b97f7cf39a8cafe65e4c3cd78b0fa7bad",
+         "b88c72a70b14ead4bffb1d1dce79338f4a1c33484e7f499f04773c64172fb8d8"),
+    ],
+)
+def test_sample_windows_values_and_generator_state_are_pinned(
+    law, lo, hi, count, coupled, seed, values_sha, next_word_sha
+):
+    # sha256 of the values (with the sites and columns of a coupled draw) and
+    # of the generator's next raw word, recorded before the draws were read
+    # as atom indices; the values and the state the draw leaves must not move
+    stream = _KeptGenerator(seed)
+    got = sample_windows(law, lo, hi, count, stream, coupled=coupled)
+    arrays = (got[0], np.array(got[1], dtype=float), got[2]) if coupled else (got,)
+    assert _sha256(*arrays) == values_sha
+    word = stream.rng.bit_generator.random_raw(1).astype("<u8")
+    assert hashlib.sha256(word.tobytes()).hexdigest() == next_word_sha
+
+
+@pytest.mark.parametrize(
+    "law",
+    [
+        ProductLaw.exact(BERNOULLI),
+        ProductLaw.approximate(
+            BERNOULLI, BumpSchedule(sites=PowersOfTwoSites(), base=BERNOULLI, weights=(0.75, 0.25))
+        ),
+        ProductLaw.approximate(ONE_THIRD, AtomReweight(ONE_THIRD, {-3: (0.25, 0.75), 4: (0.3, 0.7)})),
+        # a rejection-sampled column on an atomic base
+        ProductLaw.approximate(
+            BERNOULLI, BumpSchedule(sites=PowersOfTwoSites(), base=BERNOULLI,
+                                    density=lambda x: 1.0 + 0.5 * x, density_sup=1.5),
+        ),
+    ],
+)
+def test_codes_are_the_atom_indices_of_the_same_draw(law):
+    for coupled in (False, True):
+        ours, ref = _KeptGenerator(21), _KeptGenerator(21)
+        codes = sample_windows(law, -20, 40, 333, ours, coupled=coupled, codes=True)
+        values = sample_windows(law, -20, 40, 333, ref, coupled=coupled)
+        assert ours.rng.bit_generator.state == ref.rng.bit_generator.state
+        if coupled:
+            assert codes[1] == values[1]
+            codes, values = (codes[0], codes[2]), (values[0], values[2])
+        else:
+            codes, values = (codes,), (values,)
+        for c, v in zip(codes, values):
+            assert c.dtype == np.uint8 and c.shape == v.shape
+            assert np.array_equal(law.base.locations[c], v)
+    with pytest.raises(ValueError, match="atomic base"):
+        sample_windows(ProductLaw.exact(UniformInterval(-1.0, 1.0)), 0, 3, 2, RngStream(1), codes=True)
 
 
 # ---------------------------------------------------------------------------

@@ -8,6 +8,7 @@ import pytest
 import anderson_lab.transfer as transfer
 from anderson_lab.estimators import _statistic_logs
 from anderson_lab.transfer import (
+    AtomWindows,
     ScaledMatrix,
     SignedLog,
     block_identity_check,
@@ -1142,3 +1143,112 @@ def test_table_step_leaves_steps_past_the_headroom_to_the_one_site_step(monkeypa
     with np.errstate(invalid="ignore"):
         matrix_batch(0.0, windows)
     assert built == []
+
+
+# ---------------------------------------------------------------------------
+# atom windows: a two-atom law's draws as atom indices, against their values
+# ---------------------------------------------------------------------------
+
+CODE_ENERGIES = (0.0, 0.37, 0.4 + 0.6j)
+ATOM_PAIRS = (np.array([-1.0, 1.0]), np.array([0.25, -2.5]))
+
+
+def _no_float_codes(monkeypatch):
+    """Atom windows must reach the table step without the float compares."""
+    def refused(*args):
+        raise AssertionError("_pair_codes read atom windows")
+
+    real = transfer._pair_codes
+    monkeypatch.setattr(
+        transfer, "_pair_codes",
+        lambda windows, bounds: refused() if isinstance(windows, AtomWindows) else real(windows, bounds),
+    )
+
+
+def _assert_same_bits(got, want):
+    assert len(got) == len(want)
+    for g, w in zip(got, want):
+        assert g.dtype == w.dtype
+        np.testing.assert_array_equal(g, w)
+
+
+def test_atom_windows_equal_their_values_bit_for_bit(monkeypatch):
+    _no_float_codes(monkeypatch)
+    built = _counting_tables(monkeypatch)
+    rng = np.random.default_rng(123)
+    marks = (0, 1, 5, 8, 13, 64, 77, 150, 300, 301)
+    energies = np.array(CODE_ENERGIES)[:, None]
+    for atoms in ATOM_PAIRS:
+        windows = AtomWindows(rng.integers(0, 2, (30, 301)).astype(np.uint8), atoms)
+        values = windows.values
+        for energy in CODE_ENERGIES:
+            built.clear()
+            _assert_same_bits(matrix_batch(energy, windows, marks), matrix_batch(energy, values, marks))
+            _assert_same_bits(matrix_batch(energy, windows), matrix_batch(energy, values))
+            assert len(built) == 4  # every call took the table step
+        got = vector_growth_logs(energies, windows, marks)
+        assert got.shape == (len(marks), len(CODE_ENERGIES), 30)
+        np.testing.assert_array_equal(got, vector_growth_logs(energies, values, marks))
+
+
+def test_coupled_atom_windows_equal_their_values_bit_for_bit(monkeypatch):
+    # restarts off the 8-site grid on both halves, the redrawn columns as codes
+    _no_float_codes(monkeypatch)
+    rng = np.random.default_rng(124)
+    sites = (-77, -29, -3, 0, 5, 13, 21, 100)
+    radii = (0, 3, 9, 50, 150)
+    for atoms in ATOM_PAIRS:
+        windows = AtomWindows(rng.integers(0, 2, (17, 301)).astype(np.uint8), atoms)
+        columns = AtomWindows(rng.integers(0, 2, (17, len(sites))).astype(np.uint8), atoms)
+        for energy in CODE_ENERGIES:
+            got = centered_batch(energy, windows, radii, sites, columns)
+            _assert_same_bits(got, centered_batch(energy, windows.values, radii, sites, columns.values))
+            _assert_same_bits(
+                centered_batch(energy, windows, radii), centered_batch(energy, windows.values, radii)
+            )
+
+
+def test_a_two_atom_batch_holding_one_value_gives_the_bits_of_its_values(monkeypatch):
+    # the table holds both atoms, the values one: the codes pick the same
+    # products either way
+    _no_float_codes(monkeypatch)
+    marks = (3, 8, 64, 101, 160)
+    for atom in (0, 1):
+        windows = AtomWindows(np.full((6, 160), atom, dtype=np.uint8), ATOM_PAIRS[1])
+        values = windows.values
+        assert len(np.unique(values)) == 1
+        for energy in CODE_ENERGIES:
+            _assert_same_bits(matrix_batch(energy, windows, marks), matrix_batch(energy, values, marks))
+            np.testing.assert_array_equal(
+                vector_growth_logs(energy, windows, marks), vector_growth_logs(energy, values, marks)
+            )
+            _assert_same_bits(
+                centered_batch(energy, windows[:, :101], (4, 50), (-9, 2), windows[:, :2]),
+                centered_batch(energy, values[:, :101], (4, 50), (-9, 2), values[:, :2]),
+            )
+
+
+@pytest.mark.parametrize("backward", [False, True])
+def test_packed_codes_equal_the_float_codes(backward):
+    # up to bit polarity: _pair_codes sets the bits of the value it met
+    # second, and either way a code picks the same products
+    rng = np.random.default_rng(125)
+    atoms = ATOM_PAIRS[0]
+    codes = rng.integers(0, 2, (19, 205)).astype(np.uint8)
+    windows = AtomWindows(codes[:, 203::-1] if backward else codes[:, 1:], atoms)
+    for bounds in ([0, 204], [0, 1, 9, 30, 31, 100, 204], [0, 7, 15, 203]):
+        values, packed = transfer._packed_codes(windows, bounds)
+        assert values == [atoms[0], atoms[1]]
+        first, want = transfer._pair_codes(windows.values, bounds)
+        assert [len(c) for c in packed] == [(b - a) // 8 for a, b in zip(bounds, bounds[1:])]
+        for got, w in zip(packed, want):
+            assert got.dtype == np.uint8 and got.flags.c_contiguous
+            np.testing.assert_array_equal(got, w if first[0] == atoms[0] else ~w)
+
+
+def test_atom_windows_hold_at_most_the_table_steps_two_atoms():
+    codes = np.zeros((2, 9), dtype=np.uint8)
+    assert AtomWindows(codes, [0.5]).atoms.tolist() == [0.5]
+    for atoms in ([0.0, 1.0, 2.0], [], [[0.0, 1.0]]):
+        with pytest.raises(ValueError, match="one or two atoms"):
+            AtomWindows(codes, atoms)
