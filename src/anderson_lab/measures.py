@@ -52,8 +52,7 @@ class RejectionCapError(RuntimeError):
     """Raised when the accept/reject sampler for a perturbed site stalls."""
 
 
-#: draws per pass of the uniform replay of :func:`_atom_codes`, and atom
-#: indices per pass of :func:`_widen`
+#: draws per pass of the uniform replay of :func:`_table_draws`
 _CATEGORICAL_PASS = 1 << 14
 #: raw 64-bit words per pass of :func:`_byte_table_draws` (2**14 bytes)
 _TABLE_PASS_WORDS = 1 << 11
@@ -93,10 +92,11 @@ def _draw_buffer(size: int) -> np.ndarray:
     largest batch of a process its draws allocate no memory and fault in no
     pages, and the process holds its largest batches until it exits.
 
-    The draws that take it are the values of an atomic law widened from its
-    atom indices (:func:`_widen`: the base block of :func:`sample_windows`
-    and :meth:`FiniteAtoms.sample`) and the uniforms of the non-dyadic
-    replay; the atom indices themselves are one byte per site.
+    The draws that take it are the value draws of an atomic law (the base
+    block of :func:`sample_windows` and :meth:`FiniteAtoms.sample`, written
+    through the byte table or over the uniforms of the replay) and the
+    uniforms of a replay that draws atom indices; the atom indices
+    themselves are one byte per site, or ``intp`` past 256 atoms.
     """
     if size * 8 < _KEPT_BYTES:
         return np.empty(size)
@@ -113,25 +113,11 @@ def _draw_buffer(size: int) -> np.ndarray:
         return buffer[:size]
 
 
-def _widen(locations: np.ndarray, codes: np.ndarray) -> np.ndarray:
-    """``locations[codes]`` in a buffer from :func:`_draw_buffer`; the
-    indices pass through a pass-sized index buffer, so no full-size index
-    array is made."""
-    flat = codes.reshape(-1)
-    out = _draw_buffer(flat.size)
-    index = np.empty(min(flat.size, _CATEGORICAL_PASS), dtype=np.intp)
-    for start in range(0, flat.size, _CATEGORICAL_PASS):
-        part = flat[start : start + _CATEGORICAL_PASS]
-        np.copyto(index[: len(part)], part)
-        np.take(locations, index[: len(part)], out=out[start : start + len(part)], mode="clip")
-    return out.reshape(codes.shape)
-
-
 def _byte_table_draws(
-    rng: np.random.Generator, cdf: np.ndarray, bits: int, size: int
+    rng: np.random.Generator, table: np.ndarray, cdf: np.ndarray, bits: int, size: int
 ) -> np.ndarray:
-    """``size`` atom indices that read ``bits``-bit codes from raw generator
-    words.
+    """``size`` draws of the entries of ``table`` that read ``bits``-bit
+    codes from raw generator words.
 
     The draws take ``ceil(size * bits / 64)`` words of
     ``rng.bit_generator.random_raw`` and read their ``bits``-bit fields in
@@ -139,14 +125,18 @@ def _byte_table_draws(
     ``c`` picks the atom ``#{j < k - 1 : cdf[j] <= c / 2**bits}``, the
     uniform rule at ``u = c / 2**bits``: atom ``j`` owns exactly
     ``w_j * 2**bits`` of the ``2**bits`` codes.  A 256-row table maps each
-    raw byte to its ``8 // bits`` atom indices, and ``np.take`` writes them,
-    one byte per site, through a pass-sized index buffer.
+    raw byte to the entries of its ``8 // bits`` atoms, and ``np.take``
+    writes them through a pass-sized index buffer, so the only full-size
+    buffer is the returned one (a view of whole bytes' entries, cut to
+    ``size``; a value draw's is from :func:`_draw_buffer`).
     """
     per_byte = 8 // bits
     atom = np.searchsorted(cdf[:-1], np.arange(1 << bits) / (1 << bits), side="right")
     fields = (np.arange(256)[:, None] >> (bits * np.arange(per_byte))) & ((1 << bits) - 1)
-    table = atom[fields].astype(np.uint8)  # at most 2**bits atoms own a code
-    rows = np.empty((-(-size // per_byte), per_byte), np.uint8)
+    entries = table[atom[fields]]
+    whole = -(-size // per_byte) * per_byte
+    rows = _draw_buffer(whole) if table.dtype == float else np.empty(whole, table.dtype)
+    rows = rows.reshape(-1, per_byte)
     words = -(-size * bits // 64)
     index = np.empty(8 * min(words, _TABLE_PASS_WORDS), dtype=np.intp)
     for first in range(0, words, _TABLE_PASS_WORDS):
@@ -155,48 +145,61 @@ def _byte_table_draws(
         lo = 8 * first
         m = min(len(byte), len(rows) - lo)
         np.copyto(index[:m], byte[:m])
-        np.take(table, index[:m], axis=0, out=rows[lo : lo + m], mode="clip")
+        np.take(entries, index[:m], axis=0, out=rows[lo : lo + m], mode="clip")
     return rows.reshape(-1)[:size]
 
 
-def _atom_codes(rng: np.random.Generator, weights: np.ndarray, size: int) -> np.ndarray:
-    """``size`` draws of atom indices with probabilities ``weights``: bytes,
-    or ``intp`` for a law of more than 256 atoms.
+def _table_draws(
+    rng: np.random.Generator, table: np.ndarray, weights: np.ndarray, size: int
+) -> np.ndarray:
+    """``size`` draws of the entries of ``table`` (atom ``j``'s at
+    ``table[j]``) with probabilities ``weights``: the atoms' locations for a
+    value draw, :func:`_atom_indices` for an index draw.  One sampler serves
+    both, so the two read the same atoms off the same generator state.
 
     The weights alone pick the sampler.  If every cut point of the CDF is a
     multiple of ``2**-b`` for some ``b`` in {1, 2, 4, 8}, each draw reads
     ``b`` raw bits (:func:`_byte_table_draws`), and the law is still exact.
-    Otherwise the draws replay ``rng.choice(len(weights), size, p=weights)``
-    exactly: the same uniforms, cut points and indices, so the indices and
-    the state the generator is left in are identical.  The index of a
-    uniform ``u`` is the number of cut points ``cdf[j]``, ``j < k - 1``, with
-    ``u >= cdf[j]`` (``searchsorted(side="right")``); the uniforms take a
-    buffer from :func:`_draw_buffer`.
+    Otherwise the draws replay ``table[rng.choice(len(weights), size,
+    p=weights)]`` exactly: the same uniforms, cut points and indices, so the
+    draws and the state the generator is left in are identical.  The index
+    of a uniform ``u`` is the number of cut points ``cdf[j]``, ``j < k - 1``,
+    with ``u >= cdf[j]`` (``searchsorted(side="right")``).  The uniforms
+    take a buffer from :func:`_draw_buffer`, and a value draw overwrites
+    them, so its only full-size buffer is the returned one.
     """
     cdf = np.cumsum(weights, dtype=float)
     cdf /= cdf[-1]
     bits = _code_bits(cdf)
     if bits is not None:
-        return _byte_table_draws(rng, cdf, bits, size)
+        return _byte_table_draws(rng, table, cdf, bits, size)
     u = rng.random(size, out=_draw_buffer(size))
-    codes = np.empty(size, np.uint8 if len(cdf) <= 256 else np.intp)
-    hit = np.empty(min(size, _CATEGORICAL_PASS), dtype=bool)
+    out = u if table.dtype == float else np.empty(size, table.dtype)
+    index = np.empty(min(size, _CATEGORICAL_PASS), dtype=np.intp)
+    hit = np.empty(len(index), dtype=bool)
     for start in range(0, size, _CATEGORICAL_PASS):
         part = u[start : start + _CATEGORICAL_PASS]
-        idx, h = codes[start : start + len(part)], hit[: len(part)]
+        idx, h = index[: len(part)], hit[: len(part)]
         np.greater_equal(part, cdf[0], out=idx)  # never true for one atom: cdf[0] == 1
         for cut in cdf[1:-1]:
             np.greater_equal(part, cut, out=h)
             idx += h
-    return codes
+        np.take(table, idx, out=out[start : start + len(part)])
+    return out
+
+
+def _atom_indices(k: int) -> np.ndarray:
+    """The index table of a law of ``k`` atoms: bytes, or ``intp`` for more
+    than 256 atoms."""
+    return np.arange(k, dtype=np.uint8 if k <= 256 else np.intp)
 
 
 def _categorical(
     rng: np.random.Generator, locations: np.ndarray, weights: np.ndarray, size: int
 ) -> np.ndarray:
-    """``size`` draws of ``locations`` with probabilities ``weights``: the
-    atom indices of :func:`_atom_codes`, widened by :func:`_widen`."""
-    return _widen(np.asarray(locations, dtype=float), _atom_codes(rng, weights, size))
+    """``size`` draws of ``locations`` with probabilities ``weights``
+    (:func:`_table_draws`)."""
+    return _table_draws(rng, np.asarray(locations, dtype=float), weights, size)
 
 
 # ---------------------------------------------------------------------------
@@ -709,11 +712,9 @@ def sample_windows(
     law (exact categorical draw for atomic bases, accept/reject otherwise).
     The draw order is fixed (base block first, then perturbed sites in
     ascending order), so output depends only on ``(stream, lo, hi, count)``.
-    An atomic base is drawn as atom indices (:func:`_atom_codes`): each
-    draw, of the base block or of a redrawn column, reads ``b`` raw bits when
-    its weights are multiples of ``2**-b`` for some ``b`` in {1, 2, 4, 8},
-    and one uniform otherwise.  The values are ``law.base.locations`` at
-    those indices, widened once (:func:`_widen`).
+    Each atomic draw, of the base block or of a redrawn column, reads ``b``
+    raw bits when its weights are multiples of ``2**-b`` for some ``b`` in
+    {1, 2, 4, 8}, and one uniform otherwise (:func:`_table_draws`).
 
     ``coupled`` returns the same draws before the redrawn columns are
     written: ``(values, sites, columns)``.  ``values`` is the base block,
@@ -723,8 +724,11 @@ def sample_windows(
     draw thus samples both product laws exactly.
 
     ``codes`` (an atomic base only) returns the atom indices in place of the
-    values, the same draws without the widening: the transfer kernels read
-    a two-atom law's windows that way (``transfer.AtomWindows``).
+    values: the same draws read through the index table in place of the
+    locations, so the values are ``law.base.locations`` at those indices
+    and the generator is left in the same state.  The transfer kernels read
+    a two-atom law's windows that way (``transfer.AtomWindows``); every
+    other caller takes the values, written as they are drawn.
     """
     if lo > hi:
         raise ValueError("sample_windows requires lo <= hi")
@@ -733,20 +737,22 @@ def sample_windows(
         raise ValueError("codes are drawn for an atomic base only")
     rng = stream.generator()
     size = count * (hi - lo + 1)
-    block = _atom_codes(rng, law.base.weights, size) if atomic else law.base.sample(rng, size)
+    if atomic:  # the atoms' locations, or their indices
+        base: FiniteAtoms = law.base  # type: ignore[assignment]
+        table = _atom_indices(len(base.atoms)) if codes else np.asarray(base.locations, dtype=float)
+        block = _table_draws(rng, table, base.weights, size)
+    else:
+        block = law.base.sample(rng, size)
     block = block.reshape(count, -1)
     sites = law.densities.perturbed_sites(lo, hi)
     columns = np.empty((count, len(sites)), block.dtype)
     for i, site in enumerate(sites):
         beta = law.densities.atom_weights_at(site) if atomic else None
         if beta is not None:
-            columns[:, i] = _atom_codes(rng, beta, count)
+            columns[:, i] = _table_draws(rng, table, beta, count)
         else:
             column = _rejection_column(law.base, law.densities, site, count, rng)
-            columns[:, i] = law.base.atom_index(column) if atomic else column  # type: ignore[attr-defined]
-    if atomic and not codes:
-        locations = law.base.locations  # type: ignore[attr-defined]
-        block, columns = _widen(locations, block), locations[columns]
+            columns[:, i] = law.base.atom_index(column) if codes else column  # type: ignore[attr-defined]
     if coupled:
         return block, sites, columns
     block[:, [site - lo for site in sites]] = columns

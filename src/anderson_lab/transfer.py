@@ -477,11 +477,12 @@ def _propagate(
     the rows past the room a rescale leaves (``8 log2(max|E - V| + 1)`` above
     ``_HEADROOM - 1``), so a site past :data:`MAGNITUDE_LIMIT` is still named.
     :class:`AtomWindows` always hold at most two values: their codes are
-    packed from the atom indices (:func:`_packed_codes`), the one-site steps
-    that finish a read between two table steps gather ``E - V`` from the
-    atoms, and a pass that keeps the one-site step reads their values.
-    Other windows are compared as floats (:func:`_pair_codes`).  Either way
-    a batch gives the same bits.
+    packed from the atom indices, and the headroom test reads the atoms the
+    batch holds (:func:`_packed_codes`); the one-site steps that finish a
+    read between two table steps gather ``E - V`` from the atoms, and a
+    pass that keeps the one-site step reads their values.  Other windows
+    are compared as floats (:func:`_pair_codes`), and the test reads the
+    values they hold.  Either way a batch gives the same bits.
 
     ``guard`` (a real energy, one column; set by :func:`det_recurrence`)
     checks each stretch: where the two terms of a step agree to
@@ -626,9 +627,12 @@ def _pair_codes(windows: np.ndarray, bounds: list[int]):
 
 
 def _packed_codes(windows: AtomWindows, bounds: list[int]):
-    """The two values of :class:`AtomWindows` (one atom given twice) and the
-    codes of their table steps, laid out as :func:`_pair_codes` lays them:
-    bit ``s`` of a code is the atom index at the step's site ``s``.
+    """The two values of :class:`AtomWindows` and the codes of their table
+    steps, laid out as :func:`_pair_codes` lays them: bit ``s`` of a code is
+    the atom index at the step's site ``s``.  As there, the values are the
+    ones the first ``bounds[-1]`` sites hold (one atom given twice if they
+    hold one), so the headroom test reads the same values; None for a batch
+    of no windows.
 
     :func:`numpy.packbits` packs each segment's steps along the site axis:
     little-endian bit order from the segment start for forward windows; for
@@ -640,7 +644,7 @@ def _packed_codes(windows: AtomWindows, bounds: list[int]):
     rows = windows.codes.reshape(-1, windows.shape[-1])
     backward = rows.strides[-1] < 0
     forward, n = (rows[:, ::-1] if backward else rows), rows.shape[-1]
-    codes = []
+    codes, held = [], [False, False]  # some site holds atom 0; atom 1
     for a, b in zip(bounds, bounds[1:]):
         steps = (b - a) // _TABLE_SITES
         if backward:  # sites a .. a + 8 steps - 1 are forward columns n - a - 8 steps .. n - a - 1
@@ -648,8 +652,13 @@ def _packed_codes(windows: AtomWindows, bounds: list[int]):
             packed = np.packbits(span, axis=-1, bitorder="big")[:, ::-1]
         else:
             packed = np.packbits(rows[:, a : a + steps * _TABLE_SITES], axis=-1, bitorder="little")
+        rest = rows[:, a + steps * _TABLE_SITES : b]  # the sites after the segment's last step
+        for part, ones in ((packed, 0xFF), (rest, 1)):
+            if part.size and not all(held):
+                held = [held[0] or part.min() < ones, held[1] or part.max() > 0]
         codes.append(np.ascontiguousarray(packed.T).reshape((steps,) + windows.shape[:-1]))
-    return [windows.atoms[0], windows.atoms[-1]], codes
+    values = [atom for atom, h in zip((windows.atoms[0], windows.atoms[-1]), held) if h]
+    return ([values[0], values[-1]], codes) if values else None
 
 
 def _block_table(e: np.ndarray, values) -> np.ndarray:

@@ -469,6 +469,32 @@ def test_codes_are_the_atom_indices_of_the_same_draw(law):
         sample_windows(ProductLaw.exact(UniformInterval(-1.0, 1.0)), 0, 3, 2, RngStream(1), codes=True)
 
 
+def test_codes_of_a_law_of_more_than_256_atoms_index_past_255():
+    # a non-dyadic 300-atom base (the uniform replay) with redrawn columns
+    # on the byte table whose mass sits past atom 255, where zero weights
+    # come first: the codes are intp, and codes and values replay rng.choice
+    base = FiniteAtoms(atoms=tuple((0.5 * j - 40.0, 1 / 300) for j in range(300)))
+    beyond = (0.0,) * 299 + (1.0,)
+    split = tuple(0.5 if j in (270, 299) else 0.0 for j in range(300))
+    law = ProductLaw.approximate(base, AtomReweight(base, {-2: beyond, 3: split}))
+    for coupled in (False, True):
+        ours, ref, want = _KeptGenerator(22), _KeptGenerator(22), np.random.default_rng(22)
+        codes = sample_windows(law, -5, 5, 97, ours, coupled=coupled, codes=True)
+        values = sample_windows(law, -5, 5, 97, ref, coupled=coupled)
+        replayed = _reference_windows(law, -5, 5, 97, want)
+        assert ours.rng.bit_generator.state == ref.rng.bit_generator.state == want.bit_generator.state
+        if coupled:
+            codes, values = (codes[0], codes[2]), (values[0], values[2])
+            assert np.array_equal(values[1], replayed[:, [-2 + 5, 3 + 5]])
+            assert np.array_equal(values[1][:, 0], np.full(97, base.locations[299]))
+            assert set(np.unique(values[1][:, 1])) == set(base.locations[[270, 299]])
+        else:
+            assert np.array_equal(values, replayed)
+            codes, values = (codes,), (values,)
+        for c, v in zip(codes, values):
+            assert c.dtype == np.intp and np.array_equal(base.locations[c], v)
+
+
 # ---------------------------------------------------------------------------
 # byte-table sampler for dyadic weights
 # ---------------------------------------------------------------------------

@@ -1209,14 +1209,16 @@ def test_coupled_atom_windows_equal_their_values_bit_for_bit(monkeypatch):
 
 
 def test_a_two_atom_batch_holding_one_value_gives_the_bits_of_its_values(monkeypatch):
-    # the table holds both atoms, the values one: the codes pick the same
-    # products either way
+    # the codes read the one atom the batch holds, as the float compares
+    # read the one value, also when the other atom is past the headroom:
+    # both take the same step and pick the same products
     _no_float_codes(monkeypatch)
     marks = (3, 8, 64, 101, 160)
-    for atom in (0, 1):
-        windows = AtomWindows(np.full((6, 160), atom, dtype=np.uint8), ATOM_PAIRS[1])
+    for atoms, atom in ((ATOM_PAIRS[1], 0), (ATOM_PAIRS[1], 1), (np.array([0.25, 1e20]), 0)):
+        windows = AtomWindows(np.full((6, 160), atom, dtype=np.uint8), atoms)
         values = windows.values
         assert len(np.unique(values)) == 1
+        assert transfer._packed_codes(windows, [0, 160])[0] == [atoms[atom]] * 2
         for energy in CODE_ENERGIES:
             _assert_same_bits(matrix_batch(energy, windows, marks), matrix_batch(energy, values, marks))
             np.testing.assert_array_equal(
