@@ -1,11 +1,15 @@
 """Finite truncations of the lattice operator and their spectral objects.
 
 A window of potential values defines a symmetric tridiagonal box (diagonal =
-values, off-diagonals = 1).  Eigenvalues come from Sturm-count bisection on
-the scaled determinant recurrence.  Eigenvectors come from inverse iteration
-through one numpy LU of ``T - shift`` over eigenvalue lanes, pivoted as in
-LAPACK ``dgttrf`` (an exactly zero last pivot becomes ``eps * scale``); both
-are deterministic for fixed input regardless of scheduling.  Green's
+values, off-diagonals = 1).  Eigenvalues come from bisection on Sturm
+counts: the LDL^T pivots of ``T - shift`` run unclamped over blocks of
+sites, two ufunc calls per site, and only lanes that met a pivot below the
+smallest normal float are counted again by the clamped recurrence, so each
+count is the clamped one bit for bit.  Eigenvectors come from inverse
+iteration through one numpy LU of ``T - shift`` over eigenvalue lanes,
+pivoted as in LAPACK ``dgttrf`` (an exactly zero last pivot becomes
+``eps * scale``) and solved with in-place ufuncs on kept rows; both are
+deterministic for fixed input regardless of scheduling.  Green's
 functions come from the determinant-ratio formula or a solve through the
 same LU.  The module also provides the regularity classification of a site,
 interior reconstruction from boundary data, and the eigenfunction-correlator
@@ -38,6 +42,8 @@ RESIDUAL_TOL_FACTOR = 1e-8
 CLUSTER_GAP_FACTOR = 1e-6
 
 _PIVMIN = np.finfo(float).tiny
+#: sites per block of unclamped Sturm pivots, so the block stays in cache
+_STURM_BLOCK = 64
 
 
 class ResonantEnergyError(ValueError):
@@ -128,15 +134,9 @@ class Correlator:
 # eigenvalues: Sturm-count bisection on the determinant recurrence
 # ---------------------------------------------------------------------------
 
-def sturm_counts(diagonal: np.ndarray, shifts: np.ndarray) -> np.ndarray:
-    """Number of eigenvalues of the box strictly below each shift.
-
-    Runs the standard LDL^T sign count on ``T - shift`` with unit
-    off-diagonals, vectorized across shifts.  For lanes, ``diagonal`` is
-    site-major with one column per lane, shape ``(m, L)``, and ``shifts`` has
-    shape ``(k, L)``; the counts then have shape ``(k, L)``.
-    """
-    shifts = np.atleast_1d(np.asarray(shifts, dtype=float))
+def _clamped_counts(diagonal: np.ndarray, shifts: np.ndarray) -> np.ndarray:
+    """The LDL^T sign count of :func:`sturm_counts`, one site at a time, with
+    every pivot below ``_PIVMIN`` in magnitude replaced by ``-_PIVMIN``."""
     q = np.full(shifts.shape, np.inf)
     count = np.zeros(shifts.shape, dtype=np.int64)
     for v in diagonal:
@@ -144,6 +144,61 @@ def sturm_counts(diagonal: np.ndarray, shifts: np.ndarray) -> np.ndarray:
         np.copyto(q, -_PIVMIN, where=np.abs(q) < _PIVMIN)
         count += q < 0
     return count
+
+
+def sturm_counts(diagonal: np.ndarray, shifts: np.ndarray) -> np.ndarray:
+    """Number of eigenvalues of the box strictly below each shift.
+
+    Runs the standard LDL^T sign count on ``T - shift`` with unit
+    off-diagonals: pivots ``q_i = (v_i - shift) - 1 / q_{i-1}`` from
+    ``q_{-1} = inf``, counting the negative ones, where a pivot below the
+    smallest normal float in magnitude counts as ``-tiny`` and the next step
+    divides by that.  ``diagonal`` is site-major, shape ``(m, *rows)``, and
+    each site's row broadcasts against ``shifts`` by numpy's rules; the
+    counts have the broadcast shape.  So one column per lane, ``(m, L)``,
+    takes ``(k, L)`` shifts, and ``(m, S)`` box columns take ``(2, E, S)``
+    shifts for ``E`` energies against ``S`` sites.
+
+    The pivots run unclamped, in blocks of ``_STURM_BLOCK`` sites: one
+    broadcast subtract per block and one divide and one subtract per site.
+    Up to its first tiny pivot a lane's arithmetic is that of the clamped
+    recurrence, so a lane with no tiny pivot gets its count bit for bit; the
+    lanes that had one are counted again by the clamped recurrence.
+    """
+    shifts = np.atleast_1d(np.asarray(shifts, dtype=float))
+    diagonal = np.asarray(diagonal, dtype=float)
+    m, rows = len(diagonal), diagonal.shape[1:]
+    shape = np.broadcast_shapes(rows, shifts.shape)
+    # lanes are held with the row axes first, so the block subtract runs its
+    # inner loop along the axes that only the shifts have
+    lead = len(shape) - len(rows)
+    order = tuple(range(lead, len(shape))) + tuple(range(lead))
+    shifts = np.ascontiguousarray(np.broadcast_to(shifts, shape).transpose(order))
+    shape = shifts.shape
+    column = diagonal.reshape((m,) + rows + (1,) * lead)
+    block, magnitude = np.empty((2, min(m, _STURM_BLOCK)) + shape)
+    flags = np.empty(block.shape, dtype=bool)
+    pivots = list(block)
+    inverse = np.zeros(shape)  # 1 / q_{-1}
+    count = np.zeros(shape, dtype=np.int64)
+    tiny = np.zeros(shape, dtype=bool)
+    for start in range(0, m, _STURM_BLOCK):
+        q, f = block[: m - start], flags[: m - start]
+        np.subtract(column[start : start + len(q)], shifts, q)
+        # past a tiny pivot a lane may divide by zero; it is counted again
+        with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+            for row in pivots[: len(q)]:
+                np.subtract(row, inverse, row)
+                np.divide(1.0, row, inverse)
+        # a block counts at most _STURM_BLOCK < 256 negatives per lane
+        count += np.add.reduce(np.less(q, 0.0, f).view(np.uint8), axis=0, dtype=np.uint8)
+        np.less(np.abs(q, magnitude[: len(q)]), _PIVMIN, f)
+        tiny |= np.logical_or.reduce(f, axis=0)
+    if tiny.any():
+        lanes = np.nonzero(tiny)
+        flagged = np.broadcast_to(column, (m,) + shape)[(slice(None),) + lanes]
+        count[lanes] = _clamped_counts(flagged, shifts[lanes])
+    return count.transpose(np.argsort(order))
 
 
 def eigenvalues(box: TridiagonalBox) -> np.ndarray:
@@ -177,14 +232,14 @@ def _tridiagonal_lu(diagonal: np.ndarray, shifts: np.ndarray, scale) -> tuple[np
     running pivot is below 1 in magnitude, so every pivot but the last is at
     least 1; an exactly zero last pivot becomes ``eps * scale``.  Returns the
     site-major ``(m, L)`` pivots, first superdiagonal, multipliers and swap
-    flags (a swap puts a unit on the second superdiagonal).
+    flags as 0/1 floats (a swap puts a unit on the second superdiagonal).
     """
     d = diagonal[:, None] - shifts
-    pivot, upper, mult = np.zeros((3,) + d.shape)
-    swap = np.zeros(d.shape, dtype=bool)
+    pivot, upper, mult, swap = np.zeros((4,) + d.shape)
     a, c = d[0], 1.0
     for i in range(len(d) - 1):
-        s = swap[i] = np.abs(a) < 1.0
+        s = np.abs(a) < 1.0
+        swap[i] = s
         pivot[i] = np.where(s, 1.0, a)
         upper[i] = np.where(s, d[i + 1], c)
         mult[i] = np.where(s, a, 1.0 / pivot[i])
@@ -194,16 +249,30 @@ def _tridiagonal_lu(diagonal: np.ndarray, shifts: np.ndarray, scale) -> tuple[np
 
 
 def _lu_solve(factors: tuple[np.ndarray, ...], rhs: np.ndarray) -> np.ndarray:
-    """Solve ``(T - shift) x = rhs`` (site-major) from :func:`_tridiagonal_lu`."""
+    """Solve ``(T - shift) x = rhs`` (site-major) from :func:`_tridiagonal_lu`.
+
+    The permuted forward pass and the back substitution run as in-place
+    ufuncs on preallocated rows, each operation in the textbook order.
+    """
     pivot, upper, mult, swap = factors
     m = len(pivot)
-    y = rhs.copy()
+    swapped = list(swap.astype(bool))
+    y = list(rhs.copy())
+    x = np.zeros((m + 2,) + rhs.shape[1:])
+    rows, t = list(x), np.empty(rhs.shape[1:])
     for i in range(m - 1):
-        y[i], y[i + 1] = np.where(swap[i], y[i + 1], y[i]), np.where(swap[i], y[i], y[i + 1])
-        y[i + 1] -= mult[i] * y[i]
-    x = np.zeros((m + 2,) + y.shape[1:])
+        # rows i and i + 1 trade places in swapped lanes; y[i] is then final
+        final = np.where(swapped[i], y[i + 1], y[i])
+        np.copyto(y[i + 1], y[i], where=swapped[i])
+        y[i] = final
+        np.multiply(mult[i], final, t)
+        np.subtract(y[i + 1], t, y[i + 1])
     for i in range(m - 1, -1, -1):
-        x[i] = (y[i] - upper[i] * x[i + 1] - swap[i] * x[i + 2]) / pivot[i]
+        np.multiply(upper[i], rows[i + 1], t)
+        np.subtract(y[i], t, rows[i])
+        np.multiply(swap[i], rows[i + 2], t)
+        np.subtract(rows[i], t, rows[i])
+        np.divide(rows[i], pivot[i], rows[i])
     return x[:m]
 
 
@@ -221,18 +290,20 @@ def _inverse_iteration(box: TridiagonalBox, values: np.ndarray, against=()) -> t
     start = rng.standard_normal(box.dim)
     vectors = np.repeat((start / np.linalg.norm(start))[:, None], len(values), axis=1)
     residual = np.full(len(values), math.inf)
-    active = np.ones(len(values), dtype=bool)
+    lanes = np.arange(len(values))
     for _ in range(8):
-        lanes = np.flatnonzero(active)
-        w = _lu_solve(tuple(f[:, lanes] for f in factors), vectors[:, lanes])
+        w = _lu_solve(factors, vectors[:, lanes])
         for prev in against:
             w -= prev[:, None] * (prev @ w)
         w /= np.linalg.norm(w, axis=0)
         r = np.linalg.norm(box.matvec(w) - w * values[lanes], axis=0)
-        active[lanes] = (r > 1e-13 * scale) & (r < residual[lanes])
+        active = (r > 1e-13 * scale) & (r < residual[lanes])
         vectors[:, lanes], residual[lanes] = w, r
         if not active.any():
             break
+        if not active.all():  # gather the factor columns of the lanes left
+            lanes = lanes[active]
+            factors = tuple(f[:, active] for f in factors)
     peaks = np.argmax(np.abs(vectors), axis=0)
     vectors *= np.sign(vectors[peaks, np.arange(len(values))])  # residuals unchanged
     for value, r in zip(values.tolist(), residual):

@@ -1,3 +1,4 @@
+import hashlib
 import math
 
 import numpy as np
@@ -81,6 +82,61 @@ def test_sturm_count_equals_dimension_above_spectrum():
     counts = sturm_counts(box.diagonal, np.array([lo - 1.0, hi + 1.0]))
     assert counts[0] == 0
     assert counts[1] == box.dim
+
+
+def _clamped_reference(diagonal, shifts):
+    # the LDL^T sign count one site at a time, every pivot below the smallest
+    # normal float in magnitude clamped to -tiny: the counts to match bit for bit
+    tiny = np.finfo(float).tiny
+    q = np.full(shifts.shape, np.inf)
+    count = np.zeros(shifts.shape, dtype=np.int64)
+    for v in diagonal:
+        q = (v - shifts) - 1.0 / q
+        np.copyto(q, -tiny, where=np.abs(q) < tiny)
+        count += q < 0
+    return count
+
+
+def _sturm_cases():
+    rng = np.random.default_rng(215)
+    signs = np.where(rng.random(60) < 0.5, -1.0, 1.0)
+    lanes = rng.uniform(-2.0, 2.0, (40, 4))
+    lanes[:, 1] = 0.0  # exact-zero pivots at shift 0 in this lane only
+    columns = np.where(rng.random((31, 3)) < 0.5, -1.0, 1.0)
+    energies = np.broadcast_to(np.array([-1.0, -0.5, 0.0, 0.5, 1.0, 2.0])[:, None], (6, 3))
+    return {
+        # zero diagonal at shift 0: the first pivot is an exact zero
+        "zero diagonal": (np.zeros(30), np.array([0.0, -0.0, 0.3, -1.0])),
+        # +-1 diagonals: q hits 0 exactly at shifts 0 and +-1
+        "+-1 diagonal": (signs, np.array([-2.0, -1.0, 0.0, 0.5, 1.0, 2.0])),
+        # a subnormal first pivot, positive before the clamp
+        "subnormal pivot": (np.array([2.0**-1070, 1.0, -1.0, 0.5]), np.array([0.0, -(2.0**-1070), 0.2])),
+        "nan and inf shifts": (rng.uniform(-2, 2, 25), np.array([np.nan, np.inf, -np.inf, 0.1])),
+        "some lanes clamp": (lanes, np.array([[0.0, 0.0, 0.0, 0.0], [0.7, 0.0, -0.4, 1.1]])),
+        # green's layout: (m, S) box columns against (2, E, S) shifts
+        "green layout": (columns, np.stack(np.broadcast_arrays(energies, energies + 0.25))),
+    }
+
+
+def test_sturm_counts_match_the_clamped_recurrence_bit_for_bit(monkeypatch):
+    recounted = {}
+
+    def spy(diagonal, shifts):
+        recounted[name] = shifts.size
+        return clamped(diagonal, shifts)
+
+    clamped = spectral._clamped_counts
+    monkeypatch.setattr(spectral, "_clamped_counts", spy)
+    for name, (diagonal, shifts) in _sturm_cases().items():
+        got = sturm_counts(diagonal, shifts)
+        want = _clamped_reference(diagonal, shifts)
+        assert got.shape == want.shape, name
+        assert np.array_equal(got, want), name
+    assert set(recounted) == {"zero diagonal", "+-1 diagonal", "subnormal pivot", "some lanes clamp", "green layout"}
+    # only the lanes that met a tiny pivot are counted again: the zero
+    # column at both of its shifts
+    assert recounted["some lanes clamp"] == 2
+    assert recounted["green layout"] < 2 * 6 * 3
 
 
 def test_gershgorin_contains_the_spectrum():
@@ -174,6 +230,29 @@ def test_cluster_members_get_the_sequential_pass(monkeypatch):
     residuals = np.linalg.norm(box.dense() @ vectors - vectors * values, axis=0)
     assert np.max(residuals) <= 1e-8 * box.scale
     assert np.max(np.abs(vectors.T @ vectors - np.eye(box.dim))) <= 1e-12
+
+
+def _sha256(*arrays):
+    digest = hashlib.sha256()
+    for a in arrays:
+        digest.update(np.ascontiguousarray(a, dtype="<f8").tobytes())
+    return digest.hexdigest()
+
+
+def test_eigensolve_bytes_are_pinned():
+    # digests of the solver's output before its loops ran as in-place ufuncs:
+    # localize's decay_rate is ill-conditioned in the eigenvector, so a drift
+    # at round-off can flip a verdict
+    rng = np.random.default_rng(218)
+    values, vectors = eigenpairs(box_from(np.where(rng.random(400) < 0.5, -1.0, 1.0)))
+    assert _sha256(values, vectors) == "9ee87c5b81edba8db78762d315cf3cf82e17d65958cea612edbfe66bbcbdbc64"
+    block = np.random.default_rng(209).uniform(-2, 2, 20)
+    box = box_from(np.concatenate([block, [1e3], block]))
+    values, vectors = eigenpairs(box)
+    assert _sha256(values, vectors) == "ce2dd9a5580ef899506ab94bae777106dcb277a388fc3f013b646a88bd7415ba"
+    assert values[7] - values[6] < CLUSTER_GAP_FACTOR * box.scale
+    pair = eigenvector(box, float(values[7]), orthogonalize_against=(vectors[:, 6],))
+    assert _sha256(pair.vector, [pair.residual]) == "69a99958e4937fc4f16fceff85e976f85d4f5990d2fdd3d80b853a9a1f7df3b6"
 
 
 # ---------------------------------------------------------------------------
