@@ -242,7 +242,8 @@ def _sha256(*arrays):
 def test_eigensolve_bytes_are_pinned():
     # digests of the solver's output before its loops ran as in-place ufuncs:
     # localize's decay_rate is ill-conditioned in the eigenvector, so a drift
-    # at round-off can flip a verdict
+    # at round-off can flip a verdict.  They hold for one BLAS build: the
+    # start vector's norm and the cluster projection are dot products
     rng = np.random.default_rng(218)
     values, vectors = eigenpairs(box_from(np.where(rng.random(400) < 0.5, -1.0, 1.0)))
     assert _sha256(values, vectors) == "9ee87c5b81edba8db78762d315cf3cf82e17d65958cea612edbfe66bbcbdbc64"
