@@ -2,10 +2,11 @@
 
 Run after an intentional change to sampling or numerics, compare the output
 against the pinned constants (config ``expected`` blocks, the constants at
-the top of tests/test_estimators.py and the smoke-size verdicts of
-tests/test_experiments.py), and update them deliberately.
-Takes several minutes at the full sample sizes.
+the top of tests/test_estimators.py, the smoke-size verdicts and localize
+digest of tests/test_experiments.py and the eigensolve digests of
+tests/test_spectral.py), and update them deliberately.
 """
+import hashlib
 import json
 from pathlib import Path
 
@@ -14,9 +15,26 @@ import numpy as np
 from anderson_lab.cli import COMMANDS, scenario_from_config
 from anderson_lab.estimators import lyapunov_mc
 from anderson_lab.experiments import Scenario, run_localization, singularity_census
-from anderson_lab.measures import BumpSchedule, FiniteAtoms, Identity, PowersOfTwoSites, ProductLaw
+from anderson_lab.measures import (
+    BumpSchedule,
+    FiniteAtoms,
+    Identity,
+    PotentialWindow,
+    PowersOfTwoSites,
+    ProductLaw,
+)
 from anderson_lab.rng import RngStream
+from anderson_lab.spectral import TridiagonalBox, eigenpairs, eigenvector
 from anderson_lab.transfer import vector_growth_logs
+
+
+def sha256(*arrays) -> str:
+    """Digest of the arrays' float64 little-endian bytes, in order."""
+    digest = hashlib.sha256()
+    for a in arrays:
+        digest.update(np.ascontiguousarray(a, dtype="<f8").tobytes())
+    return digest.hexdigest()
+
 
 bernoulli = FiniteAtoms(atoms=((-1.0, 0.5), (1.0, 0.5)))
 law = ProductLaw.exact(bernoulli)
@@ -93,6 +111,24 @@ for stem in ("census_bumps", "localize_bumps"):
         report = run_localization(scenario)
         singular = [r.largest_singular_n for r in report.rows]
         print(f"smoke {stem}: largest_singular_n={run_lengths(singular)} skips={report.skips!r}")
+        names = ("j", "eigenvalue", "decay_rate", "center")
+        columns = ([getattr(r, c) for r in report.rows] for c in names)
+        print(f"smoke {stem}: sha256 of {', '.join(names)}={sha256(*columns)}")
+
+# Eigensolve digests pinned in tests/test_spectral.py
+# (test_eigensolve_bytes_are_pinned): a 400-site Bernoulli box, a box of two
+# identical blocks behind a barrier (clusters), and one cluster member
+# orthogonalized against its predecessor.  They hold for one BLAS build.
+rng = np.random.default_rng(218)
+signs = np.where(rng.random(400) < 0.5, -1.0, 1.0)
+values, vectors = eigenpairs(TridiagonalBox(PotentialWindow(0, 399, signs)))
+print(f"eigenpairs bernoulli: sha256={sha256(values, vectors)}")
+block = np.random.default_rng(209).uniform(-2, 2, 20)
+box = TridiagonalBox(PotentialWindow(0, 40, np.concatenate([block, [1e3], block])))
+values, vectors = eigenpairs(box)
+print(f"eigenpairs cluster: sha256={sha256(values, vectors)}")
+pair = eigenvector(box, float(values[7]), orthogonalize_against=(vectors[:, 6],))
+print(f"eigenvector cluster rank 7: sha256={sha256(pair.vector, [pair.residual])}")
 
 # Every metric named in a config ``expected`` block, at the config's own seed.
 for path in sorted(configs.glob("*.json")):

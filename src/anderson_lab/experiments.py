@@ -31,7 +31,13 @@ from .measures import (
     sample_windows,
 )
 from .rng import RngStream
-from .spectral import TridiagonalBox, classify_regularity, eigenpairs
+from .spectral import (
+    EIGENVALUE_TOL_FACTOR,
+    TridiagonalBox,
+    classify_regularity,
+    eigenpairs,
+    sturm_counts,
+)
 
 #: minimum decay rate / regularity rate used in pass tests, so that the
 #: free-operator negative control cannot pass on noise around zero
@@ -384,15 +390,16 @@ def require_localization_box(scenario: Scenario) -> tuple[int, int]:
 
 
 def run_localization(scenario: Scenario) -> LocalizationReport:
-    """Diagonalize one sampled box and test eigenfunction decay in the
-    energy interval.
+    """Test eigenfunction decay in the energy interval on one sampled box.
 
-    Each in-interval eigenfunction passes when its fitted decay rate reaches
-    half the reference growth rate at its eigenvalue (with an absolute floor
-    of :data:`RATE_FLOOR`).  Sites ``2n`` and ``2n+1`` are additionally
-    classified for regularity at every grid radius with rate
-    ``gamma_hat - 8 eps0``, and the largest radius still singular is
-    reported per eigenfunction.
+    Only the ranks whose eigenvalues can lie in the interval are solved
+    (:func:`eigenpairs` over a rank range), and ``j`` is the rank in the
+    whole spectrum.  Each in-interval eigenfunction passes when its fitted
+    decay rate reaches half the reference growth rate at its eigenvalue
+    (with an absolute floor of :data:`RATE_FLOOR`).  Sites ``2n`` and
+    ``2n+1`` are additionally classified for regularity at every grid
+    radius with rate ``gamma_hat - 8 eps0``, and the largest radius still
+    singular is reported per eigenfunction.
     """
     box_lo, box_hi = require_localization_box(scenario)
     require_interval_coverage(scenario)
@@ -406,10 +413,15 @@ def run_localization(scenario: Scenario) -> LocalizationReport:
     eps0 = _epsilon0(nu_hat)
 
     box = TridiagonalBox(window.slice(box_lo, box_hi))
-    values, vectors = eigenpairs(box)
     s, t = scenario.interval  # type: ignore[misc]
-    in_interval = [int(j) for j in np.nonzero((values >= s) & (values <= t))[0]]
-    lams = values[in_interval]
+    # a bisected eigenvalue lies within the tolerance of where its rank's
+    # Sturm count changes, so the ranks counted here hold every one in [s, t]
+    tol = EIGENVALUE_TOL_FACTOR * box.scale
+    below, upto = sturm_counts(box.diagonal, np.array([s - 2 * tol, t + 2 * tol])).tolist()
+    values, vectors = eigenpairs(box, range(below, upto))
+    keep = np.flatnonzero((values >= s) & (values <= t))
+    in_interval = (below + keep).tolist()
+    lams, vectors = values[keep], vectors[:, keep]
     g_hats = np.interp(lams, scenario.e_grid, gammas)
     g_errs = np.interp(lams, scenario.e_grid, errs)
     c_rates = np.maximum(g_hats - 8.0 * eps0, RATE_FLOOR)
@@ -424,7 +436,7 @@ def run_localization(scenario: Scenario) -> LocalizationReport:
     skips = []
     for i, j in enumerate(in_interval):
         lam, g_hat, g_err = float(lams[i]), float(g_hats[i]), float(g_errs[i])
-        vec = vectors[:, j]
+        vec = vectors[:, i]
         center_idx = int(np.argmax(np.abs(vec)))
         rate = _decay_fit(vec, center_idx)
         passed = rate >= max(0.5 * g_hat, RATE_FLOOR)

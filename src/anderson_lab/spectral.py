@@ -5,11 +5,15 @@ values, off-diagonals = 1).  Eigenvalues come from bisection on Sturm
 counts: the LDL^T pivots of ``T - shift`` run unclamped over blocks of
 sites, two ufunc calls per site, and only lanes that met a pivot below the
 smallest normal float are counted again by the clamped recurrence, so each
-count is the clamped one bit for bit.  Eigenvectors come from inverse
-iteration through one numpy LU of ``T - shift`` over eigenvalue lanes,
-pivoted as in LAPACK ``dgttrf`` (an exactly zero last pivot becomes
-``eps * scale``) and solved with in-place ufuncs on kept rows; both are
-deterministic for fixed input regardless of scheduling.  Green's
+count is the clamped one bit for bit; one count call serves two bisection
+rounds.  Eigenvectors come from inverse iteration through one numpy LU of
+``T - shift`` over eigenvalue lanes, pivoted as in LAPACK ``dgttrf`` (an
+exactly zero last pivot becomes ``eps * scale``) and solved with in-place
+ufuncs on kept rows; both are deterministic for fixed input regardless of
+scheduling, and a lane's result does not depend on the other lanes.  So a
+0-based range of ranks, as LAPACK ``dstebz``/``dstein`` take with
+``RANGE='I'``, is solved alone and gives its slice of the full solve bit
+for bit.  Green's
 functions come from the determinant-ratio formula or a solve through the
 same LU.  The module also provides the regularity classification of a site,
 interior reconstruction from boundary data, and the eigenfunction-correlator
@@ -44,6 +48,8 @@ CLUSTER_GAP_FACTOR = 1e-6
 _PIVMIN = np.finfo(float).tiny
 #: sites per block of unclamped Sturm pivots, so the block stays in cache
 _STURM_BLOCK = 64
+#: bisection rounds per Sturm call
+_BISECTION_ROUNDS = 2
 
 
 class ResonantEnergyError(ValueError):
@@ -201,27 +207,57 @@ def sturm_counts(diagonal: np.ndarray, shifts: np.ndarray) -> np.ndarray:
     return count.transpose(np.argsort(order))
 
 
-def eigenvalues(box: TridiagonalBox) -> np.ndarray:
-    """All eigenvalues in ascending order, bracketed by bisection.
+def _rank_range(box: TridiagonalBox, ranks: range | None) -> range:
+    """``ranks`` checked against the box, or every rank for ``None``."""
+    if ranks is None:
+        return range(box.dim)
+    n = box.dim
+    if not (isinstance(ranks, range) and ranks.step == 1 and 0 <= ranks.start <= ranks.stop <= n):
+        raise ValueError(f"ranks must be a range of step 1 inside range(0, {n}), got {ranks!r}")
+    return ranks
+
+
+def eigenvalues(box: TridiagonalBox, ranks: range | None = None) -> np.ndarray:
+    """The eigenvalues of 0-based ascending ``ranks`` (all of them by
+    default), bracketed by bisection.
 
     Each eigenvalue is enclosed to absolute width ``1e-10 * (2 + max|V|)``;
     the returned value is the bracket midpoint.  Multiplicities (and
-    near-multiple clusters) simply produce coincident brackets.
+    near-multiple clusters) simply produce coincident brackets.  Every
+    bracket bisects on its own rank from the Gershgorin bounds, so a range
+    returns its slice of the full spectrum bit for bit.  One Sturm call
+    counts at the ``2**r - 1`` midpoints that ``r = _BISECTION_ROUNDS``
+    successive rounds can form, then takes the ``r`` steps: the brackets are
+    those of round-by-round bisection.
     """
-    d = box.diagonal
-    n = box.dim
+    ranks = _rank_range(box, ranks)
+    if not ranks:
+        return np.empty(0)
     glo, ghi = box.gershgorin()
     tol = EIGENVALUE_TOL_FACTOR * box.scale
-    lo = np.full(n, glo - tol)
-    hi = np.full(n, ghi + tol)
-    ranks = np.arange(1, n + 1)
+    target = np.arange(ranks.start + 1, ranks.stop + 1)
+    lo = np.full(len(target), glo - tol)
+    hi = np.full(len(target), ghi + tol)
+    lanes = np.arange(len(target))
     width = (ghi - glo) + 2 * tol
     iters = max(1, min(200, int(math.ceil(math.log2(max(width / tol, 2.0)))) + 1))
-    for _ in range(iters):
-        mid = 0.5 * (lo + hi)
-        below = sturm_counts(d, mid) >= ranks
-        hi = np.where(below, mid, hi)
-        lo = np.where(below, lo, mid)
+    for done in range(0, iters, _BISECTION_ROUNDS):
+        rounds = min(_BISECTION_ROUNDS, iters - done)
+        # the midpoints in heap order: node k halves the bracket
+        # (lows[k], highs[k]), and its children are the two halves
+        lows, highs, mids = [lo], [hi], []
+        for k in range(2**rounds - 1):
+            mids.append(0.5 * (lows[k] + highs[k]))
+            lows += [lows[k], mids[k]]
+            highs += [mids[k], highs[k]]
+        mids = np.stack(mids)
+        below = sturm_counts(box.diagonal, mids) >= target
+        node = np.zeros(len(target), dtype=np.intp)
+        for _ in range(rounds):
+            mid, b = mids[node, lanes], below[node, lanes]
+            hi = np.where(b, mid, hi)
+            lo = np.where(b, lo, mid)
+            node = 2 * node + np.where(b, 1, 2)
     return 0.5 * (lo + hi)
 
 
@@ -276,6 +312,17 @@ def _lu_solve(factors: tuple[np.ndarray, ...], rhs: np.ndarray) -> np.ndarray:
     return x[:m]
 
 
+def _column_norms(w: np.ndarray) -> np.ndarray:
+    """Euclidean norms of the columns of a C-ordered block, each summed row
+    by row whatever the column count: numpy reduces two or more columns one
+    row at a time but sums a lone column pairwise, so a lone column is
+    reduced beside a copy of itself."""
+    squares = w * w
+    if w.shape[1] == 1:
+        squares = np.repeat(squares, 2, axis=1)
+    return np.sqrt(np.add.reduce(squares, axis=0)[: w.shape[1]])
+
+
 def _inverse_iteration(box: TridiagonalBox, values: np.ndarray, against=()) -> tuple:
     """Inverse-iteration vectors (one column per value) and their residuals.
 
@@ -283,6 +330,9 @@ def _inverse_iteration(box: TridiagonalBox, values: np.ndarray, against=()) -> t
     projecting out ``against`` each round.  A lane stops after 8 rounds, or
     once its residual is below ``1e-13 * scale`` or stops falling, and then
     leaves the solve.  The sign makes each largest-magnitude entry positive.
+    Every operation acts on each lane alone, and the norms are summed row by
+    row for any lane count, so a lane's vector is the same whichever lanes
+    share its call, a lone lane included.
     """
     scale = box.scale
     factors = _tridiagonal_lu(box.diagonal, values, scale)
@@ -295,8 +345,8 @@ def _inverse_iteration(box: TridiagonalBox, values: np.ndarray, against=()) -> t
         w = _lu_solve(factors, vectors[:, lanes])
         for prev in against:
             w -= prev[:, None] * (prev @ w)
-        w /= np.linalg.norm(w, axis=0)
-        r = np.linalg.norm(box.matvec(w) - w * values[lanes], axis=0)
+        w /= _column_norms(w)
+        r = _column_norms(box.matvec(w) - w * values[lanes])
         active = (r > 1e-13 * scale) & (r < residual[lanes])
         vectors[:, lanes], residual[lanes] = w, r
         if not active.any():
@@ -327,21 +377,38 @@ def eigenvector(
     return EigenPair(float(value), vectors[:, 0], float(residual[0]))
 
 
-def eigenpairs(box: TridiagonalBox) -> tuple[np.ndarray, np.ndarray]:
-    """Full decomposition: ascending eigenvalues and the matrix of
-    eigenvectors (one per column), from one tridiagonal LU over eigenvalue
-    lanes.  A value within ``CLUSTER_GAP_FACTOR * scale`` of its predecessor
-    continues a cluster; such members are redone one at a time in index
-    order, orthogonalized against the earlier members of their cluster."""
-    values = eigenvalues(box)
-    follows = np.concatenate(([False], np.diff(values) < CLUSTER_GAP_FACTOR * box.scale))
-    first = np.maximum.accumulate(np.where(follows, 0, np.arange(box.dim)))
-    vectors = np.empty((box.dim, box.dim))
+def eigenpairs(box: TridiagonalBox, ranks: range | None = None) -> tuple[np.ndarray, np.ndarray]:
+    """Ascending eigenvalues of 0-based ``ranks`` (all of them by default)
+    and their eigenvectors, one per column, from one tridiagonal LU over
+    eigenvalue lanes.  A value within ``CLUSTER_GAP_FACTOR * scale`` of its
+    predecessor continues a cluster; such members are redone one at a time
+    in rank order, orthogonalized against the earlier members of their
+    cluster.
+
+    A range returns its slice of the full call bit for bit: a lane's vector
+    does not depend on the other lanes, and when the lowest rank continues a
+    cluster the ranks below it are bisected one at a time down to the
+    cluster's first member, whose vectors the later members need."""
+    ranks = _rank_range(box, ranks)
+    if not ranks:
+        return np.empty(0), np.empty((box.dim, 0))
+    gap = CLUSTER_GAP_FACTOR * box.scale
+    # values[0] is the rank below the lowest one solved, while there is one
+    head = ranks.start
+    values = eigenvalues(box, range(max(head - 1, 0), ranks.stop))
+    while head > 0 and values[1] - values[0] < gap:
+        head -= 1
+        values = np.concatenate((eigenvalues(box, range(max(head - 1, 0), head)), values))
+    values = values[int(head > 0) :]
+    follows = np.concatenate(([False], np.diff(values) < gap))
+    first = np.maximum.accumulate(np.where(follows, 0, np.arange(len(values))))
+    vectors = np.empty((box.dim, len(values)))
     vectors[:, ~follows] = _inverse_iteration(box, values[~follows])[0]
     for j in np.flatnonzero(follows):
         against = tuple(vectors[:, i] for i in range(j - 1, first[j] - 1, -1))
         vectors[:, j] = eigenvector(box, values[j], orthogonalize_against=against).vector
-    return values, vectors
+    skip = ranks.start - head
+    return values[skip:], vectors[:, skip:]
 
 
 # ---------------------------------------------------------------------------

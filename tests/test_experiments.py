@@ -1,3 +1,4 @@
+import hashlib
 import json
 import math
 from pathlib import Path
@@ -5,6 +6,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from anderson_lab import experiments
 from anderson_lab.experiments import (
     RATE_FLOOR,
     ResultTable,
@@ -27,6 +29,7 @@ from anderson_lab.measures import (
     ParetoTail,
     PowersOfTwoSites,
 )
+from anderson_lab.spectral import eigenpairs
 
 BERNOULLI = FiniteAtoms(atoms=((-1.0, 0.5), (1.0, 0.5)))
 FREE = FiniteAtoms(atoms=((0.0, 1.0),), allow_trivial=True)
@@ -172,6 +175,25 @@ def test_bump_studies_reproduce_pinned_verdicts():
         + [10] * 8 + [25] + [10]
     )
     assert report.skips == ()
+    # decay_rate reads the eigensolver's round-off, so this fails on any drift
+    digest = hashlib.sha256()
+    for column in ("j", "eigenvalue", "decay_rate", "center"):
+        digest.update(np.array([getattr(r, column) for r in report.rows], dtype="<f8").tobytes())
+    assert digest.hexdigest() == "493cf631435d195f2d23585f41a7e4809ff71c025adf96f27db554212740adb1"
+
+
+def test_localization_solves_only_the_ranks_in_the_interval(monkeypatch):
+    solved = []
+
+    def spy(box, ranks=None):
+        solved.append(ranks)
+        return eigenpairs(box, ranks)
+
+    monkeypatch.setattr(experiments, "eigenpairs", spy)
+    report = run_localization(_smoke_scenario("localize_bumps"))
+    # j is the rank in the whole spectrum, and no rank outside [s, t] is solved
+    assert len(solved) == 1
+    assert [r.j for r in report.rows] == list(solved[0])
 
 
 # ---------------------------------------------------------------------------

@@ -212,11 +212,15 @@ def test_residual_bound_holds():
     assert np.max(np.abs(np.linalg.norm(vectors, axis=0) - 1.0)) < 1e-12
 
 
-def test_cluster_members_get_the_sequential_pass(monkeypatch):
+def _spike_box():
     # two identical blocks behind a high barrier: every eigenvalue but the
     # barrier's pairs up with one of the other block within the cluster gap
     block = np.random.default_rng(209).uniform(-2, 2, 20)
-    box = box_from(np.concatenate([block, [1e3], block]))
+    return box_from(np.concatenate([block, [1e3], block]))
+
+
+def test_cluster_members_get_the_sequential_pass(monkeypatch):
+    box = _spike_box()
     sequential = []
 
     def spy(box, value, *, orthogonalize_against=()):
@@ -240,20 +244,58 @@ def _sha256(*arrays):
 
 
 def test_eigensolve_bytes_are_pinned():
-    # digests of the solver's output before its loops ran as in-place ufuncs:
-    # localize's decay_rate is ill-conditioned in the eigenvector, so a drift
-    # at round-off can flip a verdict.  They hold for one BLAS build: the
-    # start vector's norm and the cluster projection are dot products
+    # digests of the solver's output before its loops ran as in-place ufuncs;
+    # the cluster digests since column norms are summed row by row for one
+    # lane too.  localize's decay_rate is ill-conditioned in the eigenvector,
+    # so a drift at round-off can flip a verdict.  They hold for one BLAS
+    # build: the start vector's norm and the cluster projection are dot
+    # products.  Regenerate with demos/regenerate_pins.py
     rng = np.random.default_rng(218)
     values, vectors = eigenpairs(box_from(np.where(rng.random(400) < 0.5, -1.0, 1.0)))
     assert _sha256(values, vectors) == "9ee87c5b81edba8db78762d315cf3cf82e17d65958cea612edbfe66bbcbdbc64"
-    block = np.random.default_rng(209).uniform(-2, 2, 20)
-    box = box_from(np.concatenate([block, [1e3], block]))
+    box = _spike_box()
     values, vectors = eigenpairs(box)
-    assert _sha256(values, vectors) == "ce2dd9a5580ef899506ab94bae777106dcb277a388fc3f013b646a88bd7415ba"
+    assert _sha256(values, vectors) == "c4257bfb6741b01a02c497e565733ea33ef193ab932827a0f481202592b0f260"
     assert values[7] - values[6] < CLUSTER_GAP_FACTOR * box.scale
     pair = eigenvector(box, float(values[7]), orthogonalize_against=(vectors[:, 6],))
-    assert _sha256(pair.vector, [pair.residual]) == "69a99958e4937fc4f16fceff85e976f85d4f5990d2fdd3d80b853a9a1f7df3b6"
+    assert _sha256(pair.vector, [pair.residual]) == "e77f7b9f352464a573b640fe1273cbe6ec051e1d5357d00460f2a66e778b27b8"
+
+
+def test_rank_ranges_are_slices_of_the_full_solve_bit_for_bit():
+    cases = []
+    for seed in (219, 220, 221, 222):
+        rng = np.random.default_rng(seed)
+        box = box_from(np.where(rng.random(400) < 0.5, -1.0, 1.0))
+        ends = [range(0, 1), range(0, 3), range(396, 400), range(399, 400)]
+        ones = [range(k, k + 1) for k in rng.integers(1, 399, 4).tolist()]
+        cases.append((box, [range(180, 245), range(200, 200)] + ends + ones))
+    box = _spike_box()
+    assert np.diff(eigenvalues(box))[6] < CLUSTER_GAP_FACTOR * box.scale
+    cases.append((box, [range(7, 8), range(7, 30), range(0, 41), range(41, 41)]))
+    # three blocks: ranks 6, 7 and 8 form one cluster, so a range from rank 8
+    # reaches down two ranks for the vectors it is orthogonalized against
+    block = np.random.default_rng(209).uniform(-2, 2, 20)
+    box = box_from(np.concatenate([block, [1e3], block, [1e3], block]))
+    follows = np.diff(eigenvalues(box)) < CLUSTER_GAP_FACTOR * box.scale
+    assert follows[5:8].tolist() == [False, True, True]
+    cases.append((box, [range(8, 10), range(7, 8), range(6, 9)]))
+    for box, ranges in cases:
+        values, vectors = eigenpairs(box)
+        for ranks in ranges:
+            got_values, got_vectors = eigenpairs(box, ranks)
+            assert got_vectors.shape == (box.dim, len(ranks))
+            assert np.array_equal(got_values, values[ranks.start : ranks.stop]), ranks
+            assert np.array_equal(got_vectors, vectors[:, ranks.start : ranks.stop]), ranks
+            assert np.array_equal(eigenvalues(box, ranks), values[ranks.start : ranks.stop]), ranks
+
+
+def test_rank_ranges_outside_the_spectrum_are_rejected():
+    box = box_from([0.0, 1.0, -1.0])
+    for ranks in (range(0, 4), range(-1, 2), range(0, 3, 2), range(2, 1), [0, 1]):
+        with pytest.raises(ValueError, match="ranks"):
+            eigenvalues(box, ranks)
+        with pytest.raises(ValueError, match="ranks"):
+            eigenpairs(box, ranks)
 
 
 # ---------------------------------------------------------------------------
