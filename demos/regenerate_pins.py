@@ -3,8 +3,9 @@
 Run after an intentional change to sampling or numerics, compare the output
 against the pinned constants (config ``expected`` blocks, the constants at
 the top of tests/test_estimators.py, the smoke-size verdicts and localize
-digest of tests/test_experiments.py and the eigensolve digests of
-tests/test_spectral.py), and update them deliberately.
+digest of tests/test_experiments.py, the eigensolve digests of
+tests/test_spectral.py and the table-step digests of tests/test_transfer.py),
+and update them deliberately.
 """
 import hashlib
 import json
@@ -25,7 +26,7 @@ from anderson_lab.measures import (
 )
 from anderson_lab.rng import RngStream
 from anderson_lab.spectral import TridiagonalBox, eigenpairs, eigenvector
-from anderson_lab.transfer import vector_growth_logs
+from anderson_lab.transfer import AtomWindows, matrix_batch, vector_growth_logs
 
 
 def sha256(*arrays) -> str:
@@ -129,6 +130,22 @@ values, vectors = eigenpairs(box)
 print(f"eigenpairs cluster: sha256={sha256(values, vectors)}")
 pair = eigenvector(box, float(values[7]), orthogonalize_against=(vectors[:, 6],))
 print(f"eigenvector cluster rank 7: sha256={sha256(pair.vector, [pair.residual])}")
+
+# Table-step digests pinned in tests/test_transfer.py
+# (test_table_step_bytes_are_pinned): two-atom AtomWindows at 13 real
+# energies as (E, 1) lanes and at one complex energy, and two-valued float
+# windows read at checkpoints off the 8-site grid.
+rng = np.random.default_rng(220)
+windows = AtomWindows(rng.integers(0, 2, (17, 301)).astype(np.uint8), np.array([0.25, -2.5]))
+marks = (0, 5, 8, 77, 150, 301)
+energies = np.linspace(-2.4, 2.4, 13)[:, None]
+print(f"vector_growth_logs real lanes: sha256={sha256(vector_growth_logs(energies, windows, marks))}")
+logs = vector_growth_logs(0.4 + 0.6j, windows, marks)
+print(f"vector_growth_logs complex: sha256={sha256(logs)}")
+values = np.where(rng.random((9, 203)) < 0.5, -1.0, 1.0)
+checkpoints = (1, 13, 99, 203)
+batch = matrix_batch(0.37, values, checkpoints) + matrix_batch(energies[::4], values, checkpoints)
+print(f"matrix_batch checkpoints: sha256={sha256(*batch)}")
 
 # Every metric named in a config ``expected`` block, at the config's own seed.
 for path in sorted(configs.glob("*.json")):

@@ -16,6 +16,7 @@ expectation failed under ``--assert``.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import os
@@ -98,6 +99,13 @@ def build_parser() -> _Parser:
         )
         p.add_argument("--format", choices=("csv", "json"), default=None)
     return parser
+
+
+@functools.cache
+def _parser() -> _Parser:
+    """The parser of :func:`dispatch`, built on the first dispatch of a
+    process and reused: parsing leaves it unchanged, a usage error included."""
+    return build_parser()
 
 
 # ---------------------------------------------------------------------------
@@ -655,7 +663,7 @@ def check_expected(metrics: dict, expected: dict | None) -> list[str]:
 # ---------------------------------------------------------------------------
 
 def dispatch(argv: list[str] | None = None) -> int:
-    parser = build_parser()
+    parser = _parser()
     try:
         args = parser.parse_args(argv)
     except UsageError as err:

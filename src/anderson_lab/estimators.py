@@ -612,8 +612,18 @@ def craig_simon_scan(
     """Scan the four deterministic matrix families against reference rates.
 
     ``gamma`` must hold precomputed growth-rate estimates aligned with
-    ``e_grid``.  The window must contain sites ``[-n_max, 3 n_max]``.  Each
-    (radius, family) is one kernel call, ``(E, 1)`` energies against one row.
+    ``e_grid``.  The window must contain sites ``[-n_max, 3 n_max]``.
+
+    Each radius is one kernel call, ``(E, 1)`` energies against the four
+    family spans as the rows of one ``(4, n)`` block, read at checkpoints
+    ``n - 1`` and ``n``.  The shifted inverse span is one site short, so its
+    row is padded with its own last value (the block holds no value the
+    window does not) and read at ``n - 1``.  Each family's product is then
+    normalised as :func:`matrix_batch` normalises a call without
+    checkpoints.  A lane's bits depend only on its own row and on the step
+    the batch takes (one-site or table), so a family's excess equals, bit
+    for bit, that of its own call over its span whenever the joint batch
+    takes the same step as that call.
     """
     e_grid = np.asarray(list(e_grid), dtype=float)
     n_grid = np.asarray(list(n_grid), dtype=np.int64)
@@ -630,11 +640,17 @@ def craig_simon_scan(
             f"[{-n_max}, {3 * n_max}] for n_max = {n_max}"
         )
     excess = np.empty((len(CS_FAMILIES), len(e_grid), len(n_grid)))
+    families = np.arange(len(CS_FAMILIES))
+    ends = [1, 1, 1, 0]  # each family's checkpoint: n, or n - 1 for the short span
     for j, n in enumerate(n_grid.tolist()):
         spans = ((1, n), (-n, -1), (n + 1, 2 * n), (2 * n + 2, 3 * n))  # CS_FAMILIES order
-        for f, (lo, hi) in enumerate(spans):
-            batch = matrix_batch(e_grid[:, None], window.slice(lo, hi).values[None, :])
-            excess[f, :, j] = log_norm_batch(*batch)[:, 0] / float(n) - gamma
+        rows = [window.slice(lo, hi).values for lo, hi in spans]
+        rows[-1] = np.append(rows[-1], rows[-1][-1])
+        batch = matrix_batch(e_grid[:, None], np.stack(rows), checkpoints=(n - 1, n))
+        *entries, log_scale = (a[ends, :, families] for a in batch)  # (family, E)
+        peak = np.abs(np.stack(entries)).max(axis=0)
+        norms = log_norm_batch(*(s / peak for s in entries), log_scale + np.log(peak))
+        excess[:, :, j] = norms / float(n) - gamma
     return CraigSimonScan(e_grid, n_grid, gamma, excess)
 
 

@@ -27,7 +27,7 @@ one-site step costs two ufunc calls per site.  When the sites of a batch hold
 at most two distinct finite values, as for every two-atom law, eight sites
 have only ``2**8`` products at a given energy: the table step builds them
 once per energy and advances every lane eight sites with one
-:func:`numpy.take` of its code's product and three row ufuncs.  A step's
+:func:`numpy.take` of its code's table row and three row ufuncs.  A step's
 code is a byte, one bit per site.  The Monte Carlo estimators hand a law of
 at most two atoms to the kernel as its sampler drew it, atom indices with
 the atoms (:class:`AtomWindows`), and the codes are packed from the indices
@@ -664,8 +664,9 @@ def _packed_codes(windows: AtomWindows, bounds: list[int]):
 def _block_table(e: np.ndarray, values) -> np.ndarray:
     """The products of :data:`_TABLE_SITES` one-step factors at each energy
     of ``e``, for every code of the sites' values (bit ``s`` picks site
-    ``s``'s value from ``values``): a ``(4, e.size * 2**8)`` array of the
-    entries ``P00, P10, P01, P11``, column ``2**8 i + code`` for energy ``i``.
+    ``s``'s value from ``values``): an ``(e.size * 2**8, 4)`` array, code
+    major, whose row ``2**8 i + code`` holds the entries ``P00, P10, P01,
+    P11`` for energy ``i``, so a lane gathers its step's product as one row.
 
     Halves are paired three times (one site, two, four), the later sites'
     product on the left, so an entry depends only on its energy and on its
@@ -682,7 +683,7 @@ def _block_table(e: np.ndarray, values) -> np.ndarray:
             h10 * l00 + h11 * l10, h10 * l01 + h11 * l11,
         ))
     p00, p01, p10, p11 = t
-    return np.stack([p00, p10, p01, p11]).reshape(4, -1)
+    return np.stack([p00, p10, p01, p11], axis=-1).reshape(-1, 4)
 
 
 def _table_pass(e, windows, table, growth, codes, bounds, marks, restarts, pairs, shifts):
@@ -692,13 +693,14 @@ def _table_pass(e, windows, table, growth, codes, bounds, marks, restarts, pairs
 
     Each segment between restarts starts from the identity and advances its
     running rows one table step of :data:`_TABLE_SITES` sites at a time: one
-    :func:`numpy.take` of the four product entries of each lane's code, and
-    three row ufuncs.  A step may grow the rows by ``2**growth``, so a
-    rescale comes before any step that would pass the headroom.  A mark at a
-    step boundary reads the running rows; the marks inside a step are read
-    by one-site steps from the step's start into scratch rows, so the
-    running rows never depend on where the marks fall, and a mark's bits
-    equal those of a pass that ends there.
+    :func:`numpy.take` of each lane's table row (the four product entries of
+    its code) into a ``(*lanes, 4)`` buffer, and three row ufuncs that read
+    the entries through a ``(4, *lanes)`` view of it.  A step may grow the
+    rows by ``2**growth``, so a rescale comes before any step that would pass
+    the headroom.  A mark at a step boundary reads the running rows; the
+    marks inside a step are read by one-site steps from the step's start
+    into scratch rows, so the running rows never depend on where the marks
+    fall, and a mark's bits equal those of a pass that ends there.
     """
     columns, lanes = pairs.shape[1], shifts.shape[1:]
     cur, new, term = (np.empty((2, columns) + lanes, pairs.dtype) for _ in range(3))
@@ -706,7 +708,8 @@ def _table_pass(e, windows, table, growth, codes, bounds, marks, restarts, pairs
     identity[0, 0] = identity[1, 1:] = 1.0  # top, bottom
     scratch = list(np.empty((_TABLE_SITES - 1, columns) + lanes, pairs.dtype))
     d = np.empty((1,) + lanes, pairs.dtype)
-    entries = np.empty((4,) + lanes, pairs.dtype)  # (P00, P10), (P01, P11) of each lane
+    gathered = np.empty(lanes + (4,), pairs.dtype)  # one table row per lane
+    entries = np.moveaxis(gathered, -1, 0)  # (P00, P10), (P01, P11) of each lane
     index = np.empty(lanes, np.intp)
     offset = np.arange(e.size).reshape(e.shape) << _TABLE_SITES  # each energy's table
     shift = np.zeros(lanes, dtype=np.int64)
@@ -723,9 +726,9 @@ def _table_pass(e, windows, table, growth, codes, bounds, marks, restarts, pairs
                     room = _HEADROOM - 1.0
                 step = code[(at - a) // _TABLE_SITES]
                 if step.shape == lanes and e.size == 1:
-                    np.take(table, step, axis=1, out=entries, mode="clip")
+                    np.take(table, step, axis=0, out=gathered, mode="clip")
                 else:
-                    np.take(table, np.add(offset, step, out=index), axis=1, out=entries, mode="clip")
+                    np.take(table, np.add(offset, step, out=index), axis=0, out=gathered, mode="clip")
                 np.multiply(entries[:2, None], cur[0], out=new)
                 np.multiply(entries[2:, None], cur[1], out=term)
                 np.add(new, term, out=new)

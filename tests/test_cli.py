@@ -7,6 +7,7 @@ from pathlib import Path
 
 import pytest
 
+import anderson_lab.cli as cli
 import anderson_lab.rng
 from anderson_lab.cli import (
     COLUMNS,
@@ -113,6 +114,34 @@ def test_unknown_flag_exits_1(capsys):
     code = dispatch(["lyapunov", "--config", "x.json", "--frobnicate"])
     assert code == ExitStatus.VALIDATION
     assert "usage:" in capsys.readouterr().err
+
+
+def test_dispatches_share_one_parser_across_usage_errors(capsys, monkeypatch):
+    # built on the first dispatch, and a usage error leaves it reusable
+    built = []
+    build = cli.build_parser
+    monkeypatch.setattr(cli, "build_parser", lambda: built.append(1) or build())
+    cli._parser.cache_clear()
+    try:
+        valid = ["lyapunov", "--config", str(CONFIG_DIR / "constant_lyapunov.json")]
+        assert dispatch(valid) == ExitStatus.OK
+        assert dispatch(["lyapunov", "--config", "x.json", "--frobnicate"]) == ExitStatus.VALIDATION
+        assert dispatch(["frobnicate"]) == ExitStatus.VALIDATION
+        assert dispatch(valid) == ExitStatus.OK
+        assert "usage:" in capsys.readouterr().err
+        assert built == [1]
+    finally:
+        cli._parser.cache_clear()
+
+
+def test_cli_import_builds_no_parser():
+    paths = [str(Path(__file__).resolve().parent.parent / "src"), os.environ.get("PYTHONPATH")]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, paths)))
+    out = subprocess.run(
+        [sys.executable, "-c", "import anderson_lab.cli as c; print(c._parser.cache_info().misses)"],
+        env=env, capture_output=True, text=True, check=True,
+    )
+    assert out.stdout.strip() == "0"
 
 
 def test_missing_config_file_exits_1(capsys):

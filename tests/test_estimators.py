@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 import anderson_lab.estimators as estimators
+import anderson_lab.transfer as transfer
 from anderson_lab.estimators import (
     BATCH_SIZE,
     BURN_IN,
@@ -36,7 +37,7 @@ from anderson_lab.measures import (
     sample_windows,
 )
 from anderson_lab.rng import RngStream
-from anderson_lab.transfer import centered_batch, matrix_batch
+from anderson_lab.transfer import centered_batch, log_norm_batch, matrix_batch
 
 BERNOULLI = FiniteAtoms(atoms=((-1.0, 0.5), (1.0, 0.5)))
 BERNOULLI_LAW = ProductLaw.exact(BERNOULLI)
@@ -519,6 +520,54 @@ def test_free_operator_inside_band_stays_bounded():
     e_grid = [-1.5, -0.7, 0.3, 1.1]
     scan = craig_simon_scan(window, e_grid, [250, 500, 1000], [0.0] * 4)
     assert scan.max_excess < 0.05
+
+
+def _per_family_scan(window, e_grid, n_grid, gamma):
+    """The scan as one matrix_batch call per (radius, family), without
+    checkpoints: the reference the joint call must equal bit for bit."""
+    e_grid, gamma = np.asarray(e_grid, dtype=float), np.asarray(gamma, dtype=float)
+    excess = np.empty((4, len(e_grid), len(n_grid)))
+    for j, n in enumerate(n_grid):
+        spans = ((1, n), (-n, -1), (n + 1, 2 * n), (2 * n + 2, 3 * n))
+        for f, (lo, hi) in enumerate(spans):
+            batch = matrix_batch(e_grid[:, None], window.slice(lo, hi).values[None, :])
+            excess[f, :, j] = log_norm_batch(*batch)[:, 0] / float(n) - gamma
+    return excess
+
+
+def test_scan_families_equal_their_own_calls_bit_for_bit(monkeypatch):
+    # one kernel call per radius, the short span padded with its own last
+    # value; each family reads the bits of its own call whenever the joint
+    # batch takes the same step: the table step for two-valued windows (its
+    # reads at n - 1 and n off the 8-site grid), the one-site step for
+    # uniform windows and for windows shorter than one table step
+    calls, tables = [], []
+    kernel, block_table = estimators.matrix_batch, transfer._block_table
+    monkeypatch.setattr(estimators, "matrix_batch", lambda *a, **k: calls.append(1) or kernel(*a, **k))
+    monkeypatch.setattr(transfer, "_block_table", lambda *a: tables.append(1) or block_table(*a))
+    rng = np.random.default_rng(220)
+    e_grid = np.linspace(-3.0, 3.0, 13)
+    gamma = rng.uniform(0.0, 0.3, len(e_grid))
+    n_max = 300
+    signs = np.where(rng.random(4 * n_max + 1) < 0.5, -1.0, 1.0)
+    one_valued = signs.copy()
+    one_valued[n_max + 2 * 17 + 2 : n_max + 3 * 17 + 1] = 1.0  # the shifted inverse span at n = 17
+    cases = (
+        (signs, [9, 17, 300], True),
+        (one_valued, [17], True),
+        (rng.uniform(-2.0, 2.0, 4 * n_max + 1), [9, 17, 300], False),
+        (signs, [2], False),
+    )
+    for values, n_grid, table in cases:
+        window = PotentialWindow(-n_max, 3 * n_max, values)
+        calls.clear()
+        tables.clear()
+        scan = craig_simon_scan(window, e_grid, n_grid, gamma)
+        assert len(calls) == len(n_grid)
+        assert bool(tables) == table
+        np.testing.assert_array_equal(scan.excess, _per_family_scan(window, e_grid, n_grid, gamma))
+    shifted_inverse = PotentialWindow(-n_max, 3 * n_max, one_valued).slice(36, 51).values
+    assert len(np.unique(shifted_inverse)) == 1
 
 
 def test_scan_requires_aligned_gamma():

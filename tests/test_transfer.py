@@ -1,3 +1,4 @@
+import hashlib
 import math
 import warnings
 from fractions import Fraction
@@ -1113,6 +1114,32 @@ def test_checkpoint_reads_equal_direct_calls_on_two_valued_windows():
             for got, want in zip(batch, direct):
                 np.testing.assert_array_equal(got[j], want[0])
             np.testing.assert_array_equal(logs[j], vector_growth_logs(energy, windows[:, :k], (k,))[0])
+
+
+def _sha256(*arrays):
+    digest = hashlib.sha256()
+    for a in arrays:
+        digest.update(np.ascontiguousarray(a, dtype="<f8").tobytes())
+    return digest.hexdigest()
+
+
+def test_table_step_bytes_are_pinned():
+    # digests of the table step while it gathered each lane's four product
+    # entries as four scalars: the row gather must keep every bit, on the
+    # per-energy offsets of (E, 1) lanes, on one energy (complex here) and
+    # on reads off the 8-site grid.  Regenerate with demos/regenerate_pins.py
+    rng = np.random.default_rng(220)
+    windows = AtomWindows(rng.integers(0, 2, (17, 301)).astype(np.uint8), np.array([0.25, -2.5]))
+    marks = (0, 5, 8, 77, 150, 301)
+    energies = np.linspace(-2.4, 2.4, 13)[:, None]
+    logs = vector_growth_logs(energies, windows, marks)
+    assert _sha256(logs) == "ea06d69a7ab8028b4a2b06a1a62348aa3176fe61708cdb5802d59d9c6ae4b490"
+    logs = vector_growth_logs(0.4 + 0.6j, windows, marks)
+    assert _sha256(logs) == "58a115671eb1fa08abcbe492ae3030bbc83eaf2df386e7d1234ce1b0efd6c8ed"
+    values = np.where(rng.random((9, 203)) < 0.5, -1.0, 1.0)
+    checkpoints = (1, 13, 99, 203)
+    batch = matrix_batch(0.37, values, checkpoints) + matrix_batch(energies[::4], values, checkpoints)
+    assert _sha256(*batch) == "48f7e61676dc7c83d45046399a60b8bda909e65f6ce622ccf38bb7050e2bfc83"
 
 
 def test_table_step_leaves_steps_past_the_headroom_to_the_one_site_step(monkeypatch):
