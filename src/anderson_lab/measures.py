@@ -20,8 +20,6 @@ This module owns
 from __future__ import annotations
 
 import math
-import sys
-import threading
 from dataclasses import dataclass
 from typing import Callable, Mapping, Sequence
 
@@ -32,12 +30,6 @@ from .rng import RngStream
 ATOM_WEIGHT_TOL = 1e-12
 DENSITY_MASS_TOL = 1e-10
 CONDITION_TOL = 0.05
-
-#: a full-size draw of this many bytes or more takes a kept buffer (see
-#: :func:`_draw_buffer`); at most ``_KEPT_BUFFERS`` are kept
-_KEPT_BYTES, _KEPT_BUFFERS = 1 << 22, 4
-_kept: list[np.ndarray] = []
-_kept_lock = threading.Lock()
 
 VERDICT_HOLDS = "holds-empirically"
 VERDICT_VIOLATED = "violated"
@@ -69,50 +61,6 @@ def _code_bits(cdf: np.ndarray) -> int | None:
     return None
 
 
-def _references(buffers: list, i: int) -> int:
-    return sys.getrefcount(buffers[i])
-
-
-#: what :func:`_references` reads for a buffer that only its list refers to
-#: (the count an interpreter reads for the list slot and the argument)
-_UNUSED = _references([np.empty(0)], 0)
-
-
-def _draw_buffer(size: int) -> np.ndarray:
-    """An uninitialised float array of ``size`` entries for a full-size draw.
-
-    A window batch is tens of megabytes.  Allocated afresh for each batch it
-    lands in the heap, where the small blocks allocated while it is live can
-    split the hole it leaves: the next batch, a little larger, then grows the
-    heap by its size, so the peak memory of a study would depend on the order
-    of its small allocations.  A draw of :data:`_KEPT_BYTES` or more instead
-    takes a view of the smallest kept buffer that fits and that no array
-    refers to any more, dropping the unused ones that are too small; a new
-    buffer is kept while fewer than :data:`_KEPT_BUFFERS` are.  After the
-    largest batch of a process its draws allocate no memory and fault in no
-    pages, and the process holds its largest batches until it exits.
-
-    The draws that take it are the value draws of an atomic law (the base
-    block of :func:`sample_windows` and :meth:`FiniteAtoms.sample`, written
-    through the byte table or over the uniforms of the replay) and the
-    uniforms of a replay that draws atom indices; the atom indices
-    themselves are one byte per site, or ``intp`` past 256 atoms.
-    """
-    if size * 8 < _KEPT_BYTES:
-        return np.empty(size)
-    with _kept_lock:
-        unused = [i for i in range(len(_kept)) if _references(_kept, i) == _UNUSED]
-        fits = [i for i in unused if len(_kept[i]) >= size]
-        if fits:
-            return _kept[min(fits, key=lambda i: len(_kept[i]))][:size]
-        for i in reversed(unused):
-            del _kept[i]
-        buffer = np.empty(size)
-        if len(_kept) < _KEPT_BUFFERS:
-            _kept.append(buffer)
-        return buffer[:size]
-
-
 def _byte_table_draws(
     rng: np.random.Generator, table: np.ndarray, cdf: np.ndarray, bits: int, size: int
 ) -> np.ndarray:
@@ -128,15 +76,14 @@ def _byte_table_draws(
     raw byte to the entries of its ``8 // bits`` atoms, and ``np.take``
     writes them through a pass-sized index buffer, so the only full-size
     buffer is the returned one (a view of whole bytes' entries, cut to
-    ``size``; a value draw's is from :func:`_draw_buffer`).
+    ``size``).
     """
     per_byte = 8 // bits
     atom = np.searchsorted(cdf[:-1], np.arange(1 << bits) / (1 << bits), side="right")
     fields = (np.arange(256)[:, None] >> (bits * np.arange(per_byte))) & ((1 << bits) - 1)
     entries = table[atom[fields]]
     whole = -(-size // per_byte) * per_byte
-    rows = _draw_buffer(whole) if table.dtype == float else np.empty(whole, table.dtype)
-    rows = rows.reshape(-1, per_byte)
+    rows = np.empty(whole, table.dtype).reshape(-1, per_byte)
     words = -(-size * bits // 64)
     index = np.empty(8 * min(words, _TABLE_PASS_WORDS), dtype=np.intp)
     for first in range(0, words, _TABLE_PASS_WORDS):
@@ -164,16 +111,16 @@ def _table_draws(
     p=weights)]`` exactly: the same uniforms, cut points and indices, so the
     draws and the state the generator is left in are identical.  The index
     of a uniform ``u`` is the number of cut points ``cdf[j]``, ``j < k - 1``,
-    with ``u >= cdf[j]`` (``searchsorted(side="right")``).  The uniforms
-    take a buffer from :func:`_draw_buffer`, and a value draw overwrites
-    them, so its only full-size buffer is the returned one.
+    with ``u >= cdf[j]`` (``searchsorted(side="right")``).  A value draw
+    overwrites its uniforms, so its only full-size buffer is the returned
+    one.
     """
     cdf = np.cumsum(weights, dtype=float)
     cdf /= cdf[-1]
     bits = _code_bits(cdf)
     if bits is not None:
         return _byte_table_draws(rng, table, cdf, bits, size)
-    u = rng.random(size, out=_draw_buffer(size))
+    u = rng.random(size)
     out = u if table.dtype == float else np.empty(size, table.dtype)
     index = np.empty(min(size, _CATEGORICAL_PASS), dtype=np.intp)
     hit = np.empty(len(index), dtype=bool)

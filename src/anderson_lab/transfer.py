@@ -30,14 +30,14 @@ once per energy and advances every lane eight sites with one
 :func:`numpy.take` of its code's table row and three row ufuncs.  A step's
 code is a byte, one bit per site.  The Monte Carlo estimators hand a law of
 at most two atoms to the kernel as its sampler drew it, atom indices with
-the atoms (:class:`AtomWindows`), and the codes are packed from the indices
-with :func:`numpy.packbits`; float windows (a hand-built batch, craig-simon's
-:class:`~anderson_lab.measures.PotentialWindow`) have their two values found
-and packed by float compares (:func:`_pair_codes`).  The table steps
-are aligned at multiples of eight sites from the start of the pass or the
-last restart, and a read between two steps finishes with one-site steps into
-scratch rows, so a read at site count ``k`` equals, bit for bit, a pass that
-ends at ``k``.  A guarded determinant pass, a batch with a third or a
+the atoms (:class:`AtomWindows`).  Float windows (a hand-built batch,
+craig-simon's :class:`~anderson_lab.measures.PotentialWindow`) that hold at
+most two values become atom windows first (:func:`_atom_windows`), so one
+packer, :func:`numpy.packbits` over the atom indices, serves both.  The
+table steps are aligned at multiples of eight sites from the start of the
+pass or the last restart, and a read between two steps finishes with
+one-site steps into scratch rows, so a read at site count ``k`` equals, bit
+for bit, a pass that ends at ``k``.  A guarded determinant pass, a batch with a third or a
 non-finite value, and a step that could grow the rows past the headroom keep
 the one-site step.  The two steps associate the products differently, so
 they agree to round-off, not bit for bit.
@@ -79,11 +79,8 @@ _BLOCK_BYTES = 1 << 21
 _HEADROOM = 500.0
 
 #: sites per table step of a two-valued batch (a table of ``2**8`` products,
-#: one byte of code per step), and window rows compared and packed at a time
-_TABLE_SITES, _PACK_ROWS = 8, 256
-
-#: moves byte ``s`` of a little-endian uint64 holding 0 or 1 to bit ``56 + s``
-_GATHER = np.uint64(sum(1 << (56 - 7 * s) for s in range(_TABLE_SITES)))
+#: one byte of code per step)
+_TABLE_SITES = 8
 
 #: the kernel multiplies values scaled into [1, 2) by ``V - E``, so a finite
 #: potential with ``|V - E|`` at or above this raises a ValueError
@@ -476,13 +473,14 @@ def _propagate(
     call, by a pass shorter than one table step, or when one step could grow
     the rows past the room a rescale leaves (``8 log2(max|E - V| + 1)`` above
     ``_HEADROOM - 1``), so a site past :data:`MAGNITUDE_LIMIT` is still named.
-    :class:`AtomWindows` always hold at most two values: their codes are
-    packed from the atom indices, and the headroom test reads the atoms the
-    batch holds (:func:`_packed_codes`); the one-site steps that finish a
-    read between two table steps gather ``E - V`` from the atoms, and a
-    pass that keeps the one-site step reads their values.  Other windows
-    are compared as floats (:func:`_pair_codes`), and the test reads the
-    values they hold.  Either way a batch gives the same bits.
+    :class:`AtomWindows` always hold at most two values; float windows that
+    do become atom windows for the test (:func:`_atom_windows`).  Either way
+    the codes are packed from the atom indices, and the headroom test reads
+    the atoms the batch holds (:func:`_packed_codes`).  The one-site steps
+    that finish a read between two table steps read the caller's windows:
+    float windows' own sites, or ``E - V`` gathered from the atoms; a pass
+    that keeps the one-site step reads the values.  Either way a batch gives
+    the same bits.
 
     ``guard`` (a real energy, one column; set by :func:`det_recurrence`)
     checks each stretch: where the two terms of a step agree to
@@ -505,7 +503,8 @@ def _propagate(
     coded = isinstance(windows, AtomWindows)
     if not guard and marks[-1] >= _TABLE_SITES:
         bounds = sorted({0, *restarts, marks[-1]})
-        found = _packed_codes(windows, bounds) if coded else _pair_codes(windows, bounds)
+        atoms = windows if coded else _atom_windows(windows, marks[-1])
+        found = None if atoms is None else _packed_codes(atoms, bounds)
         if found is not None:
             values, codes = found
             with np.errstate(over="ignore", invalid="ignore"):
@@ -589,50 +588,37 @@ def _propagate(
     return pairs, shifts
 
 
-def _pair_codes(windows: np.ndarray, bounds: list[int]):
-    """The two values of a window batch whose first ``bounds[-1]`` sites hold
-    at most two distinct finite values (one value given twice), and the codes
-    of its table steps; None for any other batch.
+def _atom_windows(windows: np.ndarray, length: int) -> AtomWindows | None:
+    """A float batch as :class:`AtomWindows` if its first ``length`` sites
+    hold at most two distinct finite values, else None: atom 0 is the first
+    site's value, and a site's code is set where it holds another value.
 
-    Steps run from the start of each segment ``[bounds[i], bounds[i + 1])``,
-    :data:`_TABLE_SITES` sites each: a segment's codes have shape
-    ``(steps, *rows)``, bit ``s`` of a code set where the step's site ``s``
-    holds the second value.  The rows are compared and packed
-    :data:`_PACK_ROWS` at a time, so no mask of the whole batch is made.
+    The first window is compared alone before the batch, so a batch that
+    holds a third value there (any continuous law) is refused without a mask
+    of the whole batch.
     """
-    rows = windows.reshape(-1, windows.shape[-1])
-    if not (len(rows) and np.isfinite(rows[0, 0])):
+    sites = windows[..., :length]
+    first = sites.flat[0] if sites.size else math.nan
+    if not np.isfinite(first):
         return None
-    values = [rows[0, 0], rows[0, 0]]
-    codes = [np.zeros(((b - a) // _TABLE_SITES, len(rows)), np.uint8)
-             for a, b in zip(bounds, bounds[1:])]
-    for i in range(0, len(rows), _PACK_ROWS):
-        chunk = rows[i : i + _PACK_ROWS, : bounds[-1]]
-        bits = chunk != values[0]  # the sites holding the second value
-        count = np.count_nonzero(bits)
-        if not count:
-            continue
-        if values[0] == values[1]:
-            values[1] = chunk.flat[int(np.argmax(bits))]
-        if not (np.isfinite(values[1]) and np.count_nonzero(chunk == values[1]) == count):
-            return None
-        for code, a in zip(codes, bounds):
-            if not len(code):
-                continue
-            # a step's eight 0/1 bytes, read as one little-endian integer,
-            # are moved by this product to bits 0-7 of its top byte
-            gathered = bits[:, a : a + len(code) * 8].view("<u8") * _GATHER
-            code[:, i : i + len(chunk)] = gathered.astype("<u8", copy=False).view(np.uint8)[:, 7::8].T
-    return values, [code.reshape(code.shape[:1] + windows.shape[:-1]) for code in codes]
+    for part in (sites[(0,) * (sites.ndim - 1)], sites):
+        codes = part != first
+        count = np.count_nonzero(codes)
+        if count:
+            other = part.flat[int(np.argmax(codes))]
+            if not (np.isfinite(other) and np.count_nonzero(part == other) == count):
+                return None
+    return AtomWindows(codes.view(np.uint8), np.array([first, other] if count else [first]))
 
 
 def _packed_codes(windows: AtomWindows, bounds: list[int]):
     """The two values of :class:`AtomWindows` and the codes of their table
-    steps, laid out as :func:`_pair_codes` lays them: bit ``s`` of a code is
-    the atom index at the step's site ``s``.  As there, the values are the
-    ones the first ``bounds[-1]`` sites hold (one atom given twice if they
-    hold one), so the headroom test reads the same values; None for a batch
-    of no windows.
+    steps: steps run from the start of each segment ``[bounds[i], bounds[i +
+    1])``, :data:`_TABLE_SITES` sites each, a segment's codes have shape
+    ``(steps, *rows)``, and bit ``s`` of a code is the atom index at the
+    step's site ``s``.  The values are the atoms the first ``bounds[-1]``
+    sites hold (one atom given twice if they hold one), so the headroom test
+    reads only values the batch holds; None for a batch of no windows.
 
     :func:`numpy.packbits` packs each segment's steps along the site axis:
     little-endian bit order from the segment start for forward windows; for
@@ -688,8 +674,8 @@ def _block_table(e: np.ndarray, values) -> np.ndarray:
 
 def _table_pass(e, windows, table, growth, codes, bounds, marks, restarts, pairs, shifts):
     """The table step of :func:`_propagate`: fill ``pairs`` and ``shifts``
-    for a batch of ``windows`` with the codes of :func:`_packed_codes` or
-    :func:`_pair_codes` and the table of :func:`_block_table`.
+    for a batch of ``windows`` (atom or float windows, the caller's) with the
+    codes of :func:`_packed_codes` and the table of :func:`_block_table`.
 
     Each segment between restarts starts from the identity and advances its
     running rows one table step of :data:`_TABLE_SITES` sites at a time: one

@@ -657,12 +657,12 @@ def test_two_atom_draws_reach_the_kernels_as_atom_indices(monkeypatch):
         drawn.append(real(*args, **kwargs))
         return drawn[-1]
 
-    def refused(windows, bounds):
-        raise AssertionError("_pair_codes read a two-atom law's windows")
+    def refused(windows, length):
+        raise AssertionError("_atom_windows compared a two-atom law's windows")
 
     with monkeypatch.context() as patch:
         patch.setattr(estimators, "_kernel_windows", spy)
-        patch.setattr(transfer, "_pair_codes", refused)
+        patch.setattr(transfer, "_atom_windows", refused)
         coded = runs()
     assert drawn and all(
         isinstance(d[0] if isinstance(d, tuple) else d, transfer.AtomWindows) for d in drawn

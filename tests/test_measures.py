@@ -24,7 +24,6 @@ from anderson_lab.measures import (
     VERDICT_HOLDS,
     VERDICT_VIOLATED,
     DensitySequence,
-    _KEPT_BYTES,
     _categorical,
     condition_report,
     log_density_products,
@@ -582,15 +581,10 @@ def test_the_weights_alone_pick_the_path():
     assert ours.bit_generator.state == ref.bit_generator.state
 
 
-def _address(a):
-    return a.__array_interface__["data"][0]
-
-
-def test_large_draws_take_a_kept_buffer_only_once_no_array_uses_it():
-    # a draw of _KEPT_BYTES or more reuses a kept buffer, never one that a
-    # live array (here a view of an earlier draw) still reads, and holds the
-    # values a fresh buffer would
-    size = _KEPT_BYTES // 8 + 1001
+def test_large_draws_equal_the_reference_draws():
+    # draws of 4 MiB or more, while a view of an earlier draw is alive,
+    # hold the reference draws
+    size = (1 << 22) // 8 + 1001
     locations, weights = np.array([-1.5, 0.5]), (0.5, 0.5)
 
     def draw(seed, n=size):
@@ -604,12 +598,9 @@ def test_large_draws_take_a_kept_buffer_only_once_no_array_uses_it():
     assert not np.shares_memory(kept, second)
     assert np.array_equal(kept[::-1], reference(3))
     assert np.array_equal(second, reference(4))
-    addresses = {_address(kept[::-1]), _address(second)}
     del kept, second
-    third = draw(5, size - 7)  # a smaller draw takes a freed buffer
-    assert _address(third) in addresses
-    assert np.array_equal(third, reference(5, size - 7))
-    # the uniform path fills its uniforms into a kept buffer too
+    assert np.array_equal(draw(5, size - 7), reference(5, size - 7))
+    # the uniform replay leaves the generator where rng.choice does
     base = FiniteAtoms(atoms=((-1.0, 1 / 3), (1.0, 2 / 3)))
     ours, ref = np.random.default_rng(6), np.random.default_rng(6)
     got = base.sample(ours, size)

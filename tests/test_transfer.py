@@ -1183,12 +1183,12 @@ ATOM_PAIRS = (np.array([-1.0, 1.0]), np.array([0.25, -2.5]))
 def _no_float_codes(monkeypatch):
     """Atom windows must reach the table step without the float compares."""
     def refused(*args):
-        raise AssertionError("_pair_codes read atom windows")
+        raise AssertionError("_atom_windows compared atom windows")
 
-    real = transfer._pair_codes
+    real = transfer._atom_windows
     monkeypatch.setattr(
-        transfer, "_pair_codes",
-        lambda windows, bounds: refused() if isinstance(windows, AtomWindows) else real(windows, bounds),
+        transfer, "_atom_windows",
+        lambda windows, length: refused() if isinstance(windows, AtomWindows) else real(windows, length),
     )
 
 
@@ -1257,22 +1257,78 @@ def test_a_two_atom_batch_holding_one_value_gives_the_bits_of_its_values(monkeyp
             )
 
 
+def _reference_codes(codes, a, b):
+    """Bit ``s`` of step ``t`` is the index at site ``a + 8 t + s``, one bit
+    at a time: a ``(steps, rows)`` array."""
+    steps = (b - a) // 8
+    want = np.zeros((steps, len(codes)), dtype=np.uint8)
+    for t in range(steps):
+        for s in range(8):
+            want[t] |= codes[:, a + 8 * t + s].astype(np.uint8) << s
+    return want
+
+
 @pytest.mark.parametrize("backward", [False, True])
 def test_packed_codes_equal_the_float_codes(backward):
-    # up to bit polarity: _pair_codes sets the bits of the value it met
-    # second, and either way a code picks the same products
+    # the codes of atom windows, read forward or backward, and of the float
+    # windows they hold, equal the bits set one by one
     rng = np.random.default_rng(125)
     atoms = ATOM_PAIRS[0]
     codes = rng.integers(0, 2, (19, 205)).astype(np.uint8)
     windows = AtomWindows(codes[:, 203::-1] if backward else codes[:, 1:], atoms)
     for bounds in ([0, 204], [0, 1, 9, 30, 31, 100, 204], [0, 7, 15, 203]):
-        values, packed = transfer._packed_codes(windows, bounds)
-        assert values == [atoms[0], atoms[1]]
-        first, want = transfer._pair_codes(windows.values, bounds)
-        assert [len(c) for c in packed] == [(b - a) // 8 for a, b in zip(bounds, bounds[1:])]
-        for got, w in zip(packed, want):
-            assert got.dtype == np.uint8 and got.flags.c_contiguous
-            np.testing.assert_array_equal(got, w if first[0] == atoms[0] else ~w)
+        floats = transfer._atom_windows(windows.values, bounds[-1])
+        flip = floats.atoms[0] != atoms[0]  # atom 0 of floats is the first site's value
+        for held in (windows, floats):
+            values, packed = transfer._packed_codes(held, bounds)
+            assert values == [held.atoms[0], held.atoms[1]]
+            assert [len(c) for c in packed] == [(b - a) // 8 for a, b in zip(bounds, bounds[1:])]
+            for got, a, b in zip(packed, bounds, bounds[1:]):
+                want = _reference_codes(windows.codes, a, b)
+                assert got.dtype == np.uint8 and got.flags.c_contiguous
+                np.testing.assert_array_equal(got, ~want if held is floats and flip else want)
+
+
+def test_float_windows_of_two_values_take_the_table_step_of_their_atoms(monkeypatch):
+    # a float batch becomes atom windows exactly when its sites up to the
+    # last mark hold at most two finite values (compared as floats, so -0.0
+    # is 0.0); it then gives the bits of its atom windows, and any other
+    # batch the bits of the one-site step
+    built = _counting_tables(monkeypatch)
+    rng = np.random.default_rng(126)
+    marks = (3, 8, 64, 101, 160)
+    codes = rng.integers(0, 2, (7, 160)).astype(np.uint8)
+    codes[0] = 0  # the first window holds one value, later ones the second
+    atoms = np.array([0.0, 1.0])
+    signed = np.where(rng.random(codes.shape) < 0.5, -0.0, 0.0)  # -0.0 and 0.0 mixed
+    table = {
+        "second value past the first window": (atoms[codes], AtomWindows(codes, atoms)),
+        "-0.0 and 0.0": (np.where(codes == 1, 1.0, signed), AtomWindows(codes, atoms)),
+        "backward": (atoms[codes][:, ::-1], AtomWindows(codes[:, ::-1], atoms)),
+    }
+    third = atoms[codes]
+    third[5, 150] = 2.0  # only in a later window
+    inf, nan = atoms[codes], atoms[codes]
+    inf[0, 0], nan[0, 0] = math.inf, math.nan
+    for energy in CODE_ENERGIES:
+        for name, (values, windows) in table.items():
+            built.clear()
+            got = matrix_batch(energy, values, marks)
+            assert len(built) == 1, name
+            _assert_same_bits(got, matrix_batch(energy, windows, marks))
+            np.testing.assert_array_equal(
+                vector_growth_logs(energy, values, marks), vector_growth_logs(energy, windows, marks)
+            )
+        for values in (third, inf, nan):
+            built.clear()
+            with np.errstate(invalid="ignore"):
+                got = matrix_batch(energy, values, marks)
+                want = _one_site(matrix_batch, energy, values, marks)
+            assert built == []
+            _assert_same_bits(got, want)
+    assert transfer._atom_windows(third, 150).atoms.tolist() == [0.0, 1.0]
+    assert transfer._atom_windows(third, 151) is None
+    assert transfer._atom_windows(np.full((3, 9), 0.5), 9).atoms.tolist() == [0.5]
 
 
 def test_atom_windows_hold_at_most_the_table_steps_two_atoms():
