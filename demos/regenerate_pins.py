@@ -4,8 +4,8 @@ Run after an intentional change to sampling or numerics, compare the output
 against the pinned constants (config ``expected`` blocks, the constants at
 the top of tests/test_estimators.py, the smoke-size verdicts and localize
 digest of tests/test_experiments.py, the eigensolve digests of
-tests/test_spectral.py and the table-step digests of tests/test_transfer.py),
-and update them deliberately.
+tests/test_spectral.py, the table-step digests of tests/test_transfer.py and
+the CSV digests of configs/csv.sha256), and update them deliberately.
 """
 import hashlib
 import json
@@ -147,12 +147,16 @@ checkpoints = (1, 13, 99, 203)
 batch = matrix_batch(0.37, values, checkpoints) + matrix_batch(energies[::4], values, checkpoints)
 print(f"matrix_batch checkpoints: sha256={sha256(*batch)}")
 
-# Every metric named in a config ``expected`` block, at the config's own seed.
+# Every metric named in a config ``expected`` block, and the sha256 of every
+# config's CSV, at the config's own seed.
+csv_sums = []
 for path in sorted(configs.glob("*.json")):
     config = json.loads(path.read_text())
-    if not config.get("expected"):
-        continue
-    scenario = scenario_from_config(config)
-    metrics = COMMANDS[scenario.kind].run(scenario).metrics()
-    for metric, bound in config["expected"]["metrics"].items():
+    scenario = scenario_from_config(config, default_id=path.stem)
+    table = COMMANDS[scenario.kind].run(scenario)
+    csv_sums.append(f"{hashlib.sha256(table.csv_text().encode()).hexdigest()}  {path.stem}.csv")
+    metrics = table.metrics()
+    for metric, bound in (config.get("expected") or {}).get("metrics", {}).items():
         print(f"{path.stem}: {metric}={metrics[metric]!r} (expected {bound})")
+print("configs/csv.sha256 (sha256sum -c format):")
+print("\n".join(csv_sums))

@@ -160,10 +160,12 @@ _NUMBER = _check(_is_number, "must be a number", float)
 _INTEGER = _check(_is_integer, "must be an integer")
 _TEXT = _check(lambda x: isinstance(x, str), "must be a string")
 _FLAG = _check(lambda x: isinstance(x, bool), "must be true or false")
-#: a name that ``--out DIR`` joins to ``DIR`` without leaving it
+#: a name that ``--out DIR`` joins to ``DIR`` without leaving it, and that
+#: every CSV row carries as one unquoted cell
 _STEM = _check(
-    lambda x: isinstance(x, str) and not {"/", "\\"} & set(x) and x != "..",
-    "must be a string with no '/', '\\' or '..' part",
+    lambda x: isinstance(x, str) and x not in ("", ".", "..")
+    and not any(c in '/\\,"' or c < " " or "\x7f" <= c <= "\x9f" for c in x),
+    "must be a string with no '/', '\\', ',', '\"' or control character, and not '', '.' or '..'",
 )
 
 

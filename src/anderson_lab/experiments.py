@@ -307,22 +307,27 @@ def _epsilon0(nu_hat: float) -> float:
     return min(0.1, max(nu_hat, 0.0) / 10.0)
 
 
-def _decay_fit(vector: np.ndarray, center_idx: int) -> float:
-    """Exponential decay rate of |vector| away from its localization center:
-    least squares on the middle 60% of the decay range, at least 10 sites
-    from the center and excluding the last 5 sites."""
-    amp = np.abs(vector)
-    dist = np.abs(np.arange(len(amp)) - center_idx).astype(float)
-    reach = float(np.max(dist))
+def _decay_rates(vectors: np.ndarray, centers: np.ndarray) -> np.ndarray:
+    """Exponential decay rate of each column's |vector| away from its
+    localization center: one closed-form least-squares slope per column over
+    the middle 60% of the decay range, at least 10 sites from the center and
+    excluding the last 5 sites.  A column with fewer than two such sites of
+    nonzero amplitude, or with all of them at one distance, gets 0.0."""
+    amp = np.abs(vectors)
+    dist = np.abs(np.arange(len(amp))[:, None] - centers).astype(float)
+    reach = np.maximum(centers, len(amp) - 1 - centers).astype(float)
     keep = (
-        (dist >= max(10.0, 0.2 * reach))
-        & (dist <= min(0.8 * reach, reach - 5.0))
+        (dist >= np.maximum(10.0, 0.2 * reach))
+        & (dist <= np.minimum(0.8 * reach, reach - 5.0))
         & (amp > 0.0)
     )
-    if np.count_nonzero(keep) < 2:
-        return 0.0
-    slope = np.polyfit(dist[keep], np.log(amp[keep]), 1)[0]
-    return float(-slope)
+    count = np.maximum(np.count_nonzero(keep, axis=0), 1)
+    log_amp = np.log(amp, out=np.zeros_like(amp), where=keep)
+    dx = np.where(keep, dist - np.sum(dist, axis=0, where=keep) / count, 0.0)
+    dy = np.where(keep, log_amp - np.sum(log_amp, axis=0) / count, 0.0)
+    sxx = np.sum(dx * dx, axis=0)
+    fit = sxx > 0.0
+    return np.where(fit, -np.sum(dx * dy, axis=0) / np.where(fit, sxx, 1.0), 0.0)
 
 
 # ---------------------------------------------------------------------------
@@ -425,41 +430,29 @@ def run_localization(scenario: Scenario) -> LocalizationReport:
     g_hats = np.interp(lams, scenario.e_grid, gammas)
     g_errs = np.interp(lams, scenario.e_grid, errs)
     c_rates = np.maximum(g_hats - 8.0 * eps0, RATE_FLOOR)
-    # one regularity pass per radius over (eigenvalue, site) lanes; shape (J, 2)
-    tested = {}
-    for n in scenario.n_grid if in_interval else ():
+    centers = np.argmax(np.abs(vectors), axis=0)
+    rates = _decay_rates(vectors, centers)
+    passed = rates >= np.maximum(0.5 * g_hats, RATE_FLOOR)
+    # one regularity pass per radius over (eigenvalue, site) lanes, kept as
+    # (eigenvalue, radius, site) arrays
+    radii = np.asarray(scenario.n_grid, dtype=np.int64)
+    singular = np.zeros((len(in_interval), len(radii), 2), dtype=bool)
+    resonant = np.zeros_like(singular)
+    for r, n in enumerate(scenario.n_grid if in_interval else ()):
         lanes = classify_regularity(
             window, (2 * n, 2 * n + 1), n, c_rates[:, None], lams[:, None]
         )
-        tested[n] = (lanes.regular, lanes.resonant)
-    rows = []
-    skips = []
-    for i, j in enumerate(in_interval):
-        lam, g_hat, g_err = float(lams[i]), float(g_hats[i]), float(g_errs[i])
-        vec = vectors[:, i]
-        center_idx = int(np.argmax(np.abs(vec)))
-        rate = _decay_fit(vec, center_idx)
-        passed = rate >= max(0.5 * g_hat, RATE_FLOOR)
-        largest_singular = None
-        for n in scenario.n_grid:
-            regular, resonant = tested[n]
-            for k, site in enumerate((2 * n, 2 * n + 1)):
-                if resonant[i, k]:
-                    skips.append((j, int(n), site))
-                elif not regular[i, k]:
-                    largest_singular = max(largest_singular or 0, int(n))
-        rows.append(
-            LocalizationRow(
-                j=j,
-                eigenvalue=lam,
-                gamma_hat=g_hat,
-                gamma_stderr=g_err,
-                decay_rate=rate,
-                center=box_lo + center_idx,
-                passed=bool(passed),
-                largest_singular_n=largest_singular,
-            )
-        )
+        singular[:, r], resonant[:, r] = ~(lanes.regular | lanes.resonant), lanes.resonant
+    largest = np.max(np.where(singular, radii[:, None], 0), axis=(1, 2), initial=0)
+    skips = [
+        (in_interval[i], int(radii[r]), 2 * int(radii[r]) + k)
+        for i, r, k in np.argwhere(resonant).tolist()
+    ]
+    rows = map(
+        LocalizationRow, in_interval, lams.tolist(), g_hats.tolist(), g_errs.tolist(),
+        rates.tolist(), (box_lo + centers).tolist(), passed.tolist(),
+        [n or None for n in largest.tolist()],
+    )
     return LocalizationReport(
         scenario.scenario_id, scenario.seed, scenario.law_tag,
         (box_lo, box_hi), nu_hat, eps0, tuple(rows), tuple(skips),
@@ -516,29 +509,21 @@ def singularity_census(scenario: Scenario) -> CensusReport:
     energies = np.asarray(scenario.e_grid, dtype=float)[:, None]
     for n in scenario.n_grid:
         sites = (2 * n, 2 * n + 1, -2 * n, -(2 * n + 1))
-        # one regularity pass per radius over (energy, site) lanes
+        # one regularity pass per radius over (energy, site) lanes; each
+        # site's scan ends at its first singular energy, and the resonant
+        # energies before it are skipped
         lanes = classify_regularity(window, sites, n, rates, energies)
-        regular, resonant = lanes.regular.T, lanes.resonant.T
-        count = 0
-        for i, site in enumerate(sites):
-            # the scan ends at the first singular energy; resonant energies
-            # before it are skipped
-            singular = False
-            for k, e in enumerate(scenario.e_grid):
-                if resonant[i, k]:
-                    skips.append((int(n), site, e))
-                elif not regular[i, k]:
-                    singular = True
-                    break
-            rows.append((int(n), site, "singular" if singular else "regular"))
-            count += singular
-        counts[int(n)] = count
-    zero_from = None
-    for n in sorted(counts, reverse=True):
-        if counts[n] == 0:
-            zero_from = n
-        else:
-            break
+        singular = ~(lanes.regular | lanes.resonant).T
+        scanned = ~np.logical_or.accumulate(singular, axis=1)
+        skipped = np.argwhere(lanes.resonant.T & scanned).tolist()
+        skips.extend((int(n), sites[i], scenario.e_grid[k]) for i, k in skipped)
+        found = ~scanned[:, -1]
+        verdicts = np.where(found, "singular", "regular").tolist()
+        rows.extend((int(n), site, verdict) for site, verdict in zip(sites, verdicts))
+        counts[int(n)] = int(np.count_nonzero(found))
+    # zero from the smallest radius above the last one with a singular site
+    last = max((n for n, c in counts.items() if c), default=0)
+    zero_from = min((n for n in counts if n > last), default=None)
     return CensusReport(
         scenario.scenario_id, scenario.seed, scenario.law_tag,
         tuple(scenario.n_grid), tuple(rows), counts, zero_from, tuple(skips),

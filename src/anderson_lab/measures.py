@@ -833,7 +833,9 @@ def condition_report(seq: DensitySequence, N_max: int, K_max: int) -> ConditionR
         b = center + N + span
         return prefix[b + 1] - prefix[a]
 
-    n_grid = np.unique(np.geomspace(1, N_max, num=min(N_max, 96)).astype(int))
+    # ascending, so its repeats are neighbours (np.unique would import numpy.ma)
+    n_grid = np.geomspace(1, N_max, num=min(N_max, 96)).astype(int)
+    n_grid = n_grid[np.concatenate(([True], n_grid[1:] != n_grid[:-1]))]
     centers = np.arange(-K_max, K_max + 1)
     partial = window_sum(0, n_grid)
     mean = partial / n_grid

@@ -287,10 +287,11 @@ def test_out_names_every_file_after_the_scenario(tmp_path, scenario_id):
     assert not any((out / scenario_id).iterdir())
 
 
-@pytest.mark.parametrize("scenario_id", ["../escaped", "sub/escaped", "sub\\escaped", ".."])
+@pytest.mark.parametrize("scenario_id", ["../escaped", "sub/escaped", "sub\\escaped", "..", ".", ""])
 def test_a_scenario_id_that_leaves_out_is_rejected(tmp_path, capsys, monkeypatch, scenario_id):
     # --out DIR joins the id to DIR, so an id with a separator or a '..'
-    # part would write outside DIR: exit 1 at scenario_id, no draw, no file
+    # part would write outside DIR, and '.' or '' would write DIR.csv beside
+    # it: exit 1 at scenario_id, no draw, no file
     draws = []
     original = anderson_lab.rng.RngStream.generator
 
@@ -442,3 +443,31 @@ def test_cli_import_leaves_scipy_unloaded(tmp_path):
         env=env, capture_output=True, text=True, check=True,
     )
     assert out.stdout.splitlines()[-1] == "0 False"
+
+
+def test_conditions_run_leaves_numpy_ma_unloaded():
+    # np.unique imports numpy.ma on its first call; the condition grid drops
+    # its repeats without it
+    paths = [str(Path(__file__).resolve().parent.parent / "src"), os.environ.get("PYTHONPATH")]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, paths)))
+    run = (
+        "import sys; from anderson_lab.cli import dispatch; "
+        "code = dispatch(['conditions', '--config', sys.argv[1]]); "
+        "print(code, 'numpy.ma' in sys.modules)"
+    )
+    out = subprocess.run(
+        [sys.executable, "-c", run, str(CONFIG_DIR / "bumps_conditions.json")],
+        env=env, capture_output=True, text=True, check=True,
+    )
+    assert out.stdout.splitlines()[-1] == "0 False"
+
+
+def test_csv_digests_list_every_shipped_config_once():
+    # sha256sum -c checks only the files it lists, so a config left out of
+    # configs/csv.sha256 would go unchecked
+    lines = (CONFIG_DIR / "csv.sha256").read_text().splitlines()
+    digests = [line.split("  ") for line in lines]
+    assert all(len(d) == 64 and set(d) <= set("0123456789abcdef") for d, _ in digests)
+    assert [name for _, name in digests] == sorted(
+        f"{path.stem}.csv" for path in CONFIG_DIR.glob("*.json")
+    )

@@ -252,6 +252,42 @@ def test_overrides_go_through_the_field_checks(tmp_path, flags, env, where):
     assert_rejected(tmp_path, "lyapunov", SMOKE["lyapunov"], where, *flags, env=env)
 
 
+@pytest.mark.parametrize(
+    "scenario_id", ["odd,id", "new\nline", 'say"hi', "tab\there", "nul\x00", "del\x7f", "c1\x85"]
+)
+def test_a_scenario_id_that_would_split_a_csv_cell_is_rejected(tmp_path, scenario_id):
+    # every CSV row carries the id as one unquoted cell
+    cfg = mutated(SMOKE["spectrum"], ("config", "scenario_id"), scenario_id)
+    assert_rejected(tmp_path, "spectrum", cfg, "scenario_id")
+
+
+def test_a_config_stem_that_would_split_a_csv_cell_is_rejected(tmp_path):
+    # with no scenario_id the file stem is the id, through the same check
+    cfg = copy.deepcopy(SMOKE["spectrum"])
+    del cfg["scenario_id"]
+    path = tmp_path / "odd,id.json"
+    path.write_text(json.dumps(cfg))
+    err = io.StringIO()
+    with counted_draws() as draws, contextlib.redirect_stderr(err), \
+            contextlib.redirect_stdout(io.StringIO()):
+        code = dispatch(["spectrum", "--config", str(path)])
+    assert code == ExitStatus.VALIDATION
+    assert draws == []
+    assert "invalid config: scenario_id: must be a string with no '/'" in err.getvalue()
+
+
+@pytest.mark.parametrize("scenario_id", ["naïve id", "run.v2", "a;b"])
+def test_an_accepted_scenario_id_is_one_csv_cell(tmp_path, scenario_id):
+    path = tmp_path / "lyapunov.json"
+    path.write_text(json.dumps(mutated(SMOKE["lyapunov"], ("config", "scenario_id"), scenario_id)))
+    out = io.StringIO()
+    with contextlib.redirect_stderr(io.StringIO()), contextlib.redirect_stdout(out):
+        assert dispatch(["lyapunov", "--config", str(path)]) == ExitStatus.OK
+    header, *rows = out.getvalue().splitlines()
+    assert rows and all(row.split(",")[0] == scenario_id for row in rows)
+    assert {len(row.split(",")) for row in rows} == {len(header.split(","))}
+
+
 def test_workers_environment_is_read_only_when_nothing_else_gives_workers(tmp_path):
     cfg = mutated(SMOKE["lyapunov"], ("sampling", "workers"), 1)
     assert run(tmp_path, "lyapunov", cfg, env="abc")[0] == ExitStatus.OK

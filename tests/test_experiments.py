@@ -29,7 +29,7 @@ from anderson_lab.measures import (
     ParetoTail,
     PowersOfTwoSites,
 )
-from anderson_lab.spectral import eigenpairs
+from anderson_lab.spectral import GreenLanes, RegularityLanes, eigenpairs
 
 BERNOULLI = FiniteAtoms(atoms=((-1.0, 0.5), (1.0, 0.5)))
 FREE = FiniteAtoms(atoms=((0.0, 1.0),), allow_trivial=True)
@@ -175,11 +175,12 @@ def test_bump_studies_reproduce_pinned_verdicts():
         + [10] * 8 + [25] + [10]
     )
     assert report.skips == ()
-    # decay_rate reads the eigensolver's round-off, so this fails on any drift
+    # decay_rate reads the round-off of the eigensolver and of the closed-form
+    # fit, so this fails on any drift
     digest = hashlib.sha256()
     for column in ("j", "eigenvalue", "decay_rate", "center"):
         digest.update(np.array([getattr(r, column) for r in report.rows], dtype="<f8").tobytes())
-    assert digest.hexdigest() == "493cf631435d195f2d23585f41a7e4809ff71c025adf96f27db554212740adb1"
+    assert digest.hexdigest() == "260f9ea9c0fbf73f86e3dca31dc6ba6255677b9023a3265efdd4e382e2876c47"
 
 
 def test_localization_solves_only_the_ranks_in_the_interval(monkeypatch):
@@ -194,6 +195,181 @@ def test_localization_solves_only_the_ranks_in_the_interval(monkeypatch):
     # j is the rank in the whole spectrum, and no rank outside [s, t] is solved
     assert len(solved) == 1
     assert [r.j for r in report.rows] == list(solved[0])
+
+
+def decay_fit_reference(vector, center_idx):
+    """One column's decay rate by np.polyfit, as localize fitted it column by
+    column before the batched fit."""
+    amp = np.abs(vector)
+    dist = np.abs(np.arange(len(amp)) - center_idx).astype(float)
+    reach = float(np.max(dist))
+    keep = (
+        (dist >= max(10.0, 0.2 * reach))
+        & (dist <= min(0.8 * reach, reach - 5.0))
+        & (amp > 0.0)
+    )
+    if np.count_nonzero(keep) < 2:
+        return 0.0
+    slope = np.polyfit(dist[keep], np.log(amp[keep]), 1)[0]
+    return float(-slope)
+
+
+def check_against_reference(vectors, centers):
+    rates = experiments._decay_rates(vectors, centers)
+    assert rates.shape == (vectors.shape[1],)
+    for i, center in enumerate(centers.tolist()):
+        assert abs(rates[i] - decay_fit_reference(vectors[:, i], center)) <= 1e-12
+    return rates
+
+
+@pytest.mark.parametrize("name", ["localize_bumps", "localize_bernoulli"])
+def test_batched_decay_fit_equals_the_per_column_fit(monkeypatch, name):
+    from anderson_lab.cli import scenario_from_config
+
+    fits = []
+    batched = experiments._decay_rates
+
+    def spy(vectors, centers):
+        fits.append((vectors, centers))
+        return batched(vectors, centers)
+
+    monkeypatch.setattr(experiments, "_decay_rates", spy)
+    config_dir = Path(__file__).resolve().parent.parent / "configs"
+    config = json.loads((config_dir / f"{name}.json").read_text())
+    report = run_localization(scenario_from_config(config))
+    monkeypatch.undo()
+    [(vectors, centers)] = fits
+    assert vectors.shape[1] == len(report.rows) > 10
+    per_column = [int(np.argmax(np.abs(vectors[:, i]))) for i in range(len(report.rows))]
+    assert [r.center - report.box[0] for r in report.rows] == per_column
+    rates = check_against_reference(vectors, centers)
+    assert [r.decay_rate for r in report.rows] == rates.tolist()
+
+
+def test_decay_fit_edge_cases():
+    sites = np.arange(200)
+    decaying = np.exp(-0.3 * np.abs(sites - 90.0))
+    columns = {
+        "interior": (decaying, 90),
+        "center at the left edge": (np.exp(-0.2 * sites), 0),
+        "center at the right edge": (np.exp(-0.2 * sites[::-1]), 199),
+        # exact zeros inside the fit window are left out of the fit
+        "exact zeros": (np.where(sites % 7 == 0, 0.0, decaying), 90),
+        "one kept site": (np.where(sites == 150, 1e-8, 0.0) + (sites == 90), 90),
+        "no kept site": ((sites == 90).astype(float), 90),
+    }
+    vectors = np.column_stack([v for v, _ in columns.values()])
+    centers = np.array([c for _, c in columns.values()])
+    assert np.array_equal(np.argmax(vectors, axis=0), centers)
+    rates = dict(zip(columns, check_against_reference(vectors, centers).tolist()))
+    assert rates["interior"] == pytest.approx(0.3, rel=1e-12)
+    assert rates["center at the left edge"] == pytest.approx(0.2, rel=1e-12)
+    assert rates["center at the right edge"] == pytest.approx(0.2, rel=1e-12)
+    assert rates["one kept site"] == rates["no kept site"] == 0.0
+    # kept sites all at one distance give no slope either
+    mirror = np.where(np.abs(sites - 100) == 40, 1e-5, 0.0) + (sites == 100)
+    assert experiments._decay_rates(mirror[:, None], np.array([100])).tolist() == [0.0]
+
+
+def crafted_lanes(codes):
+    """Regularity lanes from codes: 0 regular, 1 singular, 2 resonant."""
+    codes = np.asarray(codes)
+    ones = np.ones((2, *codes.shape))
+    return RegularityLanes(GreenLanes(ones, -ones, codes == 2), codes == 0)
+
+
+def census_reference(tested, n_grid, e_grid):
+    """Census rows, skips and counts by the per-(site, energy) scan that
+    stops at the first singular energy; ``tested[n]`` is ``(E, S)`` codes."""
+    rows, skips, counts = [], [], {}
+    for n in n_grid:
+        sites = (2 * n, 2 * n + 1, -2 * n, -(2 * n + 1))
+        codes = tested[n].T
+        count = 0
+        for i, site in enumerate(sites):
+            singular = False
+            for k, e in enumerate(e_grid):
+                if codes[i, k] == 2:
+                    skips.append((int(n), site, e))
+                elif codes[i, k] == 1:
+                    singular = True
+                    break
+            rows.append((int(n), site, "singular" if singular else "regular"))
+            count += singular
+        counts[int(n)] = count
+    return tuple(rows), tuple(skips), counts
+
+
+def test_census_verdicts_equal_the_per_energy_scan(monkeypatch):
+    sc = scenario(kind="census", n_grid=(10, 20, 40), gamma_n=40, gamma_samples=4)
+    energies = len(sc.e_grid)
+    rng = np.random.default_rng(5)
+    # columns are the sites 2n, 2n+1, -2n, -(2n+1); rows are the energies
+    first = np.zeros((energies, 4), dtype=int)
+    first[:, 0] = [2, 2, 1, 2] + [0] * (energies - 4)  # resonant before and after a singular one
+    first[:, 1] = [1, 2, 2] + [0] * (energies - 3)  # singular first, resonant after
+    first[:, 2] = 2  # all resonant
+    first[:, 3] = 0  # all regular
+    second = rng.choice(3, (energies, 4), p=(0.5, 0.2, 0.3))
+    tested = {10: first, 20: second, 40: np.zeros_like(first)}
+
+    def fake(window, sites, radius, rate, energy):
+        assert np.shape(rate) == np.shape(energy) == (energies, 1)
+        assert tuple(sites) == (2 * radius, 2 * radius + 1, -2 * radius, -(2 * radius + 1))
+        return crafted_lanes(tested[radius])
+
+    monkeypatch.setattr(experiments, "classify_regularity", fake)
+    report = singularity_census(sc)
+    rows, skips, counts = census_reference(tested, sc.n_grid, sc.e_grid)
+    assert report.rows == rows
+    assert report.skips == skips
+    assert report.counts == counts
+    assert report.zero_from == 40
+    e = sc.e_grid
+    assert report.skips[:3] == ((10, 20, e[0]), (10, 20, e[1]), (10, -20, e[0]))
+    assert report.rows[:4] == (
+        (10, 20, "singular"), (10, 21, "singular"), (10, -20, "regular"), (10, -21, "regular"),
+    )
+
+
+def test_localization_verdicts_equal_the_per_row_scan(monkeypatch):
+    sc = scenario(gamma_n=40, gamma_samples=4)
+    rng = np.random.default_rng(6)
+    tested = {}
+
+    def fake(window, sites, radius, rate, energy):
+        rows = len(rate)
+        assert np.shape(rate) == np.shape(energy) == (rows, 1)
+        assert tuple(sites) == (2 * radius, 2 * radius + 1)
+        codes = rng.choice(3, (rows, 2), p=(0.5, 0.3, 0.2))
+        # row 0: resonant at the first radius, singular after; row 1: singular
+        # at the first radius, resonant after; row 2 all resonant; row 3 all regular
+        first = radius == sc.n_grid[0]
+        codes[0] = (2, 2) if first else (1, 0)
+        codes[1] = (1, 1) if first else (2, 0)
+        codes[2], codes[3] = (2, 2), (0, 0)
+        tested[radius] = codes
+        return crafted_lanes(codes)
+
+    monkeypatch.setattr(experiments, "classify_regularity", fake)
+    report = run_localization(sc)
+    assert len(report.rows) > 4
+    largest, skips = [], []
+    for i, row in enumerate(report.rows):
+        singular = None
+        for n in sc.n_grid:
+            for k, site in enumerate((2 * n, 2 * n + 1)):
+                if tested[n][i, k] == 2:
+                    skips.append((row.j, int(n), site))
+                elif tested[n][i, k] == 1:
+                    singular = max(singular or 0, int(n))
+        largest.append(singular)
+    assert [r.largest_singular_n for r in report.rows] == largest
+    assert report.skips == tuple(skips)
+    assert largest[:4] == [max(sc.n_grid), sc.n_grid[0], None, None]
+    summary = report.to_table().summary
+    assert summary["resonant_skips"] == len(skips)
+    assert summary["largest_singular_n"] == max(n for n in largest if n is not None)
 
 
 # ---------------------------------------------------------------------------

@@ -750,6 +750,13 @@ def test_condition_report_bumps_split_the_conditions():
     )
 
 
+def test_condition_grid_equals_the_unique_geometric_grid():
+    for n_max in (*range(1, 300), 1000, 4096, 20_000):
+        grid = np.geomspace(1, n_max, num=min(n_max, 96)).astype(int)
+        report = condition_report(Identity(), n_max, 0)
+        np.testing.assert_array_equal(report.n_grid, np.unique(grid))
+
+
 def test_condition_verdicts_respect_implication_order():
     strength = {VERDICT_VIOLATED: 0, "inconclusive": 1, VERDICT_HOLDS: 2}
     schedules = [
