@@ -3,7 +3,7 @@
 Run after an intentional change to sampling or numerics, compare the output
 against the pinned constants (config ``expected`` blocks, the constants at
 the top of tests/test_estimators.py, the smoke-size verdicts and localize
-digest of tests/test_experiments.py, the eigensolve digests of
+digests of tests/test_experiments.py, the eigensolve digests of
 tests/test_spectral.py, the table-step digests of tests/test_transfer.py and
 the CSV digests of configs/csv.sha256), and update them deliberately.
 """
@@ -112,9 +112,12 @@ for stem in ("census_bumps", "localize_bumps"):
         report = run_localization(scenario)
         singular = [r.largest_singular_n for r in report.rows]
         print(f"smoke {stem}: largest_singular_n={run_lengths(singular)} skips={report.skips!r}")
-        names = ("j", "eigenvalue", "decay_rate", "center")
-        columns = ([getattr(r, c) for r in report.rows] for c in names)
-        print(f"smoke {stem}: sha256 of {', '.join(names)}={sha256(*columns)}")
+        # the verdicts apart from decay_rate, which reads the eigensolver's
+        # round-off; None in largest_singular_n digests as NaN
+        verdicts = ("j", "eigenvalue", "center", "passed", "largest_singular_n")
+        for names in (verdicts, ("decay_rate",)):
+            columns = ([getattr(r, c) for r in report.rows] for c in names)
+            print(f"smoke {stem}: sha256 of {', '.join(names)}={sha256(*columns)}")
 
 # Eigensolve digests pinned in tests/test_spectral.py
 # (test_eigensolve_bytes_are_pinned): a 400-site Bernoulli box, a box of two

@@ -6,14 +6,19 @@ counts: the LDL^T pivots of ``T - shift`` run unclamped over blocks of
 sites, two ufunc calls per site, and only lanes that met a pivot below the
 smallest normal float are counted again by the clamped recurrence, so each
 count is the clamped one bit for bit; one count call serves two bisection
-rounds.  Eigenvectors come from inverse iteration through one numpy LU of
-``T - shift`` over eigenvalue lanes, pivoted as in LAPACK ``dgttrf`` (an
-exactly zero last pivot becomes ``eps * scale``) and solved with in-place
-ufuncs on kept rows; both are deterministic for fixed input regardless of
-scheduling, and a lane's result does not depend on the other lanes.  So a
-0-based range of ranks, as LAPACK ``dstebz``/``dstein`` take with
-``RANGE='I'``, is solved alone and gives its slice of the full solve bit
-for bit.  Green's
+rounds.  The eigenvector of an isolated eigenvalue comes from twisted LDL^T
+factorizations of ``T - shift`` over eigenvalue lanes (Parlett & Dhillon
+1997; Dhillon & Parlett 2004): a forward and a backward pivot sweep, the
+twist where ``|gamma|`` is smallest, and one running product per side, once
+at the bisected value and once at that vector's Rayleigh quotient.  The
+members of a cluster of close eigenvalues keep inverse iteration through
+one numpy LU of ``T - shift`` over eigenvalue lanes, pivoted as in LAPACK
+``dgttrf`` (an exactly zero last pivot becomes ``eps * scale``) and solved
+with in-place ufuncs on kept rows.  All are deterministic for fixed input
+regardless of scheduling, and a lane's result does not depend on the other
+lanes.  So a 0-based range of ranks, as LAPACK ``dstebz``/``dstein`` take
+with ``RANGE='I'``, is solved alone and gives its slice of the full solve
+bit for bit.  Green's
 functions come from the determinant-ratio formula or a solve through the
 same LU.  The module also provides the regularity classification of a site,
 interior reconstruction from boundary data, and the eigenfunction-correlator
@@ -42,7 +47,8 @@ from .transfer import NEG_INF, SignedLog, det_recurrence, interval_det
 EIGENVALUE_TOL_FACTOR = 1e-10
 RESIDUAL_TOL_FACTOR = 1e-8
 #: eigenvalues closer than this (times the box scale) are treated as a
-#: cluster and their inverse-iteration vectors reorthogonalized
+#: cluster, whose vectors come from reorthogonalized inverse iteration
+#: instead of twisted factorizations
 CLUSTER_GAP_FACTOR = 1e-6
 
 _PIVMIN = np.finfo(float).tiny
@@ -140,14 +146,22 @@ class Correlator:
 # eigenvalues: Sturm-count bisection on the determinant recurrence
 # ---------------------------------------------------------------------------
 
+def _clamped_pivots(rows):
+    """The LDL^T pivots ``q_i = rows_i - 1 / q_{i-1}`` from ``q_{-1} = inf``,
+    one row of the diagonal of ``T - shift`` at a time, with every pivot
+    below ``_PIVMIN`` in magnitude replaced by ``-_PIVMIN``."""
+    q = np.inf
+    for row in rows:
+        q = row - 1.0 / q
+        np.copyto(q, -_PIVMIN, where=np.abs(q) < _PIVMIN)
+        yield q
+
+
 def _clamped_counts(diagonal: np.ndarray, shifts: np.ndarray) -> np.ndarray:
     """The LDL^T sign count of :func:`sturm_counts`, one site at a time, with
-    every pivot below ``_PIVMIN`` in magnitude replaced by ``-_PIVMIN``."""
-    q = np.full(shifts.shape, np.inf)
+    the pivots of :func:`_clamped_pivots`."""
     count = np.zeros(shifts.shape, dtype=np.int64)
-    for v in diagonal:
-        q = (v - shifts) - 1.0 / q
-        np.copyto(q, -_PIVMIN, where=np.abs(q) < _PIVMIN)
+    for q in _clamped_pivots(v - shifts for v in diagonal):
         count += q < 0
     return count
 
@@ -323,6 +337,80 @@ def _column_norms(w: np.ndarray) -> np.ndarray:
     return np.sqrt(np.add.reduce(squares, axis=0)[: w.shape[1]])
 
 
+def _sign_and_check(box: TridiagonalBox, vectors: np.ndarray, values: np.ndarray, residual, method):
+    """Make each column's largest-magnitude entry positive (the residuals do
+    not change), and raise when a residual exceeds
+    ``RESIDUAL_TOL_FACTOR * scale``, naming ``method``."""
+    peaks = np.argmax(np.abs(vectors), axis=0)
+    vectors *= np.sign(vectors[peaks, np.arange(len(values))])
+    tol = RESIDUAL_TOL_FACTOR * box.scale
+    for value, r in zip(values.tolist(), residual):
+        if not r <= tol:
+            raise RuntimeError(f"{method} did not converge at {value!r}: residual {r:.3e}")
+
+
+def _pivot_sweeps(rows: np.ndarray) -> np.ndarray:
+    """The pivots of :func:`_clamped_pivots` for site-major ``rows``, every
+    lane at once.  They run unclamped, two in-place ufuncs per site, and
+    only the lanes that met a pivot below ``_PIVMIN`` are swept again by the
+    clamped recurrence, so every pivot is the clamped one bit for bit."""
+    q = np.empty_like(rows)
+    inverse = np.zeros(rows.shape[1:])  # 1 / q_{-1}
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        for row, pivot in zip(rows, q):
+            np.subtract(row, inverse, pivot)
+            np.divide(1.0, pivot, inverse)
+    tiny = np.logical_or.reduce(np.abs(q) < _PIVMIN, axis=0)
+    if tiny.any():
+        lanes = (slice(None),) + np.nonzero(tiny)
+        q[lanes] = np.stack(list(_clamped_pivots(rows[lanes])))
+    return q
+
+
+def _twisted_solve(diagonal: np.ndarray, shifts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """One twisted factorization of ``T - shift`` per lane: the solution of
+    ``(T - shift) z = gamma_r e_r`` with ``z_r = 1``, and ``gamma_r``.
+
+    A forward sweep gives the pivots ``D+`` and a backward one ``D-``;
+    ``gamma_i = D+_i + D-_i - (v_i - shift)`` is ``1 / ((T - shift)^-1)_ii``,
+    and the twist ``r`` is the site of the smallest ``|gamma_i|``.  Below
+    ``r``, ``z_i = -z_{i+1} / D+_i``, above it ``z_i = -z_{i-1} / D-_i``:
+    each side is one running product along the sites.
+    """
+    # the backward sweep runs as a second row of lanes, in reversed site order
+    rows = np.stack((diagonal, diagonal[::-1]), axis=1)[:, :, None] - shifts
+    pivots = _pivot_sweeps(rows)
+    plus, minus = pivots[:, 0], pivots[::-1, 1]
+    gamma = plus + minus - rows[:, 0]
+    twist = np.argmin(np.abs(gamma), axis=0)
+    sites = np.arange(len(diagonal))[:, None]
+    below = np.where(sites < twist, -1.0 / plus, 1.0)
+    above = np.where(sites > twist, -1.0 / minus, 1.0)
+    z = np.cumprod(below[::-1], axis=0)[::-1] * np.cumprod(above, axis=0)
+    return z, gamma[twist, np.arange(len(shifts))]
+
+
+def _twisted_vectors(box: TridiagonalBox, values: np.ndarray) -> np.ndarray:
+    """Unit eigenvectors of isolated eigenvalues (one column per value) from
+    twisted factorizations, with no inverse iteration.
+
+    The first sweep is at the value itself.  Its vector ``z`` has the
+    Rayleigh quotient ``value + gamma_r / |z|^2``, a shift far closer to the
+    eigenvalue than the bisected value, and the second sweep, at that
+    shift, gives the vector; a bisected value alone leaves errors of order
+    1e-8 in the vector.  The residual is taken against ``values``, and the
+    sign makes each largest-magnitude entry positive.  Every operation acts
+    on each lane alone, so a lane's vector is the same whichever lanes
+    share its call.
+    """
+    z, gamma = _twisted_solve(box.diagonal, values)
+    z, _ = _twisted_solve(box.diagonal, values + gamma / _column_norms(z) ** 2)
+    vectors = z / _column_norms(z)
+    residual = _column_norms(box.matvec(vectors) - vectors * values)
+    _sign_and_check(box, vectors, values, residual, "the twisted factorization")
+    return vectors
+
+
 def _inverse_iteration(box: TridiagonalBox, values: np.ndarray, against=()) -> tuple:
     """Inverse-iteration vectors (one column per value) and their residuals.
 
@@ -354,11 +442,7 @@ def _inverse_iteration(box: TridiagonalBox, values: np.ndarray, against=()) -> t
         if not active.all():  # gather the factor columns of the lanes left
             lanes = lanes[active]
             factors = tuple(f[:, active] for f in factors)
-    peaks = np.argmax(np.abs(vectors), axis=0)
-    vectors *= np.sign(vectors[peaks, np.arange(len(values))])  # residuals unchanged
-    for value, r in zip(values.tolist(), residual):
-        if not r <= RESIDUAL_TOL_FACTOR * scale:
-            raise RuntimeError(f"inverse iteration did not converge at {value!r}: residual {r:.3e}")
+    _sign_and_check(box, vectors, values, residual, "inverse iteration")
     return vectors, residual
 
 
@@ -367,11 +451,12 @@ def eigenvector(
 ) -> EigenPair:
     """Inverse iteration at a shift within ~1e-6 of a true eigenvalue.
 
-    The one-lane case of the tridiagonal LU behind :func:`eigenpairs`, so an
-    exactly singular shift leaves a zero last pivot, which becomes
-    ``eps * scale``.  The sign makes the largest-magnitude entry positive.
-    Vectors in ``orthogonalize_against`` are projected out on every
-    iteration (used for near-degenerate clusters).
+    The one-lane case of the tridiagonal LU behind the cluster members of
+    :func:`eigenpairs`, so an exactly singular shift leaves a zero last
+    pivot, which becomes ``eps * scale``.  The sign makes the
+    largest-magnitude entry positive.  Vectors in ``orthogonalize_against``
+    are projected out on every iteration (used for near-degenerate
+    clusters).
     """
     vectors, residual = _inverse_iteration(box, np.array([value], float), orthogonalize_against)
     return EigenPair(float(value), vectors[:, 0], float(residual[0]))
@@ -379,31 +464,47 @@ def eigenvector(
 
 def eigenpairs(box: TridiagonalBox, ranks: range | None = None) -> tuple[np.ndarray, np.ndarray]:
     """Ascending eigenvalues of 0-based ``ranks`` (all of them by default)
-    and their eigenvectors, one per column, from one tridiagonal LU over
-    eigenvalue lanes.  A value within ``CLUSTER_GAP_FACTOR * scale`` of its
-    predecessor continues a cluster; such members are redone one at a time
+    and their eigenvectors, one per column.
+
+    A value within ``CLUSTER_GAP_FACTOR * scale`` of a neighbour belongs to
+    a cluster.  An isolated value gets its vector from two twisted
+    factorizations over eigenvalue lanes (:func:`_twisted_vectors`); the
+    returned values stay the bisection midpoints.  Twisted vectors of
+    values that close are not orthogonal to round-off, so a cluster keeps
+    inverse iteration: its first members (heads) share one tridiagonal LU
+    over eigenvalue lanes, and the later members are redone one at a time
     in rank order, orthogonalized against the earlier members of their
     cluster.
 
     A range returns its slice of the full call bit for bit: a lane's vector
-    does not depend on the other lanes, and when the lowest rank continues a
-    cluster the ranks below it are bisected one at a time down to the
-    cluster's first member, whose vectors the later members need."""
+    does not depend on the other lanes; the rank above the range is
+    bisected too, to tell a cluster head at the top from an isolated value;
+    and when the lowest rank continues a cluster the ranks below it are
+    bisected one at a time down to the cluster's first member, whose
+    vectors the later members need."""
     ranks = _rank_range(box, ranks)
     if not ranks:
         return np.empty(0), np.empty((box.dim, 0))
     gap = CLUSTER_GAP_FACTOR * box.scale
-    # values[0] is the rank below the lowest one solved, while there is one
-    head = ranks.start
-    values = eigenvalues(box, range(max(head - 1, 0), ranks.stop))
+    # values[0] is the rank below the lowest one solved and values[-1] the
+    # rank above the highest one, while there are such ranks
+    head, top = ranks.start, min(ranks.stop + 1, box.dim)
+    values = eigenvalues(box, range(max(head - 1, 0), top))
     while head > 0 and values[1] - values[0] < gap:
         head -= 1
         values = np.concatenate((eigenvalues(box, range(max(head - 1, 0), head)), values))
-    values = values[int(head > 0) :]
-    follows = np.concatenate(([False], np.diff(values) < gap))
+    close = np.diff(values) < gap
+    keep = slice(int(head > 0), len(values) - (top - ranks.stop))
+    follows = np.concatenate(([False], close))[keep]
+    leads = np.concatenate((close, [False]))[keep]
+    values = values[keep]
     first = np.maximum.accumulate(np.where(follows, 0, np.arange(len(values))))
     vectors = np.empty((box.dim, len(values)))
-    vectors[:, ~follows] = _inverse_iteration(box, values[~follows])[0]
+    isolated = ~(follows | leads)
+    vectors[:, isolated] = _twisted_vectors(box, values[isolated])
+    heads = leads & ~follows
+    if heads.any():
+        vectors[:, heads] = _inverse_iteration(box, values[heads])[0]
     for j in np.flatnonzero(follows):
         against = tuple(vectors[:, i] for i in range(j - 1, first[j] - 1, -1))
         vectors[:, j] = eigenvector(box, values[j], orthogonalize_against=against).vector
@@ -435,7 +536,7 @@ def green(box: TridiagonalBox, energy, x: int, y, method: str = "det_ratio"):
 
     ``det_ratio`` evaluates the quotient of truncated determinants in scaled
     arithmetic (empty intervals count as 1); ``direct_solve`` solves the
-    linear system through the pivoted tridiagonal LU of :func:`eigenpairs`.
+    linear system through the pivoted tridiagonal LU of :func:`eigenvector`.
     Energies within round-off of the spectrum raise :class:`ResonantEnergyError`.
 
     Lanes (potential columns in the box, an array of energies broadcast

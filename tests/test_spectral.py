@@ -85,16 +85,17 @@ def test_sturm_count_equals_dimension_above_spectrum():
 
 
 def _clamped_reference(diagonal, shifts):
-    # the LDL^T sign count one site at a time, every pivot below the smallest
-    # normal float in magnitude clamped to -tiny: the counts to match bit for bit
+    # the LDL^T pivots one site at a time, every pivot below the smallest
+    # normal float in magnitude clamped to -tiny: the pivots, and the counts
+    # of negative ones, to match bit for bit
     tiny = np.finfo(float).tiny
     q = np.full(shifts.shape, np.inf)
-    count = np.zeros(shifts.shape, dtype=np.int64)
+    pivots = []
     for v in diagonal:
         q = (v - shifts) - 1.0 / q
         np.copyto(q, -tiny, where=np.abs(q) < tiny)
-        count += q < 0
-    return count
+        pivots.append(q)
+    return np.stack(pivots)
 
 
 def _sturm_cases():
@@ -129,7 +130,7 @@ def test_sturm_counts_match_the_clamped_recurrence_bit_for_bit(monkeypatch):
     monkeypatch.setattr(spectral, "_clamped_counts", spy)
     for name, (diagonal, shifts) in _sturm_cases().items():
         got = sturm_counts(diagonal, shifts)
-        want = _clamped_reference(diagonal, shifts)
+        want = np.count_nonzero(_clamped_reference(diagonal, shifts) < 0, axis=0)
         assert got.shape == want.shape, name
         assert np.array_equal(got, want), name
     assert set(recounted) == {"zero diagonal", "+-1 diagonal", "subnormal pivot", "some lanes clamp", "green layout"}
@@ -137,6 +138,12 @@ def test_sturm_counts_match_the_clamped_recurrence_bit_for_bit(monkeypatch):
     # column at both of its shifts
     assert recounted["some lanes clamp"] == 2
     assert recounted["green layout"] < 2 * 6 * 3
+
+
+def test_pivot_sweeps_match_the_clamped_recurrence_bit_for_bit():
+    for name, (diagonal, shifts) in _sturm_cases().items():
+        got = spectral._pivot_sweeps(np.stack([v - shifts for v in diagonal]))
+        assert np.array_equal(got, _clamped_reference(diagonal, shifts), equal_nan=True), name
 
 
 def test_gershgorin_contains_the_spectrum():
@@ -236,6 +243,78 @@ def test_cluster_members_get_the_sequential_pass(monkeypatch):
     assert np.max(np.abs(vectors.T @ vectors - np.eye(box.dim))) <= 1e-12
 
 
+def _clusters(values, box):
+    """Which values have a neighbour within the cluster gap."""
+    close = np.diff(values) < CLUSTER_GAP_FACTOR * box.scale
+    return np.concatenate(([False], close)) | np.concatenate((close, [False]))
+
+
+def _assert_matches_dense(box, values, vectors):
+    want_values, want = np.linalg.eigh(box.dense())
+    assert np.max(np.abs(values - want_values)) < 1e-8
+    want *= np.sign(np.sum(want * vectors, axis=0))
+    assert np.max(np.abs(vectors - want)) < 1e-6
+    assert np.max(np.abs(vectors.T @ vectors - np.eye(box.dim))) <= 1e-12
+
+
+def test_isolated_vectors_match_the_dense_solver():
+    rng = np.random.default_rng(223)
+    for kind in ("bernoulli", "uniform"):
+        for n in (2, 3, 9, 40, 120):
+            box = random_box(rng, n, kind=kind)
+            values, vectors = eigenpairs(box)
+            assert not _clusters(values, box).any()
+            _assert_matches_dense(box, values, vectors)
+
+
+def test_isolated_vectors_survive_exactly_zero_pivots(monkeypatch):
+    # at the exact eigenvalues 0 and 1 of these free boxes the forward and
+    # backward sweeps meet exactly zero pivots, which are clamped to -tiny
+    tiny = np.finfo(float).tiny
+    monkeypatch.setattr(spectral, "eigenvalues", lambda box, ranks: exact[ranks.start : ranks.stop])
+    for n in (5, 17, 101):  # 6 divides n + 1, so 1 = 2 cos(pi / 3) is an eigenvalue
+        box = box_from(np.zeros(n))
+        exact = 2 * np.cos(np.arange(n, 0, -1) * np.pi / (n + 1))
+        exact[n // 2], exact[(2 * n - 1) // 3] = 0.0, 1.0
+        for shift in (0.0, 1.0):
+            rows = np.stack((box.diagonal, box.diagonal[::-1]), axis=1)[:, :, None] - shift
+            assert np.any(spectral._pivot_sweeps(rows) == -tiny), (n, shift)
+        values, vectors = eigenpairs(box)
+        assert not _clusters(values, box).any()
+        _assert_matches_dense(box, values, vectors)
+
+
+def test_only_cluster_lanes_reach_inverse_iteration(monkeypatch):
+    solved = []
+
+    def spy(box, values, against=()):
+        solved.append(values.copy())
+        return inverse_iteration(box, values, against)
+
+    inverse_iteration = spectral._inverse_iteration
+    monkeypatch.setattr(spectral, "_inverse_iteration", spy)
+    rng = np.random.default_rng(224)
+    box = random_box(rng, 400, kind="bernoulli")
+    values, _ = eigenpairs(box)
+    assert not _clusters(values, box).any() and solved == []
+    box = _spike_box()
+    values, _ = eigenpairs(box)
+    clustered = _clusters(values, box)
+    assert np.count_nonzero(~clustered) == 1  # the barrier's eigenvalue
+    # the 20 cluster heads in one batch, then each follower alone
+    assert [len(v) for v in solved] == [20] + [1] * 20
+    assert np.array_equal(np.sort(np.concatenate(solved)), values[clustered])
+
+
+def test_a_bad_shift_still_raises_the_residual_error(monkeypatch):
+    box = random_box(np.random.default_rng(225), 50)
+    bisected = spectral.eigenvalues
+    offset = 1e-5 * box.scale
+    monkeypatch.setattr(spectral, "eigenvalues", lambda box, ranks: bisected(box, ranks) + offset)
+    with pytest.raises(RuntimeError, match="twisted factorization did not converge"):
+        eigenpairs(box, range(10, 20))
+
+
 def _sha256(*arrays):
     digest = hashlib.sha256()
     for a in arrays:
@@ -244,18 +323,19 @@ def _sha256(*arrays):
 
 
 def test_eigensolve_bytes_are_pinned():
-    # digests of the solver's output before its loops ran as in-place ufuncs;
-    # the cluster digests since column norms are summed row by row for one
-    # lane too.  localize's decay_rate is ill-conditioned in the eigenvector,
-    # so a drift at round-off can flip a verdict.  They hold for one BLAS
-    # build: the start vector's norm and the cluster projection are dot
-    # products.  Regenerate with demos/regenerate_pins.py
+    # the eigenpairs digests since isolated eigenvalues take their vectors
+    # from twisted factorizations; the eigenvector digest since column norms
+    # are summed row by row for one lane too.  localize's decay_rate is
+    # ill-conditioned in the eigenvector, so a drift at round-off can flip a
+    # verdict.  They hold for one BLAS build: the start vector's norm and the
+    # cluster projection are dot products.  Regenerate with
+    # demos/regenerate_pins.py
     rng = np.random.default_rng(218)
     values, vectors = eigenpairs(box_from(np.where(rng.random(400) < 0.5, -1.0, 1.0)))
-    assert _sha256(values, vectors) == "9ee87c5b81edba8db78762d315cf3cf82e17d65958cea612edbfe66bbcbdbc64"
+    assert _sha256(values, vectors) == "778cc5ee4885c530e63ab5956d270272556be986bd06b758c839f55e1ebd64b2"
     box = _spike_box()
     values, vectors = eigenpairs(box)
-    assert _sha256(values, vectors) == "c4257bfb6741b01a02c497e565733ea33ef193ab932827a0f481202592b0f260"
+    assert _sha256(values, vectors) == "e6ce42f02f4f39e561dfa09a3b2bcfad1bd53913a8611040e9577abc1f441d9c"
     assert values[7] - values[6] < CLUSTER_GAP_FACTOR * box.scale
     pair = eigenvector(box, float(values[7]), orthogonalize_against=(vectors[:, 6],))
     assert _sha256(pair.vector, [pair.residual]) == "e77f7b9f352464a573b640fe1273cbe6ec051e1d5357d00460f2a66e778b27b8"
@@ -270,8 +350,13 @@ def test_rank_ranges_are_slices_of_the_full_solve_bit_for_bit():
         ones = [range(k, k + 1) for k in rng.integers(1, 399, 4).tolist()]
         cases.append((box, [range(180, 245), range(200, 200)] + ends + ones))
     box = _spike_box()
-    assert np.diff(eigenvalues(box))[6] < CLUSTER_GAP_FACTOR * box.scale
-    cases.append((box, [range(7, 8), range(7, 30), range(0, 41), range(41, 41)]))
+    values = eigenvalues(box)
+    assert np.diff(values)[6] < CLUSTER_GAP_FACTOR * box.scale
+    # the last two ranges end on rank 6, which heads a cluster that rank 7
+    # continues; as an isolated lane, rank 6 would get another vector
+    head = eigenpairs(box, range(6, 8))[1][:, 0]
+    assert not np.array_equal(spectral._twisted_vectors(box, values[6:7])[:, 0], head)
+    cases.append((box, [range(7, 8), range(7, 30), range(0, 41), range(41, 41), range(6, 7), range(2, 7)]))
     # three blocks: ranks 6, 7 and 8 form one cluster, so a range from rank 8
     # reaches down two ranks for the vectors it is orthogonalized against
     block = np.random.default_rng(209).uniform(-2, 2, 20)
