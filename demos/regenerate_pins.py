@@ -4,8 +4,9 @@ Run after an intentional change to sampling or numerics, compare the output
 against the pinned constants (config ``expected`` blocks, the constants at
 the top of tests/test_estimators.py, the smoke-size verdicts and localize
 digests of tests/test_experiments.py, the eigensolve digests of
-tests/test_spectral.py, the table-step digests of tests/test_transfer.py and
-the CSV digests of configs/csv.sha256), and update them deliberately.
+tests/test_spectral.py, the table-step digests of tests/test_transfer.py, the
+lift-check counts digest of tests/test_estimators.py and the CSV digests of
+configs/csv.sha256), and update them deliberately.
 """
 import hashlib
 import json
@@ -14,7 +15,7 @@ from pathlib import Path
 import numpy as np
 
 from anderson_lab.cli import COMMANDS, scenario_from_config
-from anderson_lab.estimators import lyapunov_mc
+from anderson_lab.estimators import lift_check, lyapunov_mc
 from anderson_lab.experiments import Scenario, run_localization, singularity_census
 from anderson_lab.measures import (
     BumpSchedule,
@@ -23,6 +24,7 @@ from anderson_lab.measures import (
     PotentialWindow,
     PowersOfTwoSites,
     ProductLaw,
+    UniformInterval,
 )
 from anderson_lab.rng import RngStream
 from anderson_lab.spectral import TridiagonalBox, eigenpairs, eigenvector
@@ -149,6 +151,28 @@ values = np.where(rng.random((9, 203)) < 0.5, -1.0, 1.0)
 checkpoints = (1, 13, 99, 203)
 batch = matrix_batch(0.37, values, checkpoints) + matrix_batch(energies[::4], values, checkpoints)
 print(f"matrix_batch checkpoints: sha256={sha256(*batch)}")
+
+# Lift-check counts pinned in tests/test_estimators.py
+# (test_lift_check_counts_are_pinned): a two-atom and a three-atom bump law
+# and a callable bump on a uniform base, each statistic, E in {0, 0.37, 2.5}.
+three = FiniteAtoms(atoms=((-1.0, 0.25), (0.0, 0.25), (1.0, 0.5)))
+uniform = UniformInterval(-1.0, 1.0)
+lift_laws = (
+    (BumpSchedule(sites=PowersOfTwoSites(), base=bernoulli, weights=(0.75, 0.25)), bernoulli),
+    (BumpSchedule(sites=PowersOfTwoSites(), base=three, weights=(0.5, 0.25, 0.25)), three),
+    (BumpSchedule(sites=PowersOfTwoSites(), base=uniform, density=lambda x: 1.0 + 0.5 * x,
+                  density_sup=1.5), uniform),
+)
+u, v = np.array([0.6, 0.8]), np.array([1.0, 1.0]) / np.sqrt(2.0)
+counts = []
+for seq, base in lift_laws:
+    for statistic in ("log_norm", "log_det", "matrix_element"):
+        vectors = (u, v) if statistic == "matrix_element" else (None, None)
+        for energy in (0.0, 0.37, 2.5):
+            report = lift_check(seq, base, energy, 0.1, [3, 8, 20, 45], 400, RngStream(2401),
+                                statistic, u=vectors[0], v=vectors[1])
+            counts += [report.counts_exact, report.counts_approx]
+print(f"lift_check counts sweep: sha256={sha256(*counts)}")
 
 # Every metric named in a config ``expected`` block, and the sha256 of every
 # config's CSV, at the config's own seed.

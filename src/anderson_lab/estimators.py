@@ -10,12 +10,13 @@ correlated.  Likewise one draw per batch serves every energy of a
 Lyapunov estimate, energy being one more lane axis of the kernel, so
 estimates across an energy grid are correlated too.  The lifting check
 draws once per batch from ``stream.child(1)`` for both product laws: the
-base block is the exact law's windows, the redrawn perturbed columns make
-the approximate law's, and one restarting kernel pass per half serves
-both, so the two laws' counts are correlated as well; both tail curves run
-one pipeline, counting every law off a leading law axis.  Statistical
-tolerances follow one rule throughout: three combined standard errors,
-with a Wilson-adjusted estimate substituted when a tail count is below ten.
+base block is the exact law's windows, and the same block with the
+perturbed columns redrawn is the approximate law's; one plain kernel pass
+per law reads them, so the two laws' counts are correlated as well.  Both
+tail curves run one pipeline, counting every law off a leading law axis.
+Statistical tolerances follow one rule throughout: three combined standard
+errors, with a Wilson-adjusted estimate substituted when a tail count is
+below ten.
 """
 from __future__ import annotations
 
@@ -112,8 +113,9 @@ def _kernel_windows(law: ProductLaw, lo: int, hi: int, count: int, stream: RngSt
                     coupled: bool = False):
     """The windows of :func:`sample_windows` in the form the transfer kernels
     read: for a base of at most two atoms, the draw's atom indices with the
-    atoms (:class:`AtomWindows`, also for the redrawn columns of a coupled
-    draw), so no block of values is formed; the values for any other law."""
+    atoms (:class:`AtomWindows`), so no block of values is formed; the values
+    for any other law.  The redrawn columns of a coupled draw come as the
+    sampler drew them, indices or values, to be written into the block."""
     base = law.base
     if not (isinstance(base, FiniteAtoms) and len(base.atoms) <= 2):
         return sample_windows(law, lo, hi, count, stream, coupled=coupled)
@@ -121,7 +123,7 @@ def _kernel_windows(law: ProductLaw, lo: int, hi: int, count: int, stream: RngSt
     if not coupled:
         return AtomWindows(drawn, base.locations)
     codes, sites, columns = drawn
-    return AtomWindows(codes, base.locations), sites, AtomWindows(columns, base.locations)
+    return AtomWindows(codes, base.locations), sites, columns
 
 
 # ---------------------------------------------------------------------------
@@ -506,10 +508,12 @@ def lift_check(
     ``stream.child(1).child(b)`` for both laws: the base block is the
     exact-law windows, and the same block with the perturbed columns redrawn
     after it is the approximate-law windows (``sample_windows(...,
-    coupled=True)``), so both marginals are exact.  One :func:`centered_batch`
-    call composes both laws' products (law 0 exact, law 1 approximate, on a
-    leading law axis) from one pass over each half, and one statistic call
-    counts both.  The counts are therefore positively correlated, and
+    coupled=True)``), so both marginals are exact.  Each law takes one plain
+    :func:`centered_batch` call: law 0 on the base block as drawn, law 1 on
+    the same block once the redrawn columns are written into it.  The two
+    results are stacked on a leading law axis (law 0 exact, law 1
+    approximate), and one statistic call counts both.  The counts are
+    therefore positively correlated, and
     ``se_log``, which adds the two relative variances as if they were
     independent, overstates the error of ``log p0 - log p1``.
     """
@@ -519,7 +523,10 @@ def lift_check(
     def draw(grid: np.ndarray, batch: RngStream, size: int):  # both laws, from one draw
         n_max = int(grid[-1])
         wins, sites, columns = _kernel_windows(law_approx, -n_max, n_max, size, batch, coupled=True)
-        return centered_batch(energy, wins, grid, sites, columns)
+        exact = centered_batch(energy, wins, grid)
+        block = wins.codes if isinstance(wins, AtomWindows) else wins
+        block[:, [n_max + k for k in sites]] = columns  # now the approximate law's windows
+        return tuple(np.stack(laws) for laws in zip(exact, centered_batch(energy, wins, grid)))
 
     grid, (counts_exact, counts_approx), gamma, gamma_stderr, eps_eff = _tail_curve(
         law_exact, draw, energy, epsilon, n_grid, samples, stream, statistic, u, v, rate_power,

@@ -35,20 +35,15 @@ craig-simon's :class:`~anderson_lab.measures.PotentialWindow`) that hold at
 most two values become atom windows first (:func:`_atom_windows`), so one
 packer, :func:`numpy.packbits` over the atom indices, serves both.  The
 table steps are aligned at multiples of eight sites from the start of the
-pass or the last restart, and a read between two steps finishes with
-one-site steps into scratch rows, so a read at site count ``k`` equals, bit
-for bit, a pass that ends at ``k``.  A guarded determinant pass, a batch with a third or a
+pass, and a read between two steps finishes with one-site steps into
+scratch rows, so a read at site count ``k`` equals, bit for bit, a pass that
+ends at ``k``.  A guarded determinant pass, a batch with a third or a
 non-finite value, and a step that could grow the rows past the headroom keep
 the one-site step.  The two steps associate the products differently, so
 they agree to round-off, not bit for bit.
 
 The centered windows ``[-n, n]`` of a whole radius grid come from one pass
-over each half of the largest window.  A pass may also restart:
-after given site counts its rows go back to the identity, so its marks hold
-the segments between those sites.  Two laws that differ only there (the
-exact and the perturbed product law) share the segments, and compose their
-products from them and their own one-step factors at the restart sites in
-one set of numpy calls, the law being a leading lane axis.  Values in
+over each half of the largest window (:func:`centered_batch`).  Values in
 ``[1, 2)`` times ``V - E`` overflow once ``|V - E|`` reaches
 :data:`MAGNITUDE_LIMIT` (``2**1023``), so the kernel raises a ValueError
 naming the first site where a finite potential does.
@@ -148,15 +143,26 @@ def _rescale(pair: np.ndarray, shift: np.ndarray) -> None:
     shift += exponent
 
 
+class _MagnitudeError(ValueError):
+    """A finite potential ``value`` at ``site`` of a window puts ``|V - E|``
+    at or above :data:`MAGNITUDE_LIMIT`; the site is kept so that
+    :func:`centered_batch` can name it on the lattice."""
+
+    def __init__(self, site: int, value: float) -> None:
+        super().__init__(
+            f"|V - E| must stay below 2**1023 (MAGNITUDE_LIMIT): site {site} "
+            f"of the window has V = {value!r}"
+        )
+        self.site, self.value = site, value
+
+
 def _check_magnitude(d: np.ndarray, values: np.ndarray, first: int) -> None:
     """Raise at the first site of a site-major block (site ``first`` on) whose
     finite potential puts ``|V - E|`` at or above :data:`MAGNITUDE_LIMIT`."""
     at = np.argwhere((np.abs(d) >= MAGNITUDE_LIMIT) & np.isfinite(values))
     if len(at):
-        v = float(np.broadcast_to(values, d.shape)[tuple(at[0])])
-        raise ValueError(
-            f"|V - E| must stay below 2**1023 (MAGNITUDE_LIMIT): site {first + at[0][0]} "
-            f"of the window has V = {v!r}"
+        raise _MagnitudeError(
+            first + int(at[0][0]), float(np.broadcast_to(values, d.shape)[tuple(at[0])])
         )
 
 
@@ -441,10 +447,7 @@ def block_identity_check(energy: complex | float, window) -> float:
 # batched drivers (vectorized across windows, sequential across sites)
 # ---------------------------------------------------------------------------
 
-def _propagate(
-    energy, windows: np.ndarray, columns: int, marks: list[int], guard: bool = False,
-    restarts: tuple[int, ...] | list[int] = (),
-):
+def _propagate(energy, windows: np.ndarray, columns: int, marks: list[int], guard: bool = False):
     """The row pair after each of the ascending site counts ``marks``: the
     product applied to the first ``columns`` columns of the identity (the
     matrix for 2, the vector ``(1, 0)`` for 1).  Returns ``(pairs, shifts)``:
@@ -487,12 +490,6 @@ def _propagate(
     :data:`CANCELLATION_GUARD`, the step is recomputed in double-double
     arithmetic; the first site where a lane's value changes is patched and
     ends the stretch, so the sites after it run again.
-
-    ``restarts`` (ascending site counts in ``[1, marks[-1]]``; set by
-    :func:`centered_batch`) end a stretch each: the marks before the count
-    are copied, then the rows go back to the identity with shift 0 and full
-    headroom, so a mark holds the product over the sites after the last
-    restart before it, and a mark at a restart count reads the identity.
     """
     e = np.asarray(energy)
     dtype = complex if np.iscomplexobj(e) and np.any(e.imag != 0) else float
@@ -502,16 +499,14 @@ def _propagate(
     shifts = np.empty((len(marks),) + lanes, dtype=np.int64)
     coded = isinstance(windows, AtomWindows)
     if not guard and marks[-1] >= _TABLE_SITES:
-        bounds = sorted({0, *restarts, marks[-1]})
         atoms = windows if coded else _atom_windows(windows, marks[-1])
-        found = None if atoms is None else _packed_codes(atoms, bounds)
+        found = None if atoms is None else _packed_codes(atoms, marks[-1])
         if found is not None:
             values, codes = found
             with np.errstate(over="ignore", invalid="ignore"):
                 growth = _TABLE_SITES * float(np.log2(np.abs(np.subtract.outer(e, values)).max() + 1))
             if growth <= _HEADROOM - 1.0:
-                _table_pass(e, windows, _block_table(e, values), growth, codes, bounds,
-                            marks, restarts, pairs, shifts)
+                _table_pass(e, windows, _block_table(e, values), growth, codes, marks, pairs, shifts)
                 return pairs, shifts
     if coded:  # the one-site step reads values
         windows = windows.values
@@ -530,7 +525,7 @@ def _propagate(
     if j:
         pairs[:, :, 0], shifts[0] = rows[1::-1], 0  # the identity: mark 0
     room = _HEADROOM - 1.0  # log2 growth left to the stored rows
-    done = restart = 0  # sites run; index of the next restart
+    done = 0  # sites run
     while done < marks[-1]:
         size = min(depth, marks[-1] - done)
         block, peak = d[:size, 0], np.zeros(size)
@@ -549,8 +544,6 @@ def _propagate(
                 _rescale(rows[start : start + 2], shift)
                 room = _HEADROOM - 1.0
             stop = min(size, max(start + 1, bisect_right(reach, base + room, start)))
-            if restart < len(restarts) and restarts[restart] - done < stop:
-                stop = restarts[restart] - done
             for k in range(start, stop):
                 np.multiply(dk[k], r[k + 1], out=r[k + 2])
                 np.subtract(r[k + 2], r[k], out=r[k + 2])
@@ -568,23 +561,16 @@ def _propagate(
                         stop = start + int(np.argmax(changed)) + 1
                         rows[stop + 1] = guarded[stop - start - 1]
             room -= reach[stop - 1] - base
-            ends = restart < len(restarts) and restarts[restart] == done + stop
-            upto = bisect_right(marks, done + stop - ends, j)
+            upto = bisect_right(marks, done + stop, j)
             while j < upto:  # consecutive marks take one slice, others one each
                 end = upto if marks[upto - 1] - marks[j] == upto - 1 - j else j + 1
                 first, last = marks[j] - done, marks[end - 1] - done
                 pairs[0, :, j:end] = rows[first + 1 : last + 2].swapaxes(0, 1)
                 pairs[1, :, j:end] = rows[first : last + 1].swapaxes(0, 1)
                 shifts[j:end], j = shift, end
-            if ends:  # the identity again; a mark here is copied with the next stretch
-                rows[stop : stop + 2] = 0.0
-                rows[stop + 1, 0] = rows[stop, 1:] = 1.0
-                shift[...], room, restart = 0, _HEADROOM - 1.0, restart + 1
             start = stop
         rows[:2] = rows[size : size + 2]
         done += size
-    if j < len(marks):  # the last count restarted: its mark reads the identity
-        pairs[:, :, j], shifts[j] = rows[1::-1], 0
     return pairs, shifts
 
 
@@ -611,39 +597,36 @@ def _atom_windows(windows: np.ndarray, length: int) -> AtomWindows | None:
     return AtomWindows(codes.view(np.uint8), np.array([first, other] if count else [first]))
 
 
-def _packed_codes(windows: AtomWindows, bounds: list[int]):
+def _packed_codes(windows: AtomWindows, length: int):
     """The two values of :class:`AtomWindows` and the codes of their table
-    steps: steps run from the start of each segment ``[bounds[i], bounds[i +
-    1])``, :data:`_TABLE_SITES` sites each, a segment's codes have shape
-    ``(steps, *rows)``, and bit ``s`` of a code is the atom index at the
-    step's site ``s``.  The values are the atoms the first ``bounds[-1]``
-    sites hold (one atom given twice if they hold one), so the headroom test
-    reads only values the batch holds; None for a batch of no windows.
+    steps over the first ``length`` sites: steps run from site 0,
+    :data:`_TABLE_SITES` sites each, the codes have shape ``(steps, *rows)``,
+    and bit ``s`` of a code is the atom index at the step's site ``s``.  The
+    values are the atoms the first ``length`` sites hold (one atom given
+    twice if they hold one), so the headroom test reads only values the
+    batch holds; None for a batch of no windows.
 
-    :func:`numpy.packbits` packs each segment's steps along the site axis:
-    little-endian bit order from the segment start for forward windows; for
-    windows read backwards (a negative-stride view, the left half of
+    :func:`numpy.packbits` packs the steps along the site axis:
+    little-endian bit order from site 0 for forward windows; for windows
+    read backwards (a negative-stride view, the left half of
     :func:`centered_batch`), the same sites of the forward array in
     big-endian order, with the byte order then reversed, so no packing reads
     against the memory order.
     """
     rows = windows.codes.reshape(-1, windows.shape[-1])
-    backward = rows.strides[-1] < 0
-    forward, n = (rows[:, ::-1] if backward else rows), rows.shape[-1]
-    codes, held = [], [False, False]  # some site holds atom 0; atom 1
-    for a, b in zip(bounds, bounds[1:]):
-        steps = (b - a) // _TABLE_SITES
-        if backward:  # sites a .. a + 8 steps - 1 are forward columns n - a - 8 steps .. n - a - 1
-            span = forward[:, n - a - steps * _TABLE_SITES : n - a]
-            packed = np.packbits(span, axis=-1, bitorder="big")[:, ::-1]
-        else:
-            packed = np.packbits(rows[:, a : a + steps * _TABLE_SITES], axis=-1, bitorder="little")
-        rest = rows[:, a + steps * _TABLE_SITES : b]  # the sites after the segment's last step
-        for part, ones in ((packed, 0xFF), (rest, 1)):
-            if part.size and not all(held):
-                held = [held[0] or part.min() < ones, held[1] or part.max() > 0]
-        codes.append(np.ascontiguousarray(packed.T).reshape((steps,) + windows.shape[:-1]))
+    steps, n = length // _TABLE_SITES, rows.shape[-1]
+    if rows.strides[-1] < 0:  # sites 0 .. 8 steps - 1 are forward columns n - 8 steps .. n - 1
+        span = rows[:, ::-1][:, n - steps * _TABLE_SITES :]
+        packed = np.packbits(span, axis=-1, bitorder="big")[:, ::-1]
+    else:
+        packed = np.packbits(rows[:, : steps * _TABLE_SITES], axis=-1, bitorder="little")
+    rest = rows[:, steps * _TABLE_SITES : length]  # the sites after the last step
+    held = [False, False]  # some site holds atom 0; atom 1
+    for part, ones in ((packed, 0xFF), (rest, 1)):
+        if part.size and not all(held):
+            held = [held[0] or part.min() < ones, held[1] or part.max() > 0]
     values = [atom for atom, h in zip((windows.atoms[0], windows.atoms[-1]), held) if h]
+    codes = np.ascontiguousarray(packed.T).reshape((steps,) + windows.shape[:-1])
     return ([values[0], values[-1]], codes) if values else None
 
 
@@ -672,26 +655,26 @@ def _block_table(e: np.ndarray, values) -> np.ndarray:
     return np.stack([p00, p10, p01, p11], axis=-1).reshape(-1, 4)
 
 
-def _table_pass(e, windows, table, growth, codes, bounds, marks, restarts, pairs, shifts):
+def _table_pass(e, windows, table, growth, codes, marks, pairs, shifts):
     """The table step of :func:`_propagate`: fill ``pairs`` and ``shifts``
     for a batch of ``windows`` (atom or float windows, the caller's) with the
     codes of :func:`_packed_codes` and the table of :func:`_block_table`.
 
-    Each segment between restarts starts from the identity and advances its
-    running rows one table step of :data:`_TABLE_SITES` sites at a time: one
-    :func:`numpy.take` of each lane's table row (the four product entries of
-    its code) into a ``(*lanes, 4)`` buffer, and three row ufuncs that read
-    the entries through a ``(4, *lanes)`` view of it.  A step may grow the
-    rows by ``2**growth``, so a rescale comes before any step that would pass
-    the headroom.  A mark at a step boundary reads the running rows; the
-    marks inside a step are read by one-site steps from the step's start
-    into scratch rows, so the running rows never depend on where the marks
-    fall, and a mark's bits equal those of a pass that ends there.
+    The running rows start from the identity and advance one table step of
+    :data:`_TABLE_SITES` sites at a time: one :func:`numpy.take` of each
+    lane's table row (the four product entries of its code) into a
+    ``(*lanes, 4)`` buffer, and three row ufuncs that read the entries
+    through a ``(4, *lanes)`` view of it.  A step may grow the rows by
+    ``2**growth``, so a rescale comes before any step that would pass the
+    headroom.  A mark at a step boundary reads the running rows; the marks
+    inside a step are read by one-site steps from the step's start into
+    scratch rows, so the running rows never depend on where the marks fall,
+    and a mark's bits equal those of a pass that ends there.
     """
     columns, lanes = pairs.shape[1], shifts.shape[1:]
-    cur, new, term = (np.empty((2, columns) + lanes, pairs.dtype) for _ in range(3))
-    identity = np.zeros((2, columns) + lanes, pairs.dtype)
-    identity[0, 0] = identity[1, 1:] = 1.0  # top, bottom
+    cur = np.zeros((2, columns) + lanes, pairs.dtype)
+    cur[0, 0] = cur[1, 1:] = 1.0  # top, bottom: the identity
+    new, term = (np.empty_like(cur) for _ in range(2))
     scratch = list(np.empty((_TABLE_SITES - 1, columns) + lanes, pairs.dtype))
     d = np.empty((1,) + lanes, pairs.dtype)
     gathered = np.empty(lanes + (4,), pairs.dtype)  # one table row per lane
@@ -699,45 +682,38 @@ def _table_pass(e, windows, table, growth, codes, bounds, marks, restarts, pairs
     index = np.empty(lanes, np.intp)
     offset = np.arange(e.size).reshape(e.shape) << _TABLE_SITES  # each energy's table
     shift = np.zeros(lanes, dtype=np.int64)
-    j = 0
-    for code, a, b in zip(codes, bounds, bounds[1:]):
-        cur[...], shift[...], room, at = identity, 0, _HEADROOM - 1.0, a
-        while j < len(marks) and marks[j] == a:  # 0 or a restart count
-            pairs[:, :, j], shifts[j], j = identity, 0, j + 1
-        last = b - (b in restarts)  # a mark at a restart count reads the identity
-        while j < len(marks) and marks[j] <= last:
-            while at + _TABLE_SITES <= marks[j]:
-                if room < growth:
-                    _rescale(cur, shift)
-                    room = _HEADROOM - 1.0
-                step = code[(at - a) // _TABLE_SITES]
-                if step.shape == lanes and e.size == 1:
-                    np.take(table, step, axis=0, out=gathered, mode="clip")
-                else:
-                    np.take(table, np.add(offset, step, out=index), axis=0, out=gathered, mode="clip")
-                np.multiply(entries[:2, None], cur[0], out=new)
-                np.multiply(entries[2:, None], cur[1], out=term)
-                np.add(new, term, out=new)
-                cur, new = new, cur
-                at, room = at + _TABLE_SITES, room - growth
-            if marks[j] == at:
-                pairs[:, :, j], shifts[j], j = cur, shift, j + 1
-                continue
+    room, at, j = _HEADROOM - 1.0, 0, 0
+    while j < len(marks):
+        while at + _TABLE_SITES <= marks[j]:
             if room < growth:
                 _rescale(cur, shift)
                 room = _HEADROOM - 1.0
-            upto = bisect_right(marks, min(last, at + _TABLE_SITES - 1), j)
-            r = [cur[1], cur[0], *scratch]  # bottom, top, new tops
-            for k in range(marks[upto - 1] - at):
-                np.subtract(e, _column(windows, at + k), out=d[0])
-                np.multiply(d, r[k + 1], out=r[k + 2])
-                np.subtract(r[k + 2], r[k], out=r[k + 2])
-            for i in range(j, upto):
-                pairs[0, :, i], pairs[1, :, i] = r[marks[i] - at + 1], r[marks[i] - at]
-                shifts[i] = shift
-            j = upto
-    if j < len(marks):  # the last count restarted: its mark reads the identity
-        pairs[:, :, j], shifts[j] = identity, 0
+            step = codes[at // _TABLE_SITES]
+            if step.shape == lanes and e.size == 1:
+                np.take(table, step, axis=0, out=gathered, mode="clip")
+            else:
+                np.take(table, np.add(offset, step, out=index), axis=0, out=gathered, mode="clip")
+            np.multiply(entries[:2, None], cur[0], out=new)
+            np.multiply(entries[2:, None], cur[1], out=term)
+            np.add(new, term, out=new)
+            cur, new = new, cur
+            at, room = at + _TABLE_SITES, room - growth
+        if marks[j] == at:
+            pairs[:, :, j], shifts[j], j = cur, shift, j + 1
+            continue
+        if room < growth:
+            _rescale(cur, shift)
+            room = _HEADROOM - 1.0
+        upto = bisect_right(marks, at + _TABLE_SITES - 1, j)
+        r = [cur[1], cur[0], *scratch]  # bottom, top, new tops
+        for k in range(marks[upto - 1] - at):
+            np.subtract(e, _column(windows, at + k), out=d[0])
+            np.multiply(d, r[k + 1], out=r[k + 2])
+            np.subtract(r[k + 2], r[k], out=r[k + 2])
+        for i in range(j, upto):
+            pairs[0, :, i], pairs[1, :, i] = r[marks[i] - at + 1], r[marks[i] - at]
+            shifts[i] = shift
+        j = upto
 
 
 def _checked_marks(checkpoints, length: int) -> list[int]:
@@ -779,134 +755,44 @@ def matrix_batch(
     return s00, s01, s10, s11, shifts[at] * math.log(2.0)
 
 
-def _restarted_products(energy, half: np.ndarray, counts: list[int], restarts: list[int],
-                        potentials, laws: int):
-    """The products over the first ``k`` sites of ``half`` for each ``k`` of
-    ``counts``, under ``laws`` laws that differ only at the sites counted by
-    ``restarts``: ``potentials`` yields, restart by restart, each law's
-    potential at that site, one row per law.
-
-    One pass restarts after each of ``restarts`` and is read just before
-    each: the segments ``S_i`` between the restart sites, shared by every
-    law.  Every law composes ``C_i = T(E - V_i) S_i C_(i-1)`` (``C_0`` the
-    identity) in the same numpy calls, the law a leading lane axis; the
-    product at ``k`` is the mark at ``k`` times the ``C`` of the last restart
-    up to ``k``, formed as soon as that ``C`` is.  Returns ``(pairs,
-    shifts)``, entries of shape ``(2, 2, laws, len(counts), *lanes)``.
-    """
-    marks = sorted(set(counts) | {c - 1 for c in restarts})
-    pairs, shifts = _propagate(energy, half, 2, marks, restarts=restarts)
-    _rescale(pairs, shifts)
-    at = np.searchsorted(marks, counts)
-    e = np.asarray(energy) if np.iscomplexobj(pairs) else np.real(energy)
-    segments = np.searchsorted(marks, [c - 1 for c in restarts])
-    last = np.searchsorted(restarts, counts, side="right")  # the C of each count
-    lanes = shifts.shape[1:]
-    products = np.empty((2, 2, laws, len(counts)) + lanes, pairs.dtype)
-    scales = np.empty((laws, len(counts)) + lanes, dtype=np.int64)
-    prefix = scale = None
-    potentials = iter(potentials)  # one restart's potentials at a time, never stacked
-    for i in range(len(restarts) + 1):
-        if i:
-            v = next(potentials).reshape((laws,) + (1,) * (len(lanes) - 1) + (-1,))  # law, lanes
-            with np.errstate(over="ignore"):  # an overflowing E - V is named just below
-                d = e - v
-            if np.abs(d).max() >= MAGNITUDE_LIMIT:
-                _check_magnitude(d[None], v[None], restarts[i - 1] - 1)
-            top, bottom = pairs[:, :, segments[i - 1], None]
-            step = np.empty((2, 2) + d.shape, pairs.dtype)
-            np.subtract(d * top, bottom, out=step[0])
-            step[1] = top
-            shift = np.broadcast_to(shifts[segments[i - 1]], d.shape).copy()
-            _rescale(step, shift)
-            if prefix is not None:
-                step, shift = _times(step, prefix), shift + scale
-                _rescale(step, shift)
-            prefix, scale = step, shift
-        for j in np.flatnonzero(last == i):
-            mark = pairs[:, :, at[j], None]
-            products[:, :, :, j] = mark if prefix is None else _times(mark, prefix)
-            scales[:, j] = shifts[at[j]] if scale is None else shifts[at[j]] + scale
-    return products, scales
-
-
-def _times(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """The matrix products ``a @ b`` of two ``(2, 2, *lanes)`` stacks."""
-    (a00, a01), (a10, a11) = a
-    (b00, b01), (b10, b11) = b
-    return np.array([[a00 * b00 + a01 * b10, a00 * b01 + a01 * b11],
-                     [a10 * b00 + a11 * b10, a10 * b01 + a11 * b11]])
-
-
 def centered_batch(
-    energy: complex | float | np.ndarray,
-    windows: np.ndarray,
-    radii,
-    sites: tuple[int, ...] | list[int] = (),
-    columns: np.ndarray | None = None,
+    energy: complex | float | np.ndarray, windows: np.ndarray, radii
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """Scaled products over the centered windows ``[-n, n]``, every radius
-    ``n`` of ``radii`` from one kernel pass over each half, for the windows
-    as given and, with ``columns``, for the windows whose ``sites`` are
-    redrawn.
+    ``n`` of ``radii`` from one kernel pass over each half.
 
     ``windows`` holds one window over ``[-m, m]`` per row (site 0 in the
-    middle column); radii lie in ``[0, m]``.  The product over sites
-    ``1 .. n`` is ``R_n``, read at checkpoint ``n`` of a pass over the right
-    half.  The product over the reversed sites ``0, -1, .., -n`` is ``P_n``,
-    read at checkpoint ``n + 1`` of a pass over a negative-stride view of the
-    left half (no copy).  Every one-step factor satisfies ``T^t = J T J``
-    with ``J = diag(1, -1)``, so ``S_[-n, 0] = J P_n^t J`` and
-    ``S_[-n, n] = R_n J P_n^t J``.
-
-    ``sites`` (ascending, in ``[-m, m]``) are the sites where a second law
-    differs, and ``columns`` holds its potentials there, one column per
-    site.  Each pass then restarts at those sites, so the segments between
-    them serve both laws, and the laws, one more lane axis, compose their
-    products from the segments and their own factors ``T(E - V_k)`` (see
-    :func:`_restarted_products`).  Returns the five arrays of
-    :func:`matrix_batch` with checkpoints, one row per radius, led by a law
-    axis: law 0 the windows, law 1 the redrawn windows if ``columns`` is given.
-    ``windows`` and ``columns`` may be :class:`AtomWindows`; the restart-site
-    potentials are then read as ``atoms[codes[:, k]]``.
+    middle column; values, or :class:`AtomWindows`); radii lie in ``[0, m]``.
+    The product over sites ``1 .. n`` is ``R_n``, read at checkpoint ``n``
+    of a :func:`matrix_batch` pass over the right half.  The product over
+    the reversed sites ``0, -1, .., -n`` is ``P_n``, read at checkpoint
+    ``n + 1`` of a pass over a negative-stride view of the left half (no
+    copy).  Every one-step factor satisfies ``T^t = J T J`` with
+    ``J = diag(1, -1)``, so ``S_[-n, 0] = J P_n^t J`` and
+    ``S_[-n, n] = R_n J P_n^t J``.  Returns the five arrays of
+    :func:`matrix_batch` with checkpoints, one row per radius.  A magnitude
+    error names its site on the lattice, in ``[-m, m]``.
     """
     windows = _batch(windows)
     m = windows.shape[1] // 2
     if windows.shape[1] != 2 * m + 1:
         raise ValueError("centered windows must have odd length")
-    radii, sites = [int(n) for n in radii], [int(k) for k in sites]
-    reach = _checked_marks(radii, m)[-1]
-    if sites and not (-m <= sites[0] and sites[-1] <= m and np.all(np.diff(sites) > 0)):
-        raise ValueError("sites must be ascending and lie in the window")
-    if columns is not None:
-        columns = columns if isinstance(columns, AtomWindows) else np.asarray(columns, dtype=float)
-        if columns.shape != (len(windows), len(sites)):
-            raise ValueError("columns must hold one column per site and one row per window")
-
-    def potentials(indices):  # each law's potential at one site at a time
-        for i in indices:
-            v = _column(windows, m + sites[i])
-            yield v[None] if columns is None else np.stack([v, _column(columns, i)])
-
-    laws = 1 if columns is None else 2
-    right = [i for i, k in enumerate(sites) if 0 < k <= reach]
-    left = [i for i, k in reversed(list(enumerate(sites))) if -reach <= k <= 0]
-    r, shift_r = _restarted_products(
-        energy, windows[:, m + 1 :], radii, [sites[i] for i in right], potentials(right), laws
-    )
-    p, shift_p = _restarted_products(
-        energy, windows[:, m::-1], [n + 1 for n in radii], [1 - sites[i] for i in left],
-        potentials(left), laws,
-    )
-    (r00, r01), (r10, r11) = r
-    (p00, p01), (p10, p11) = p
+    radii = [int(n) for n in radii]
+    halves = []
+    # (half, its checkpoints, the lattice site of its site 0, the direction)
+    for half, counts, origin, sign in ((windows[:, m + 1 :], radii, 1, 1),
+                                       (windows[:, m::-1], [n + 1 for n in radii], 0, -1)):
+        try:
+            halves.append(matrix_batch(energy, half, counts))
+        except _MagnitudeError as err:
+            raise _MagnitudeError(origin + sign * err.site, err.value) from None
+    (r00, r01, r10, r11, log_r), (p00, p01, p10, p11, log_p) = halves
     pair = np.array([[r00 * p00 - r01 * p01, r01 * p11 - r00 * p10],
                      [r10 * p00 - r11 * p01, r11 * p11 - r10 * p10]])
-    shift = np.zeros(shift_r.shape, dtype=np.int64)
+    shift = np.zeros(log_r.shape, dtype=np.int64)
     _rescale(pair, shift)
     (s00, s01), (s10, s11) = pair
-    log_scale = shift_r * math.log(2.0) + shift_p * math.log(2.0) + shift * math.log(2.0)
-    return s00, s01, s10, s11, log_scale
+    return s00, s01, s10, s11, log_r + log_p + shift * math.log(2.0)
 
 
 def log_norm_batch(

@@ -1,5 +1,6 @@
 import cmath
 import dataclasses
+import hashlib
 import math
 
 import numpy as np
@@ -27,6 +28,7 @@ from anderson_lab.estimators import (
 from anderson_lab.measures import (
     AtomReweight,
     BumpSchedule,
+    ExplicitSites,
     FiniteAtoms,
     Identity,
     PowersOfTwoSites,
@@ -265,7 +267,9 @@ def test_nested_counts_equal_direct_counts_per_radius(centered):
             wins = sample_windows(law, 1, 40, size, stream.child(b))
             return tuple(a[None] for a in matrix_batch(0.3, wins, grid))
         wins, sites, columns = sample_windows(law, -40, 40, size, stream.child(b), coupled=True)
-        return centered_batch(0.3, wins, grid, sites, columns)
+        exact = centered_batch(0.3, wins, grid)
+        wins[:, [40 + k for k in sites]] = columns
+        return tuple(np.stack(laws) for laws in zip(exact, centered_batch(0.3, wins, grid)))
 
     laws = [ProductLaw.exact(BERNOULLI), law] if centered else [law]
     lengths = 2 * grid + 1 if centered else grid
@@ -312,6 +316,79 @@ def test_lift_counts_are_direct_counts_of_each_law_from_one_draw(name):
                                    report.epsilon_eff, True)
         assert got.tolist() == want.tolist(), law.tag
     assert not np.array_equal(report.counts_exact, report.counts_approx)
+
+
+@pytest.mark.parametrize("name", ["atom_edges", "uniform_edges"])
+def test_lift_laws_are_plain_calls_on_their_uncoupled_draws(monkeypatch, name):
+    # each law of each batch that lift_check counts equals, bit for bit,
+    # centered_batch on that law's own windows from the same stream, with
+    # perturbed sites at 0 and at +-n_max; an atom law reaches the kernel as
+    # atom windows, the uniform law as rejection-sampled values
+    n_max = 20
+    sites = ExplicitSites(frozenset({-n_max, 0, n_max}))
+    seq, base = {
+        "atom_edges": (BumpSchedule(sites=sites, base=BERNOULLI, weights=(0.9, 0.1)), BERNOULLI),
+        "uniform_edges": (BumpSchedule(sites=sites, base=UNIFORM, density=lambda x: 1.0 + 0.5 * x,
+                                       density_sup=1.5), UNIFORM),
+    }[name]
+    grid, stream, energy = [3, 8, n_max], RngStream(26), 0.37
+    batches, statistic_logs = [], estimators._statistic_logs
+
+    def spy(statistic, batch, u, v):
+        batches.append(batch)
+        return statistic_logs(statistic, batch, u, v)
+
+    monkeypatch.setattr(estimators, "_statistic_logs", spy)
+    lift_check(seq, base, energy, 0.1, grid, BATCH_SIZE + 300, stream)
+    assert len(batches) == 2
+    for b, (size, batch) in enumerate(zip((BATCH_SIZE, 300), batches)):
+        for law, each in enumerate((ProductLaw.exact(base), ProductLaw.approximate(base, seq))):
+            wins = sample_windows(each, -n_max, n_max, size, stream.child(1, b))
+            for got, want in zip(batch, centered_batch(energy, wins, grid)):
+                assert got.shape == (2,) + want.shape
+                assert got[law].tobytes() == want.tobytes(), (b, law)
+
+
+def test_a_redrawn_column_past_the_magnitude_limit_is_named_on_the_lattice(monkeypatch):
+    # only the approximate law holds the potential: its call names the site
+    real = estimators._kernel_windows
+
+    def huge(law, lo, hi, count, stream, coupled=False):
+        if not coupled:
+            return real(law, lo, hi, count, stream)
+        wins, sites, columns = real(law, lo, hi, count, stream, coupled=True)
+        columns[5, sites.index(-4)] = 1.7e308
+        return wins, sites, columns
+
+    monkeypatch.setattr(estimators, "_kernel_windows", huge)
+    seq = BumpSchedule(sites=PowersOfTwoSites(), base=UNIFORM, density=lambda x: 1.0 + 0.5 * x,
+                       density_sup=1.5)
+    with pytest.raises(ValueError, match=r"\): site -4 of the window has V = 1\.7e\+308"):
+        lift_check(seq, UNIFORM, 0.37, 0.1, [3, 8], 50, RngStream(27))
+
+
+def test_lift_check_counts_are_pinned():
+    # both laws' counts over a small sweep that the shipped lift configs (two
+    # Bernoulli bump laws) leave out: a two-atom and a three-atom bump law
+    # and a callable bump on a uniform base, each statistic, three energies.
+    # Regenerate with demos/regenerate_pins.py
+    three = FiniteAtoms(atoms=((-1.0, 0.25), (0.0, 0.25), (1.0, 0.5)))
+    laws = (
+        LIFT_LAWS["bump_bernoulli"],
+        (BumpSchedule(sites=PowersOfTwoSites(), base=three, weights=(0.5, 0.25, 0.25)), three),
+        LIFT_LAWS["callable_bump_uniform"],
+    )
+    u, v = np.array([0.6, 0.8]), np.array([1.0, 1.0]) / math.sqrt(2.0)
+    digest = hashlib.sha256()
+    for seq, base in laws:
+        for statistic in ("log_norm", "log_det", "matrix_element"):
+            vectors = (u, v) if statistic == "matrix_element" else (None, None)
+            for energy in (0.0, 0.37, 2.5):
+                report = lift_check(seq, base, energy, 0.1, [3, 8, 20, 45], 400, RngStream(2401),
+                                    statistic, u=vectors[0], v=vectors[1])
+                for counts in (report.counts_exact, report.counts_approx):
+                    digest.update(np.ascontiguousarray(counts, dtype="<f8").tobytes())
+    assert digest.hexdigest() == "04f323250448629857fc315ccbf6707b487d283af2d817e1cbaa84396bd42eef"
 
 
 def test_exact_zero_log_det_counts_as_a_deviation():

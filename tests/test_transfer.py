@@ -896,9 +896,7 @@ def test_centered_products_match_the_full_window(kind):
             windows = _kernel_windows(kind, rng, 48, 2 * m + 1)
             with warnings.catch_warnings():
                 warnings.simplefilter("error")
-                laws = centered_batch(energy, windows, radii)
-            assert all(len(a) == 1 for a in laws)  # one law: the windows as given
-            composed = tuple(a[0] for a in laws)
+                composed = centered_batch(energy, windows, radii)
             c, t = _centered_agreement(energy, windows, radii, composed)
             conditioned, total = conditioned + c, total + t
     # the loose bound must not be what carries the test
@@ -907,9 +905,11 @@ def test_centered_products_match_the_full_window(kind):
 
 @pytest.mark.parametrize("kind", ["bernoulli", "uniform", "pareto"])
 def test_coupled_products_match_the_full_window_per_law(kind):
-    # both laws composed from one restarting pass per half, each against
-    # matrix_batch over [-n, n] of its own windows; the sites include both
-    # ends, adjacent pairs, site 0, and sites past the largest radius
+    # both laws of a coupled draw as lift_check reads them: one call on the
+    # base block, then one on the same block after the redrawn columns are
+    # written into it, each against matrix_batch over [-n, n] of its own
+    # windows; the sites include both ends, adjacent pairs, site 0, and
+    # sites past the largest radius
     rng = np.random.default_rng(115)
     conditioned = total = 0
     for m, radii, sites in (
@@ -919,65 +919,22 @@ def test_coupled_products_match_the_full_window_per_law(kind):
         for energy in (0.0, 0.37, 2.9, 0.4 + 0.6j):
             windows = _kernel_windows(kind, rng, 48, 2 * m + 1)
             columns = _kernel_windows(kind, rng, 48, len(sites))
-            redrawn = windows.copy()
-            redrawn[:, [m + k for k in sites]] = columns
+            base = windows.copy()
             with warnings.catch_warnings():
                 warnings.simplefilter("error")
-                laws = centered_batch(energy, windows, radii, sites, columns)
-            assert all(len(a) == 2 for a in laws)
-            for law, wins in enumerate((windows, redrawn)):
-                composed = tuple(a[law] for a in laws)
+                exact = centered_batch(energy, windows, radii)
+                windows[:, [m + k for k in sites]] = columns
+                approx = centered_batch(energy, windows, radii)
+            for wins, composed in ((base, exact), (windows, approx)):
                 c, t = _centered_agreement(energy, wins, radii, composed)
                 conditioned, total = conditioned + c, total + t
     assert conditioned >= 0.95 * total
 
 
-@pytest.mark.parametrize("kind", ["bernoulli", "uniform", "pareto"])
-def test_law_zero_of_a_coupled_call_is_the_call_without_columns(kind):
-    # the laws are one lane axis of the composition: the redrawn law's
-    # columns change nothing of law 0, bit for bit, with sites at 0, +-1,
-    # adjacent, past the largest radius, or none, and radius 0 in the grid
-    rng = np.random.default_rng(117)
-    m = 40
-    for radii in ((0, 1, 5), (3, 17, 30)):
-        for sites in ((), (0,), (-1, 1), (-2, -1, 0, 1, 2), (-40, 6, 7, 35, 40)):
-            for energy in (0.0, 0.37, 0.4 + 0.6j):
-                windows = _kernel_windows(kind, rng, 24, 2 * m + 1)
-                columns = _kernel_windows(kind, rng, 24, len(sites))
-                alone = centered_batch(energy, windows, radii, sites)
-                coupled = centered_batch(energy, windows, radii, sites, columns)
-                for one, two in zip(alone, coupled):
-                    assert one.shape == (1, len(radii), 24) and two.shape == (2, len(radii), 24)
-                    assert one[0].tobytes() == two[0].tobytes(), (radii, sites, energy)
-
-
-def test_restarted_marks_equal_the_segment_products():
-    # a mark after a restart holds the product over the sites since that
-    # restart, bit for bit the one-pass product of that segment; a mark at
-    # a restart count, the last one included, reads the identity
-    rng = np.random.default_rng(116)
-    windows = rng.uniform(-3.0, 3.0, (7, 300))
-    restarts = [1, 2, 64, 65, 200, 300]
-    marks = [0, 1, 2, 3, 63, 64, 100, 128, 199, 200, 250, 299, 300]
-    pairs, shifts = transfer._propagate(0.3, windows, 2, marks, restarts=restarts)
-    transfer._rescale(pairs, shifts)
-    for i, k in enumerate(marks):
-        since = max([0] + [c for c in restarts if c <= k])
-        if since == k:
-            np.testing.assert_array_equal(pairs[:, :, i], np.eye(2)[:, :, None] * np.ones(7))
-            assert np.all(shifts[i] == 0)
-            continue
-        want = matrix_batch(0.3, windows[:, since:k], (k - since,))
-        (s00, s01), (s10, s11) = pairs[:, :, i]
-        for got, w in zip((s00, s01, s10, s11), want):
-            np.testing.assert_array_equal(got, w[0])
-        np.testing.assert_array_equal(shifts[i] * math.log(2.0), want[4][0])
-
-
 def test_centered_exact_zero_stays_minus_inf():
     # V == 0 at E = 0: every odd-length window has determinant exactly 0
     windows = np.zeros((3, 2 * 40 + 1))
-    composed = tuple(a[0] for a in centered_batch(0.0, windows, (1, 2, 7, 40)))
+    composed = centered_batch(0.0, windows, (1, 2, 7, 40))
     with np.errstate(divide="ignore"):
         logs = _statistic_logs("log_det", composed, UNIT_U, UNIT_V)
     assert np.all(logs == -np.inf)
@@ -988,23 +945,35 @@ def test_centered_exact_zero_stays_minus_inf():
 
 
 def test_coupled_exact_zero_stays_minus_inf():
-    # as above, with sites at 0, +-1 and +-2: both passes restart at their
-    # first site and at adjacent sites, and each law composes its products
-    # from the empty segments between them
+    # as above, with sites -2, 0 and 2 redrawn to 0.5 and written into the
+    # block after the first law's call, as lift_check writes them.  At odd n
+    # the n + 1 odd sites of [-n, n] have no diagonal entry and couple only
+    # to the n even ones, so the redrawn determinant still vanishes exactly
+    # and stays -inf through the composition; at even n it does not vanish
     windows = np.zeros((3, 2 * 40 + 1))
-    sites = (-2, -1, 0, 1, 2)
-    laws = centered_batch(0.0, windows, (1, 2, 7, 40), sites, np.zeros((3, len(sites))))
-    assert all(len(a) == 2 for a in laws)
-    for composed in zip(*laws):
-        with np.errstate(divide="ignore"):
-            logs = _statistic_logs("log_det", composed, UNIT_U, UNIT_V)
-        assert np.all(logs == -np.inf)
-        np.testing.assert_allclose(log_norm_batch(*composed), 0.0, atol=1e-15)
-    with pytest.raises(ValueError, match="sites"):
-        centered_batch(0.0, np.zeros((2, 5)), (1,), (0, 3), np.zeros((2, 2)))
-    # a redrawn potential never meets the pass, so the composition checks it
-    with pytest.raises(ValueError, match="MAGNITUDE_LIMIT"):
-        centered_batch(0.0, np.zeros((2, 5)), (2,), (1,), np.full((2, 1), 1.7e308))
+    radii = (1, 2, 7, 40)
+    exact = centered_batch(0.0, windows, radii)
+    windows[:, [38, 40, 42]] = 0.5
+    approx = centered_batch(0.0, windows, radii)
+    with np.errstate(divide="ignore"):
+        logs = [_statistic_logs("log_det", law, UNIT_U, UNIT_V) for law in (exact, approx)]
+    odd = np.array(radii) % 2 == 1
+    assert np.all(logs[0] == -np.inf)
+    assert np.all(logs[1][odd] == -np.inf) and np.all(np.isfinite(logs[1][~odd]))
+    np.testing.assert_allclose(log_norm_batch(*exact), 0.0, atol=1e-15)
+
+
+def test_centered_magnitude_error_names_the_lattice_site():
+    # each half is its own kernel pass, yet the error names the site of the
+    # window over [-m, m], on either half and at the centre, for values and
+    # for atom windows alike
+    for site in (-3, 0, 4):
+        values = np.ones((2, 21))
+        values[1, 10 + site] = 1.7e308
+        atoms = AtomWindows((values > 1.0).astype(np.uint8), np.array([1.0, 1.7e308]))
+        for windows in (values, atoms):
+            with pytest.raises(ValueError, match=rf"\): site {site} of the window has V = 1\.7e\+308"):
+                centered_batch(0.37, windows, (2, 5, 10))
 
 
 # ---------------------------------------------------------------------------
@@ -1059,28 +1028,25 @@ def test_table_step_matches_the_one_site_step(monkeypatch):
             np.testing.assert_allclose(logs, ref, rtol=1e-12, atol=1e-12)
 
 
-def test_table_step_reads_marks_and_restarts_off_the_block_grid(monkeypatch):
-    # steps start again at each restart, so a mark after one holds the
-    # segment product bit for bit, and agrees with the one-site step
+def test_table_step_reads_marks_off_the_block_grid(monkeypatch):
+    # a mark on or off the 8-site grid holds the product over the sites
+    # before it, bit for bit a pass that ends there, and agrees with the
+    # one-site step; mark 0 reads the identity
     rng = np.random.default_rng(119)
     built = _counting_tables(monkeypatch)
     windows = bernoulli_window(rng, (9, 300))
-    restarts = [3, 21, 22, 100, 205, 300]
     marks = [0, 2, 3, 10, 11, 21, 22, 29, 30, 37, 99, 100, 150, 204, 205, 213, 299, 300]
     for energy in TABLE_ENERGIES:
         built.clear()
-        pairs, shifts = transfer._propagate(energy, windows, 2, marks, restarts=restarts)
+        pairs, shifts = transfer._propagate(energy, windows, 2, marks)
         assert len(built) == 1
-        ref = _one_site(transfer._propagate, energy, windows, 2, marks, restarts=restarts)
+        ref = _one_site(transfer._propagate, energy, windows, 2, marks)
         for p, s in ((pairs, shifts), ref):
             transfer._rescale(p, s)
         np.testing.assert_allclose(pairs * np.exp2(shifts - ref[1]), ref[0], rtol=0, atol=1e-12)
-        for i, k in enumerate(marks):
-            since = max([0] + [c for c in restarts if c <= k])
-            if since == k:
-                np.testing.assert_array_equal(pairs[:, :, i], np.eye(2)[:, :, None] * np.ones(9))
-                continue
-            want = matrix_batch(energy, windows[:, since:k], (k - since,))
+        np.testing.assert_array_equal(pairs[:, :, 0], np.eye(2)[:, :, None] * np.ones(9))
+        for i, k in enumerate(marks[1:], start=1):
+            want = matrix_batch(energy, windows[:, :k], (k,))
             (s00, s01), (s10, s11) = pairs[:, :, i]
             for got, w in zip((s00, s01, s10, s11), want):
                 np.testing.assert_array_equal(got, w[0])
@@ -1219,20 +1185,22 @@ def test_atom_windows_equal_their_values_bit_for_bit(monkeypatch):
 
 
 def test_coupled_atom_windows_equal_their_values_bit_for_bit(monkeypatch):
-    # restarts off the 8-site grid on both halves, the redrawn columns as codes
+    # centered products of atom windows, before and after redrawn columns
+    # off the 8-site grid on both halves are written into their codes
     _no_float_codes(monkeypatch)
     rng = np.random.default_rng(124)
     sites = (-77, -29, -3, 0, 5, 13, 21, 100)
     radii = (0, 3, 9, 50, 150)
     for atoms in ATOM_PAIRS:
         windows = AtomWindows(rng.integers(0, 2, (17, 301)).astype(np.uint8), atoms)
-        columns = AtomWindows(rng.integers(0, 2, (17, len(sites))).astype(np.uint8), atoms)
-        for energy in CODE_ENERGIES:
-            got = centered_batch(energy, windows, radii, sites, columns)
-            _assert_same_bits(got, centered_batch(energy, windows.values, radii, sites, columns.values))
-            _assert_same_bits(
-                centered_batch(energy, windows, radii), centered_batch(energy, windows.values, radii)
-            )
+        columns = rng.integers(0, 2, (17, len(sites))).astype(np.uint8)
+        for law in range(2):
+            if law:
+                windows.codes[:, [150 + k for k in sites]] = columns
+            for energy in CODE_ENERGIES:
+                _assert_same_bits(
+                    centered_batch(energy, windows, radii), centered_batch(energy, windows.values, radii)
+                )
 
 
 def test_a_two_atom_batch_holding_one_value_gives_the_bits_of_its_values(monkeypatch):
@@ -1245,26 +1213,25 @@ def test_a_two_atom_batch_holding_one_value_gives_the_bits_of_its_values(monkeyp
         windows = AtomWindows(np.full((6, 160), atom, dtype=np.uint8), atoms)
         values = windows.values
         assert len(np.unique(values)) == 1
-        assert transfer._packed_codes(windows, [0, 160])[0] == [atoms[atom]] * 2
+        assert transfer._packed_codes(windows, 160)[0] == [atoms[atom]] * 2
         for energy in CODE_ENERGIES:
             _assert_same_bits(matrix_batch(energy, windows, marks), matrix_batch(energy, values, marks))
             np.testing.assert_array_equal(
                 vector_growth_logs(energy, windows, marks), vector_growth_logs(energy, values, marks)
             )
             _assert_same_bits(
-                centered_batch(energy, windows[:, :101], (4, 50), (-9, 2), windows[:, :2]),
-                centered_batch(energy, values[:, :101], (4, 50), (-9, 2), values[:, :2]),
+                centered_batch(energy, windows[:, :101], (4, 50)),
+                centered_batch(energy, values[:, :101], (4, 50)),
             )
 
 
-def _reference_codes(codes, a, b):
-    """Bit ``s`` of step ``t`` is the index at site ``a + 8 t + s``, one bit
-    at a time: a ``(steps, rows)`` array."""
-    steps = (b - a) // 8
-    want = np.zeros((steps, len(codes)), dtype=np.uint8)
-    for t in range(steps):
+def _reference_codes(codes, length):
+    """Bit ``s`` of step ``t`` is the index at site ``8 t + s``, one bit at a
+    time: a ``(length // 8, rows)`` array."""
+    want = np.zeros((length // 8, len(codes)), dtype=np.uint8)
+    for t in range(length // 8):
         for s in range(8):
-            want[t] |= codes[:, a + 8 * t + s].astype(np.uint8) << s
+            want[t] |= codes[:, 8 * t + s].astype(np.uint8) << s
     return want
 
 
@@ -1276,17 +1243,16 @@ def test_packed_codes_equal_the_float_codes(backward):
     atoms = ATOM_PAIRS[0]
     codes = rng.integers(0, 2, (19, 205)).astype(np.uint8)
     windows = AtomWindows(codes[:, 203::-1] if backward else codes[:, 1:], atoms)
-    for bounds in ([0, 204], [0, 1, 9, 30, 31, 100, 204], [0, 7, 15, 203]):
-        floats = transfer._atom_windows(windows.values, bounds[-1])
+    for length in (204, 203, 100, 15, 7):
+        floats = transfer._atom_windows(windows.values, length)
         flip = floats.atoms[0] != atoms[0]  # atom 0 of floats is the first site's value
+        want = _reference_codes(windows.codes, length)
         for held in (windows, floats):
-            values, packed = transfer._packed_codes(held, bounds)
+            values, packed = transfer._packed_codes(held, length)
             assert values == [held.atoms[0], held.atoms[1]]
-            assert [len(c) for c in packed] == [(b - a) // 8 for a, b in zip(bounds, bounds[1:])]
-            for got, a, b in zip(packed, bounds, bounds[1:]):
-                want = _reference_codes(windows.codes, a, b)
-                assert got.dtype == np.uint8 and got.flags.c_contiguous
-                np.testing.assert_array_equal(got, ~want if held is floats and flip else want)
+            assert packed.shape == want.shape
+            assert packed.dtype == np.uint8 and packed.flags.c_contiguous
+            np.testing.assert_array_equal(packed, ~want if held is floats and flip else want)
 
 
 def test_float_windows_of_two_values_take_the_table_step_of_their_atoms(monkeypatch):
