@@ -714,7 +714,7 @@ def dispatch(argv: list[str] | None = None) -> int:
         for p in paths:
             print(f"# wrote {p}", file=sys.stderr)
     elif out_format == "json":
-        print(json.dumps(table.to_json_dict(manifest)))
+        print(table.json_text(manifest))
     else:
         sys.stdout.write(table.csv_text())
     failures = check_expected(table.metrics(), scenario.expected)

@@ -191,15 +191,24 @@ class ResultTable:
         return "\n".join(lines) + "\n"
 
     def to_json_dict(self, manifest: RunManifest | None = None) -> dict:
+        """The report: the rows as they are (numpy values included, which
+        :meth:`json_text` converts as it encodes them) and the summary made
+        JSON-ready by :func:`_jsonable`, whose keys may need ``str()``."""
         out = {
             "kind": self.kind,
             "columns": list(self.columns),
-            "rows": [{c: _jsonable(row[c]) for c in self.columns} for row in self.rows],
+            "rows": list(self.rows),
             "summary": _jsonable(self.summary),
         }
         if manifest is not None:
             out["manifest"] = manifest.to_dict()
         return out
+
+    def json_text(self, manifest: RunManifest | None = None) -> str:
+        """The report as compact JSON, one pass of the C encoder: a numpy
+        scalar or array in a row reaches :func:`_jsonable` as the encoder's
+        ``default`` and is written as :func:`_jsonable` writes it."""
+        return json.dumps(self.to_json_dict(manifest), default=_jsonable)
 
     def metrics(self) -> dict:
         """Numeric and null summary metrics, for pinned-expectation checks."""
@@ -238,7 +247,7 @@ def persist(table: ResultTable, manifest: RunManifest, path) -> list[Path]:
     try:
         stem.parent.mkdir(parents=True, exist_ok=True)
         paths[0].write_text(table.csv_text())
-        paths[1].write_text(json.dumps(table.to_json_dict(manifest), indent=1) + "\n")
+        paths[1].write_text(table.json_text(manifest) + "\n")
         paths[2].write_text(json.dumps(manifest.to_dict(), indent=1) + "\n")
     except OSError as err:
         raise OSError(f"failed to persist results under {stem}: {err}") from err

@@ -471,11 +471,14 @@ def _propagate(energy, windows: np.ndarray, columns: int, marks: list[int], guar
 
     A batch whose sites up to ``marks[-1]`` hold at most two distinct finite
     values takes the table step instead (see :func:`_table_pass`): eight
-    sites per step, one gather from the table of their ``2**8`` products at
-    each energy.  The windows pick the step; it is not taken by a guarded
-    call, by a pass shorter than one table step, or when one step could grow
-    the rows past the room a rescale leaves (``8 log2(max|E - V| + 1)`` above
-    ``_HEADROOM - 1``), so a site past :data:`MAGNITUDE_LIMIT` is still named.
+    sites per step, one gather from the code-major table of their ``2**8``
+    products, a code's row holding its product at every energy, so the lanes
+    run window-major with the energies inner, and one contiguous row per
+    window serves them all.  The windows pick the step; it is not taken by a
+    guarded call, by a pass shorter than one table step, or when one step
+    could grow the rows past the room a rescale leaves (``8 log2(max|E - V|
+    + 1)`` above ``_HEADROOM - 1``), so a site past :data:`MAGNITUDE_LIMIT`
+    is still named.
     :class:`AtomWindows` always hold at most two values; float windows that
     do become atom windows for the test (:func:`_atom_windows`).  Either way
     the codes are packed from the atom indices, and the headroom test reads
@@ -633,9 +636,9 @@ def _packed_codes(windows: AtomWindows, length: int):
 def _block_table(e: np.ndarray, values) -> np.ndarray:
     """The products of :data:`_TABLE_SITES` one-step factors at each energy
     of ``e``, for every code of the sites' values (bit ``s`` picks site
-    ``s``'s value from ``values``): an ``(e.size * 2**8, 4)`` array, code
-    major, whose row ``2**8 i + code`` holds the entries ``P00, P10, P01,
-    P11`` for energy ``i``, so a lane gathers its step's product as one row.
+    ``s``'s value from ``values``): a ``(2**8, e.size * 4)`` array, code
+    major with the energies inside, whose row ``code`` holds the entries
+    ``P00, P10, P01, P11`` at each energy of ``e`` in turn (flat order).
 
     Halves are paired three times (one site, two, four), the later sites'
     product on the left, so an entry depends only on its energy and on its
@@ -652,7 +655,7 @@ def _block_table(e: np.ndarray, values) -> np.ndarray:
             h10 * l00 + h11 * l10, h10 * l01 + h11 * l11,
         ))
     p00, p01, p10, p11 = t
-    return np.stack([p00, p10, p01, p11], axis=-1).reshape(-1, 4)
+    return np.stack([p00.T, p10.T, p01.T, p11.T], axis=-1).reshape(2**_TABLE_SITES, -1)
 
 
 def _table_pass(e, windows, table, growth, codes, marks, pairs, shifts):
@@ -661,26 +664,41 @@ def _table_pass(e, windows, table, growth, codes, marks, pairs, shifts):
     codes of :func:`_packed_codes` and the table of :func:`_block_table`.
 
     The running rows start from the identity and advance one table step of
-    :data:`_TABLE_SITES` sites at a time: one :func:`numpy.take` of each
-    lane's table row (the four product entries of its code) into a
+    :data:`_TABLE_SITES` sites at a time: one :func:`numpy.take` into a
     ``(*lanes, 4)`` buffer, and three row ufuncs that read the entries
-    through a ``(4, *lanes)`` view of it.  A step may grow the rows by
-    ``2**growth``, so a rescale comes before any step that would pass the
-    headroom.  A mark at a step boundary reads the running rows; the marks
-    inside a step are read by one-site steps from the step's start into
-    scratch rows, so the running rows never depend on where the marks fall,
+    through a ``(4, *lanes)`` view of it.  Energy is the inner lane axis:
+    energies on lane axes of their own (a scalar, or ``(E, 1)`` against
+    ``(S, m)`` windows) run in ``(*rows, *energies)`` order, so the take of
+    a step's codes fetches each window's table row, its block at every
+    energy, with no index arithmetic, and ``pairs`` and ``shifts`` are
+    written through transposed views; energies that vary with the rows
+    gather each lane's row ``code * e.size + i`` of a ``(-1, 4)`` view.  A
+    step may grow the rows by ``2**growth``, so a rescale comes before any
+    step that would pass the headroom.  A mark at a step boundary reads the
+    running rows; the marks inside a step are read by one-site steps from
+    the step's start into scratch rows (``E - V`` as a window column against
+    the energies), so the running rows never depend on where the marks fall,
     and a mark's bits equal those of a pass that ends there.
     """
-    columns, lanes = pairs.shape[1], shifts.shape[1:]
+    columns, lanes, rows = pairs.shape[1], shifts.shape[1:], codes.shape[1:]
+    k = len(lanes) - len(rows)  # leading lane axes of the energies alone
+    flat = e.size > math.prod(lanes[:k])  # energies that vary with the rows
+    k = 0 if flat else k
+    lanes = lanes[k:] + lanes[:k]  # the running order: rows, then energies
+    pairs = np.moveaxis(pairs, range(3, 3 + k), range(-k, 0))
+    shifts = np.moveaxis(shifts, range(1, 1 + k), range(-k, 0))
+    energies = e if flat else e.reshape(lanes[len(rows):])
     cur = np.zeros((2, columns) + lanes, pairs.dtype)
     cur[0, 0] = cur[1, 1:] = 1.0  # top, bottom: the identity
     new, term = (np.empty_like(cur) for _ in range(2))
     scratch = list(np.empty((_TABLE_SITES - 1, columns) + lanes, pairs.dtype))
     d = np.empty((1,) + lanes, pairs.dtype)
-    gathered = np.empty(lanes + (4,), pairs.dtype)  # one table row per lane
+    gathered = np.empty(lanes + (4,), pairs.dtype)  # one product per lane
     entries = np.moveaxis(gathered, -1, 0)  # (P00, P10), (P01, P11) of each lane
-    index = np.empty(lanes, np.intp)
-    offset = np.arange(e.size).reshape(e.shape) << _TABLE_SITES  # each energy's table
+    blocks = gathered.reshape((lanes if flat else rows) + (-1,))  # what one take fills
+    if flat:
+        table, index = table.reshape(-1, 4), np.empty(lanes, np.intp)
+        ids = np.arange(e.size).reshape(e.shape)
     shift = np.zeros(lanes, dtype=np.int64)
     room, at, j = _HEADROOM - 1.0, 0, 0
     while j < len(marks):
@@ -689,10 +707,10 @@ def _table_pass(e, windows, table, growth, codes, marks, pairs, shifts):
                 _rescale(cur, shift)
                 room = _HEADROOM - 1.0
             step = codes[at // _TABLE_SITES]
-            if step.shape == lanes and e.size == 1:
-                np.take(table, step, axis=0, out=gathered, mode="clip")
-            else:
-                np.take(table, np.add(offset, step, out=index), axis=0, out=gathered, mode="clip")
+            if flat:
+                np.multiply(step, e.size, out=index, dtype=np.intp)
+                step = np.add(index, ids, out=index)
+            np.take(table, step, axis=0, out=blocks, mode="clip")
             np.multiply(entries[:2, None], cur[0], out=new)
             np.multiply(entries[2:, None], cur[1], out=term)
             np.add(new, term, out=new)
@@ -706,10 +724,11 @@ def _table_pass(e, windows, table, growth, codes, marks, pairs, shifts):
             room = _HEADROOM - 1.0
         upto = bisect_right(marks, at + _TABLE_SITES - 1, j)
         r = [cur[1], cur[0], *scratch]  # bottom, top, new tops
-        for k in range(marks[upto - 1] - at):
-            np.subtract(e, _column(windows, at + k), out=d[0])
-            np.multiply(d, r[k + 1], out=r[k + 2])
-            np.subtract(r[k + 2], r[k], out=r[k + 2])
+        for s in range(marks[upto - 1] - at):
+            column = _column(windows, at + s)
+            np.subtract(energies, column.reshape(column.shape + (1,) * k), out=d[0])
+            np.multiply(d, r[s + 1], out=r[s + 2])
+            np.subtract(r[s + 2], r[s], out=r[s + 2])
         for i in range(j, upto):
             pairs[0, :, i], pairs[1, :, i] = r[marks[i] - at + 1], r[marks[i] - at]
             shifts[i] = shift
@@ -778,6 +797,8 @@ def centered_batch(
     if windows.shape[1] != 2 * m + 1:
         raise ValueError("centered windows must have odd length")
     radii = [int(n) for n in radii]
+    if not radii or min(radii) < 0 or max(radii) > m:
+        raise ValueError(f"radii must form a non-empty grid in [0, m] = [0, {m}], got {radii}")
     halves = []
     # (half, its checkpoints, the lattice site of its site 0, the direction)
     for half, counts, origin, sign in ((windows[:, m + 1 :], radii, 1, 1),

@@ -506,6 +506,23 @@ def test_persist_round_trip_is_structurally_equal(tmp_path):
     assert loaded["manifest"]["config_digest"] == manifest.config_digest
 
 
+def test_json_report_writes_numpy_cells_as_jsonable_writes_them(tmp_path):
+    # the rows go to the C encoder as they are, and each numpy cell (or other
+    # value it cannot encode) comes out as experiments._jsonable writes it
+    columns = tuple("abcdefgh")
+    cells = (np.int64(3), np.float64(0.1), np.float32(0.5), np.bool_(True), np.arange(3),
+             0.4 + 0.6j, None, "x")
+    summary = {"s": np.float64(2.0), 1: np.arange(2)}
+    table = ResultTable("t", columns, (dict(zip(columns, cells)),), summary)
+    persist(table, RunManifest.create({"seed": 1}, seed=1, workers=1), tmp_path / "t")
+    text = (tmp_path / "t.json").read_text()
+    assert text.count("\n") == 1  # compact: one line
+    report = json.loads(text)
+    assert report["rows"] == [{c: experiments._jsonable(v) for c, v in zip(columns, cells)}]
+    assert report["summary"] == {"s": 2.0, "1": [0, 1]}
+    assert report["columns"] == list(columns) and report["kind"] == "t"
+
+
 def test_reruns_reproduce_csv_bytes(tmp_path):
     sc = scenario(kind="census", n_grid=(10, 20))
     manifest = RunManifest.create({}, seed=11, workers=1)

@@ -1,5 +1,6 @@
 import hashlib
 import math
+import re
 import warnings
 from fractions import Fraction
 
@@ -786,8 +787,8 @@ STATS = ("log_norm", "log_det", "matrix_element")
 
 
 def test_energy_axis_broadcasts_against_the_window_rows():
-    # (E, 1) energies against (S, m) windows give E x S lanes, equal to an
-    # explicit call on tiled windows with one energy per row
+    # (E, 1) energies against (S, m) windows give E x S lanes, equal bit for
+    # bit to an explicit call on tiled windows with one energy per row
     rng = np.random.default_rng(115)
     energies = np.array([0.0, 0.37, 2.9, 0.4 + 0.6j, -1.5 + 1e-3j])
     windows = np.concatenate([_kernel_windows(k, rng, 4, 150) for k in ("bernoulli", "pareto")])
@@ -802,15 +803,12 @@ def test_energy_axis_broadcasts_against_the_window_rows():
             got = matrix_batch(energies[:, None], windows, checkpoints)
             want = matrix_batch(per_row, tiled, checkpoints)
             assert all(a.shape == lead + lanes for a in got)
-            for stat in STATS:
-                with np.errstate(divide="ignore"):
-                    g = _statistic_logs(stat, got, UNIT_U, UNIT_V)
-                    w = _statistic_logs(stat, want, UNIT_U, UNIT_V).reshape(g.shape)
-                np.testing.assert_allclose(g, w, rtol=1e-12, atol=1e-12)
+            for g, w in zip(got, want):
+                assert np.array_equal(g, w.reshape(g.shape))
         logs = vector_growth_logs(energies[:, None], windows, marks)
         ref = vector_growth_logs(per_row, tiled, marks)
     assert logs.shape == (len(marks),) + lanes
-    np.testing.assert_allclose(logs, ref.reshape(logs.shape), rtol=1e-12, atol=1e-12)
+    assert np.array_equal(logs, ref.reshape(logs.shape))
 
 
 # ---------------------------------------------------------------------------
@@ -976,6 +974,20 @@ def test_centered_magnitude_error_names_the_lattice_site():
                 centered_batch(0.37, windows, (2, 5, 10))
 
 
+@pytest.mark.parametrize("radii", [(3, 12), (-1, 2), ()])
+def test_centered_radius_grid_is_checked_before_any_pass(monkeypatch, radii):
+    # a radius past m, a negative radius or an empty grid is named with the
+    # range [0, m] it must lie in, before either half runs
+    def no_pass(*args, **kwargs):
+        raise AssertionError("a kernel pass ran before the radius grid was checked")
+
+    monkeypatch.setattr(transfer, "_propagate", no_pass)
+    windows = np.ones((2, 21))  # over [-10, 10]
+    got = re.escape(f"got {list(radii)}")
+    with pytest.raises(ValueError, match=rf"radii .* \[0, m\] = \[0, 10\], {got}"):
+        centered_batch(0.37, windows, radii)
+
+
 # ---------------------------------------------------------------------------
 # the table step of two-valued batches against the one-site step
 # ---------------------------------------------------------------------------
@@ -1080,6 +1092,73 @@ def test_checkpoint_reads_equal_direct_calls_on_two_valued_windows():
             for got, want in zip(batch, direct):
                 np.testing.assert_array_equal(got[j], want[0])
             np.testing.assert_array_equal(logs[j], vector_growth_logs(energy, windows[:, :k], (k,))[0])
+
+
+# real and complex energies apart: in one complex batch, the final division
+# of matrix_batch without checkpoints moves a real lane at round-off
+GATHER_ENERGIES = {"real": np.array([-2.0, 0.0, 0.37, 2.9]),
+                   "complex": np.array([0.4 + 0.6j, -1.5 + 1e-3j, 2.0 + 0.5j])}
+GATHER_MARKS = (0, 3, 8, 13, 64, 67, 100, 203)
+
+
+def _gather_batches(rng):
+    """Two-valued batches of 7 windows over 203 sites: atom windows read
+    forward and as a negative-stride view, float windows of two values, and
+    atoms so far apart (``|E - V|`` near 3e6, 172 bits of growth per table
+    step) that a rescale falls every other step."""
+    codes = rng.integers(0, 2, (7, 203)).astype(np.uint8)
+    near = AtomWindows(codes, np.array([0.25, -2.5]))
+    far = AtomWindows(codes[::-1], np.array([-1.0, 3.0e6]))
+    return {"forward": near, "backward": near[:, ::-1], "floats": near.values,
+            "far": far, "far backward": far[:, ::-1]}
+
+
+def _tiled(windows, count):
+    if isinstance(windows, AtomWindows):
+        return AtomWindows(np.tile(windows.codes, (count, 1)), windows.atoms)
+    return np.tile(windows, (count, 1))
+
+
+@pytest.mark.parametrize("kind", ["forward", "backward", "floats", "far", "far backward"])
+@pytest.mark.parametrize("field", ["real", "complex"])
+@pytest.mark.parametrize("call, args", [
+    (matrix_batch, ()), (matrix_batch, (GATHER_MARKS,)),
+    (vector_growth_logs, (GATHER_MARKS,)), (centered_batch, ((0, 1, 2, 7, 8, 12, 64, 101),)),
+])
+def test_energy_inner_gather_equals_scalar_and_per_row_calls(monkeypatch, kind, field, call, args):
+    # (E, 1) energies gather each window's block of every energy in one take,
+    # a scalar energy is its E = 1 case, and one energy per row gathers by
+    # flat index: all three give each lane the same bits, on marks inside
+    # and between table steps, with rescales every other step, at complex
+    # energies, on forward and negative-stride atom windows and on floats
+    windows = _gather_batches(np.random.default_rng(225))[kind]
+    built = _counting_tables(monkeypatch)
+    energies, rows = GATHER_ENERGIES[field], len(windows)
+
+    def run(energy, batch):
+        before = len(built)
+        out = call(energy, batch, *args)
+        assert len(built) > before  # the table step
+        return out if isinstance(out, tuple) else (out,)
+
+    got = run(energies[:, None], windows)
+    per_row = run(np.repeat(energies, rows), _tiled(windows, len(energies)))
+    for g, w in zip(got, per_row):
+        assert g.shape[-2:] == (len(energies), rows)
+        assert np.array_equal(g, w.reshape(g.shape))
+    for i, energy in enumerate(energies):
+        for g, w in zip(got, run(energy, windows)):
+            assert np.array_equal(g[..., i, :], w)
+
+
+def test_far_atoms_rescale_every_other_table_step(monkeypatch):
+    # the rescale schedule the gather test above relies on
+    windows = _gather_batches(np.random.default_rng(225))["far"]
+    rescales = []
+    rescale = transfer._rescale
+    monkeypatch.setattr(transfer, "_rescale", lambda *a: rescales.append(1) or rescale(*a))
+    vector_growth_logs(GATHER_ENERGIES["real"][:, None], windows, (203,))
+    assert len(rescales) >= 203 // transfer._TABLE_SITES // 2
 
 
 def _sha256(*arrays):
